@@ -1,13 +1,30 @@
 """Exact point counting on plane quartics over F_{p^m}, vectorized.
 
-The count over a field of q elements iterates one affine coordinate over
-all of F_q as numpy "lanes".  For each lane the curve restricts to a
-monic quartic h(y); the number of distinct roots equals
-deg gcd(y^q - y, h), with y^q mod h computed by square-and-multiply and
-the gcd degree by a masked, inversion-free polynomial remainder sequence
-run simultaneously on every lane.  Field elements of F_{p^m} are int64
-coordinate vectors mod p in the canonical polynomial basis, so all
-arithmetic is exact.
+The affine count over a field of q = p^m elements runs one coordinate x
+over F_q as numpy "lanes".  For each lane the curve restricts to a monic
+quartic h_x(y), and the number of its distinct roots in F_q is
+deg gcd(y^q - y, h_x).  That degree comes from y^p mod h_x by
+square-and-multiply, then y^(p^k) = sum sigma(c_j) (y^p)^j for
+y^(p^(k-1)) = sum c_j y^j, and a masked, inversion-free polynomial
+remainder sequence, all run simultaneously on every lane.
+
+Frobenius orbits.  The curve has coefficients in F_p, so the Frobenius
+sigma(x) = x^p maps h_x to h_{sigma(x)} = sigma(h_x), and the two have
+the same number of distinct roots.  Only one x per orbit is counted:
+the one whose base-p index is smallest in its orbit, weighted by the
+orbit size (the least k >= 1 with sigma^k(x) = x).  Frobenius is
+F_p-linear on coordinate vectors, so it is one sparse m x m map mod p.
+F_{p^3} needs p + (p^3 - p)/3 lanes and F_{p^2} needs p + (p^2 - p)/2.
+
+Block layout.  The indices 0..q-1 are cut into ranges of _BLOCK * m,
+and each range is filtered to its orbit representatives (about _BLOCK
+lanes) just before its kernel runs, so the whole field is never held
+at once.  Within a block, field elements are int64 coordinate vectors
+mod p in the canonical polynomial basis, stored structure-of-arrays as
+(m, slot, lanes): coordinate first, then polynomial slot, then lane,
+so every coordinate of every slot is one contiguous lane vector.  All
+arithmetic is exact.  With ``workers > 1`` the blocks are mapped over
+a thread pool instead of serially; the sum is the same.
 
 The public entry points are :func:`count_points` and
 :func:`l_polynomial`.
@@ -28,6 +45,7 @@ from .series import abc_from_counts
 
 _FIELD_BUDGET = 10 ** 7
 _BRUTE_LIMIT = 512
+_BLOCK = 8192  # Frobenius-orbit representatives per kernel block
 
 
 class BadReductionError(ValueError):
@@ -39,13 +57,22 @@ class BudgetExceededError(ValueError):
 
 
 class _VecField:
-    """Vectorized F_{p^m} arithmetic on int64 arrays of shape (..., m)."""
+    """Vectorized F_{p^m} arithmetic on int64 arrays of shape (m, ...).
+
+    Axis 0 holds the coordinates in the polynomial basis, so each
+    coordinate is one contiguous array over the trailing (slot, lane)
+    axes.  The reduction and Frobenius tables are built per (p, m) when
+    the field is made, as sparse (row, column, constant) terms.
+    """
 
     def __init__(self, p: int, m: int):
+        # the kernel sums at most 16m products of residues before one
+        # reduction multiplies them by constants below p
+        if 16 * m * p * p * (1 + (m - 1) * p) >= 2 ** 63:
+            raise OverflowError("F_%d^%d overflows int64 lanes" % (p, m))
         fd = make_field(p, m)
-        self.p, self.m, self.q = p, m, p ** m
-        self.fd = fd
-        # reduction rows: x^(m+t) in the polynomial basis, t = 0..m-2
+        self.p, self.m = p, m
+        # rows[t] = x^(m+t) in the polynomial basis, t = 0..m-2
         rows = []
         if m > 1:
             cur = [(-c) % p for c in fd.modulus[:m]]
@@ -57,43 +84,42 @@ class _VecField:
                     (shifted[i] + over * rows[0][i]) % p for i in range(m)
                 ]
                 rows.append(cur)
-        self.red = rows
+        self.red = [
+            (i, m + t, c)
+            for t, row in enumerate(rows)
+            for i, c in enumerate(row)
+            if c
+        ]
+        basis = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+        self.frob = [
+            (i, k, c)
+            for k in range(m)
+            for i, c in enumerate(fd.frobenius(basis[k]))
+            if c
+        ]
 
-    def lanes(self) -> np.ndarray:
-        """All q field elements as a (q, m) digit array."""
-        n = np.arange(self.q, dtype=np.int64)
-        digits = []
-        for _ in range(self.m):
-            digits.append(n % self.p)
-            n = n // self.p
-        return np.stack(digits, axis=-1)
+    def reduce(self, acc: np.ndarray) -> np.ndarray:
+        """Coordinates mod p of a product given by its 2m - 1 unreduced
+        polynomial-basis coefficients along axis 0 (overwrites acc)."""
+        out = acc[:self.m]
+        for i, k, c in self.red:
+            out[i] += c * acc[k]
+        return out % self.p
 
-    def embed_int(self, c: int, shape: tuple) -> np.ndarray:
-        out = np.zeros(shape + (self.m,), dtype=np.int64)
-        out[..., 0] = c % self.p
-        return out
+    def frobenius(self, a: np.ndarray) -> np.ndarray:
+        """a^p, coordinate vectors mapped by the F_p-linear Frobenius."""
+        out = np.zeros_like(a)
+        for i, k, c in self.frob:
+            out[i] += c * a[k]
+        return out % self.p
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        p, m = self.p, self.m
-        if m == 1:
-            return (a * b) % p
-        prod: List[Optional[np.ndarray]] = [None] * (2 * m - 1)
+        m = self.m
+        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+        acc = np.zeros((2 * m - 1,) + shape, dtype=np.int64)
         for i in range(m):
-            for j in range(m):
-                t = a[..., i] * b[..., j]
-                k = i + j
-                prod[k] = t if prod[k] is None else prod[k] + t
-        out = [prod[t] % p for t in range(m)]
-        for t in range(m, 2 * m - 1):
-            c = prod[t] % p
-            row = self.red[t - m]
-            for idx in range(m):
-                if row[idx]:
-                    out[idx] = out[idx] + c * row[idx]
-        return np.stack([o % p for o in out], axis=-1)
-
-    def scalar_mul(self, c: int, a: np.ndarray) -> np.ndarray:
-        return (a * (c % self.p)) % self.p
+            acc[i:i + m] += a[i] * b
+        return self.reduce(acc)
 
 
 def _choose_chart(
@@ -131,116 +157,155 @@ def _brute_count(curve: TernaryQuarticForm, p: int, m: int) -> int:
 
 
 def _deg(parr: np.ndarray) -> np.ndarray:
-    nz = np.any(parr != 0, axis=2)
-    idx = np.where(nz, np.arange(parr.shape[1])[None, :], -1)
-    return idx.max(axis=1)
+    """Degree per lane of polynomials stored (m, slot, lanes); -1 for 0."""
+    nz = np.any(parr != 0, axis=0)
+    top = parr.shape[1] - 1 - np.argmax(nz[::-1], axis=0)
+    return np.where(nz.any(axis=0), top, -1)
 
 
 def _shift(parr: np.ndarray, s: np.ndarray) -> np.ndarray:
-    lanes, slots, _m = parr.shape
-    idx = np.arange(slots)[None, :] - s[:, None]
-    valid = idx >= 0
-    idxc = np.clip(idx, 0, slots - 1)
-    out = parr[np.arange(lanes)[:, None], idxc, :]
-    return out * valid[:, :, None]
+    """Each lane's polynomial times y^s, dropping slots that overflow."""
+    idx = np.arange(parr.shape[1])[:, None] - s
+    out = np.take_along_axis(parr, np.maximum(idx, 0)[None], axis=1)
+    return out * (idx >= 0)
 
 
 def _gcd_degrees(vf: _VecField, h4: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """deg gcd(h, r) per lane, h monic quartic (lanes,4,m holds a0..a3),
-    r of degree <= 3 (lanes,4,m)."""
-    lanes = h4.shape[0]
-    m = vf.m
-    A = np.zeros((lanes, 5, m), dtype=np.int64)
-    A[:, :4, :] = h4
-    A[:, 4, 0] = 1
-    B = np.zeros((lanes, 5, m), dtype=np.int64)
-    B[:, :4, :] = r
-    ar = np.arange(lanes)
+    """deg gcd(h, r) per lane, h monic quartic ((m, 4, lanes) holds
+    a0..a3), r of degree <= 3 ((m, 4, lanes))."""
+    m, _, lanes = h4.shape
+    A = np.zeros((m, 5, lanes), dtype=np.int64)
+    A[:, :4] = h4
+    A[0, 4] = 1
+    B = np.zeros_like(A)
+    B[:, :4] = r
+    degA, degB = np.full(lanes, 4), _deg(B)
+    one = np.zeros((m, 1, lanes), dtype=np.int64)
+    one[0] = 1
     for _ in range(64):
-        degA, degB = _deg(A), _deg(B)
-        swap = degA < degB
-        if swap.any():
-            sw = swap[:, None, None]
-            A, B = np.where(sw, B, A), np.where(sw, A, B)
-            degA, degB = (
-                np.where(swap, degB, degA),
-                np.where(swap, degA, degB),
-            )
-        active = degB >= 0
+        # a lane is done once B is zero (gcd A) or a unit (gcd 1)
+        active = degB >= 1
         if not active.any():
             break
-        s = np.where(active, degA - degB, 0)
-        lcA = A[ar, np.maximum(degA, 0), :]
-        lcB = B[ar, np.maximum(degB, 0), :]
-        shifted = _shift(B, s)
-        newA = (
-            vf.mul(lcB[:, None, :], A) - vf.mul(lcA[:, None, :], shifted)
-        ) % vf.p
-        A = np.where(active[:, None, None], newA, A)
+        # A <- lc(B) A - lc(A) y^(degA - degB) B on the active lanes;
+        # elsewhere lc(B) is taken as 1 and B is shifted out of range
+        lcA = np.take_along_axis(A, degA[None, None], axis=1)
+        lcB = np.take_along_axis(B, degB[None, None], axis=1)
+        lcB = np.where(active, lcB, one)
+        shifted = _shift(B, np.where(active, degA - degB, 5))
+        acc = np.zeros((2 * m - 1, 5, lanes), dtype=np.int64)
+        for i in range(m):
+            acc[i:i + m] += lcB[i] * A
+            acc[i:i + m] -= lcA[i] * shifted
+        A = vf.reduce(acc)
+        degA = _deg(A)
+        swap = degA < degB
+        if swap.any():
+            A, B = np.where(swap, B, A), np.where(swap, A, B)
+            degA, degB = np.maximum(degA, degB), np.minimum(degA, degB)
     else:
         raise AssertionError("polynomial remainder sequence did not terminate")
-    return _deg(A)
+    return np.where(degB == 0, 0, degA)
 
 
-def _count_chunk(
-    vf: _VecField,
-    coeff_rows: List[List[Tuple[int, int]]],
-    lanes: np.ndarray,
-) -> int:
-    """Distinct-root count summed over the given iterate-variable lanes.
+def _orbit_reps(
+    vf: _VecField, lo: int, hi: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The elements with base-p index in [lo, hi) that have the smallest
+    index in their Frobenius orbit, as (m, lanes) digits, together with
+    their orbit sizes."""
+    p, m = vf.p, vf.m
+    n = np.arange(lo, hi, dtype=np.int64)
+    place = p ** np.arange(m, dtype=np.int64)
+    x = (n // place[:, None]) % p
+    size = np.full(n.shape, m, dtype=np.int64)
+    keep = np.ones(n.shape, dtype=bool)
+    image = x
+    for k in range(1, m):
+        image = vf.frobenius(image)
+        idx = place @ image
+        keep &= n <= idx
+        size = np.where((idx == n) & (size == m), k, size)
+    return x[:, keep], size[keep]
+
+
+def _root_counts(
+    vf: _VecField, coeff_rows: List[List[Tuple[int, int]]], x: np.ndarray
+) -> np.ndarray:
+    """Number of distinct roots in F_q of h_x(y) for each lane x.
 
     ``coeff_rows[j]`` lists (coefficient, power-of-iterate) pairs making
     up the (already monic-normalized) y^j coefficient, j = 0..3.
     """
-    L = lanes.shape[0]
-    m = vf.m
-    upow = [vf.embed_int(1, (L,))]
+    p, m = vf.p, vf.m
+    lanes = x.shape[1]
+    xpow = [np.zeros((m, lanes), dtype=np.int64)]
+    xpow[0][0] = 1
     for _ in range(4):
-        upow.append(vf.mul(upow[-1], lanes))
-    h4 = np.zeros((L, 4, m), dtype=np.int64)
-    for j in range(4):
-        acc = np.zeros((L, m), dtype=np.int64)
-        for c, d in coeff_rows[j]:
-            acc = (acc + vf.scalar_mul(c, upow[d])) % vf.p
-        h4[:, j, :] = acc
-    pow4 = (-h4) % vf.p
-    over = pow4[:, 3, :]
-    pow5 = np.zeros_like(pow4)
-    pow5[:, 1:, :] = pow4[:, :3, :]
-    pow5 = (pow5 + vf.mul(over[:, None, :], pow4)) % vf.p
-    over = pow5[:, 3, :]
-    pow6 = np.zeros_like(pow5)
-    pow6[:, 1:, :] = pow5[:, :3, :]
-    pow6 = (pow6 + vf.mul(over[:, None, :], pow4)) % vf.p
-
-    def mulmod(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        conv: List[Optional[np.ndarray]] = [None] * 7
-        for i in range(4):
-            for j in range(4):
-                t = vf.mul(u[:, i, :], v[:, j, :])
-                k = i + j
-                conv[k] = t if conv[k] is None else conv[k] + t
-        out = np.stack([c % vf.p for c in conv[:4]], axis=1)
-        for k, powk in ((4, pow4), (5, pow5), (6, pow6)):
-            c = conv[k] % vf.p
-            out = out + vf.mul(c[:, None, :], powk)
-        return out % vf.p
+        xpow.append(vf.mul(xpow[-1], x))
+    h4 = np.zeros((m, 4, lanes), dtype=np.int64)
+    for j, row in enumerate(coeff_rows):
+        for c, d in row:
+            h4[:, j] += c * xpow[d]
+    h4 %= p
 
     def times_y(u: np.ndarray) -> np.ndarray:
-        over = u[:, 3, :]
         out = np.zeros_like(u)
-        out[:, 1:, :] = u[:, :3, :]
-        return (out + vf.mul(over[:, None, :], pow4)) % vf.p
+        out[:, 1:] = u[:, :3]
+        return (out + vf.mul(u[:, 3:], pow4)) % p
 
-    yvec = np.zeros((L, 4, m), dtype=np.int64)
-    yvec[:, 1, 0] = 1
-    r = yvec.copy()
-    for bit in bin(vf.q)[3:]:
-        r = mulmod(r, r)
+    # y^4, y^5, y^6 mod h, stacked as (m, 3, 4, lanes)
+    pow4 = (-h4) % p
+    pow5 = times_y(pow4)
+    high_pows = np.stack([pow4, pow5, times_y(pow5)], axis=1)
+
+    def square(u: np.ndarray) -> np.ndarray:
+        # u^2 as a polynomial in (x, y), each cross term taken once
+        acc = np.zeros((2 * m - 1, 7, lanes), dtype=np.int64)
+        twice = 2 * u
+        for i in range(m):
+            for j in range(4):
+                acc[2 * i, 2 * j] += u[i, j] * u[i, j]
+                if j < 3:
+                    acc[2 * i, 2 * j + 1:j + 4] += twice[i, j] * u[i, j + 1:]
+                if i < m - 1:
+                    acc[2 * i + 1:i + m, j:j + 4] += twice[i, j] * u[i + 1:]
+        # fold y^4..y^6 back with the lane's own powers, then reduce x
+        high = vf.reduce(acc[:, 4:])
+        low = acc[:, :4]
+        for i in range(m):
+            for k in range(3):
+                low[i:i + m] += high[i, k] * high_pows[:, k]
+        return vf.reduce(low)
+
+    def combine(c: np.ndarray, polys: List[np.ndarray]) -> np.ndarray:
+        # sum over j of c_j * polys[j], c of shape (m, 4, lanes)
+        acc = np.zeros((2 * m - 1, 4, lanes), dtype=np.int64)
+        for i in range(m):
+            for j, poly in enumerate(polys):
+                acc[i:i + m] += c[i, j] * poly
+        return vf.reduce(acc)
+
+    # Y = y^p by square-and-multiply, then y^(p^k) = sum sigma(c_j) Y^j
+    # where y^(p^(k-1)) = sum c_j y^j, since u -> u^p is a ring map
+    r = np.zeros((m, 4, lanes), dtype=np.int64)
+    r[0, 1] = 1
+    for bit in bin(p)[3:]:
+        r = square(r)
         if bit == "1":
             r = times_y(r)
-    r = (r - yvec) % vf.p
-    return int(_gcd_degrees(vf, h4, r).sum())
+    if m > 1:
+        one = np.zeros_like(r)
+        one[0, 0] = 1
+        ys = [r]
+        for _ in range(3):
+            ys.append(times_y(ys[-1]))
+        r2 = square(r)
+        ypows = [one, r, r2, combine(r2, ys)]
+        for _ in range(m - 1):
+            r = combine(vf.frobenius(r), ypows)
+    r[0, 1] -= 1
+    return _gcd_degrees(vf, h4, r % p)
 
 
 def count_points(
@@ -281,15 +346,17 @@ def count_points(
             continue
         coeff_rows[jr].append((c * lead_inv % p, e[iter_var]))
 
-    lanes = vf.lanes()
-    if workers <= 1 or q < 4096:
-        affine = _count_chunk(vf, coeff_rows, lanes)
+    def count_block(block: Tuple[int, int]) -> int:
+        x, orbit_size = _orbit_reps(vf, *block)
+        return int(orbit_size @ _root_counts(vf, coeff_rows, x))
+
+    step = _BLOCK * m
+    blocks = [(lo, min(lo + step, q)) for lo in range(0, q, step)]
+    if workers <= 1:
+        affine = sum(map(count_block, blocks))
     else:
-        chunks = np.array_split(lanes, workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            affine = sum(
-                pool.map(lambda ch: _count_chunk(vf, coeff_rows, ch), chunks)
-            )
+            affine = sum(pool.map(count_block, blocks))
 
     # the line chart_var = 0: points (u : 1 : 0) plus (1 : 0 : 0)
     F = make_field(p, m)

@@ -3,7 +3,10 @@ import pytest
 from quartic_galois.counting import (
     BadReductionError,
     BudgetExceededError,
+    _BLOCK,
+    _VecField,
     _brute_count,
+    _orbit_reps,
     count_points,
     l_polynomial,
 )
@@ -15,14 +18,35 @@ KLEIN = TernaryQuarticForm({(3, 1, 0): 1, (0, 3, 1): 1, (1, 0, 3): 1})
 
 
 def test_counts_match_brute_enumeration():
-    for p, m in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (5, 2)]:
+    cases = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (5, 2)]
+    # extensions of degree 3, 4 and 6 mix Frobenius orbits of sizes
+    # 1, 2, 3, 4 and 6
+    cases += [(3, 3), (2, 4), (3, 4), (2, 6)]
+    for p, m in cases:
         assert count_points(CURVE, p, m) == _brute_count(CURVE, p, m)
 
 
 def test_counts_match_brute_on_other_curves():
     for form in (FERMAT, KLEIN):
-        for p, m in [(3, 1), (5, 1), (3, 2), (13, 1)]:
+        for p, m in [(3, 1), (5, 1), (3, 2), (13, 1), (2, 3), (5, 2),
+                     (3, 3), (2, 4), (3, 4)]:
             assert count_points(form, p, m) == _brute_count(form, p, m)
+
+
+def test_orbit_representatives_cover_the_field():
+    for p, m in [(41, 3), (5, 2), (3, 4), (2, 6), (7, 1)]:
+        vf = _VecField(p, m)
+        q, step = p ** m, _BLOCK * m
+        reps, weight = 0, 0
+        for lo in range(0, q, step):
+            x, size = _orbit_reps(vf, lo, min(lo + step, q))
+            assert x.shape == (m, size.size)
+            assert all(m % k == 0 for k in size.tolist())
+            reps += size.size
+            weight += int(size.sum())
+        assert weight == q
+        if m in (2, 3):
+            assert reps == p + (q - p) // m
 
 
 def test_small_counts_exact():
@@ -64,10 +88,11 @@ def test_budget_enforced():
 
 
 def test_worker_count_does_not_change_answer():
-    for workers in (2, 4):
-        assert count_points(CURVE, 17, 2, workers=workers) == count_points(
-            CURVE, 17, 2
-        )
+    # F_{41^3} has about 23,000 orbit representatives, several blocks
+    for p, m in [(17, 2), (41, 3)]:
+        serial = count_points(CURVE, p, m)
+        for workers in (2, 4):
+            assert count_points(CURVE, p, m, workers=workers) == serial
 
 
 def test_degenerate_chart_falls_back_to_enumeration():

@@ -3,8 +3,8 @@ smooth plane quartic.
 
 The package is organized bottom-up:
 
-* :mod:`~quartic_galois.fields`, :mod:`~quartic_galois.polys`,
-  :mod:`~quartic_galois.series` — exact algebra substrate;
+* :mod:`~quartic_galois.fields`, :mod:`~quartic_galois.polys` — exact
+  algebra substrate;
 * :mod:`~quartic_galois.curve`, :mod:`~quartic_galois.counting` — plane
   quartic geometry, point counting, L-polynomials, bad primes;
 * :mod:`~quartic_galois.reduction`, :mod:`~quartic_galois.mod2`,

@@ -41,7 +41,6 @@ import numpy as np
 from .curve import LPolynomial, TernaryQuarticForm, singular_points
 from .fields import make_field
 from .polys import FqPoly
-from .series import abc_from_counts
 
 _FIELD_BUDGET = 10 ** 7
 _BRUTE_LIMIT = 512
@@ -387,7 +386,7 @@ def l_polynomial(
     curve: TernaryQuarticForm, p: int, workers: int = 1
 ) -> LPolynomial:
     """The L-polynomial at a prime of good reduction, from counts over
-    F_p, F_{p^2}, F_{p^3} via the zeta congruence, with the Weil root
+    F_p, F_{p^2}, F_{p^3} via Newton's identities, with the Weil root
     bounds verified before returning."""
     report = singular_points(curve, p)
     if not report.is_good:
@@ -395,7 +394,6 @@ def l_polynomial(
             "curve has bad (or unresolved) reduction at %d" % p
         )
     counts = [count_points(curve, p, m, workers=workers) for m in (1, 2, 3)]
-    a, b, c = abc_from_counts(p, counts)
-    lp = LPolynomial(p=p, a=a, b=b, c=c)
+    lp = LPolynomial.from_counts(p, counts)
     lp.verify_weil()
     return lp

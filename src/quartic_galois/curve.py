@@ -15,6 +15,8 @@ from importlib import resources
 from math import comb, gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import sympy
+
 from .fields import FieldDescriptor, make_field
 from .polys import FqPoly, IntPoly, factor_fq
 
@@ -89,10 +91,7 @@ class TernaryQuarticForm:
         return self.coeffs.get((i, j, k), 0)
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs.values():
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs.values())
 
     def partial(self, var: int) -> Dict[Monomial, int]:
         """Partial derivative as a (degree-3) sparse exponent map."""
@@ -119,16 +118,12 @@ class TernaryQuarticForm:
         return acc
 
     def sympy_expr(self):
-        import sympy
-
         x, y, z = sympy.symbols("x y z")
         return sum(
             c * x ** i * y ** j * z ** k for (i, j, k), c in self.coeffs.items()
         )
 
     def is_irreducible_over_q(self) -> bool:
-        import sympy
-
         expr = self.sympy_expr()
         factors = sympy.factor_list(expr)[1]
         return len(factors) == 1 and factors[0][1] == 1
@@ -176,6 +171,24 @@ class LPolynomial:
     b: int
     c: int
 
+    @classmethod
+    def from_counts(cls, p: int, counts: Sequence[int]) -> "LPolynomial":
+        """Invert :meth:`power_sums`: given N_m = |C(F_{p^m})| for
+        m = 1, 2, 3, the power sums s_m = p^m + 1 - N_m give the
+        elementary symmetric e_1, e_2, e_3 of the Frobenius eigenvalues
+        by Newton's identities, and (a, b, c) = (-e_1, e_2, -e_3).
+
+        Raises ArithmeticError when a Newton division is not exact (a
+        counting inconsistency).
+        """
+        if len(counts) < 3:
+            raise ValueError("need counts over F_p, F_{p^2}, F_{p^3}")
+        s1, s2, s3 = (p ** m + 1 - int(n) for m, n in zip((1, 2, 3), counts))
+        e1 = s1
+        e2 = _exact_div(e1 * s1 - s2, 2)
+        e3 = _exact_div(e2 * s1 - e1 * s2 + s3, 3)
+        return cls(p=p, a=-e1, b=e2, c=-e3)
+
     def to_int_poly(self) -> IntPoly:
         p, a, b, c = self.p, self.a, self.b, self.c
         return IntPoly([p ** 3, p ** 2 * a, p * b, c, b, a, 1])
@@ -220,6 +233,15 @@ class LPolynomial:
         return (self.a, self.b, self.c)
 
 
+def _exact_div(n: int, k: int) -> int:
+    q, r = divmod(n, k)
+    if r:
+        raise ArithmeticError(
+            "zeta congruence produced non-integer coefficient %d/%d" % (n, k)
+        )
+    return q
+
+
 # ---------------------------------------------------------------------------
 # bad primes
 
@@ -232,8 +254,6 @@ def find_bad_prime_candidates(curve: TernaryQuarticForm) -> int:
     combine the nonzero eliminants by gcd.  Spurious prime factors are
     possible and are filtered by the per-prime singular scan downstream.
     """
-    import sympy
-
     if not curve.is_irreducible_over_q():
         raise ValueError("curve is not irreducible over Q")
     xyz = sympy.symbols("x y z")
@@ -253,11 +273,7 @@ def find_bad_prime_candidates(curve: TernaryQuarticForm) -> int:
                 vals.append(abs(int(r)))
     if not vals:
         raise ValueError("all eliminants vanish: curve is singular over Q")
-    b = 0
-    for v in vals:
-        b = gcd(b, v)
-    assert b != 0
-    return b
+    return gcd(*vals)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +403,7 @@ def singular_points(curve: TernaryQuarticForm, p: int) -> SingularFiberReport:
     mod p (guaranteed here: the certifier's curves have a unit pure
     y^4 coefficient; degenerate inputs yield ``complete=False``).
     """
-    if p < 2 or not _is_prime(p):
+    if not sympy.isprime(p):
         raise ValueError("p must be prime")
     F = make_field(p, 1)
     partials = [curve.partial(t) for t in range(3)]
@@ -408,8 +424,6 @@ def singular_points(curve: TernaryQuarticForm, p: int) -> SingularFiberReport:
                 ):
                     rational.append((x0, y0, 1))
     else:
-        import sympy
-
         xs, ys, zs = sympy.symbols("x y z")
         f_aff = curve.sympy_expr().subs(zs, 1)
         elim: List[IntPoly] = []
@@ -535,9 +549,3 @@ def _y_gcd_at(curve, partials, K: FieldDescriptor, x0) -> FqPoly:
             continue
         g = g.gcd(poly) if not g.is_zero() else poly.monic()
     return g
-
-
-def _is_prime(n: int) -> bool:
-    from .fields import is_prime
-
-    return is_prime(n)

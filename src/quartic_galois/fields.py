@@ -16,33 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Tuple
 
+import sympy
+
 Element = Tuple[int, ...]
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all 64-bit inputs and beyond
-    (the witness set is proven complete below 3.3 * 10^24)."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -176,99 +152,23 @@ def _poly_has_root(coeffs, p: int) -> bool:
     return False
 
 
-def _is_irreducible_over_fp(coeffs, p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p
-    (coefficients low degree first, leading coefficient 1)."""
-    m = len(coeffs) - 1
-    if m == 1:
-        return True
-    if coeffs[0] == 0:
-        return False
-    if m <= 3:
-        # degree 2 or 3: irreducible iff no root
-        return not _poly_has_root(coeffs, p)
-    fd = FieldDescriptor(p, 1, (0, 1))
-
-    def polymulmod(a, b):
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce mod coeffs (monic degree m)
-        for k in range(len(prod) - 1, m - 1, -1):
-            c = prod[k]
-            if c:
-                for j in range(m):
-                    prod[k - m + j] = (prod[k - m + j] - c * coeffs[j]) % p
-            prod[k] = 0
-        out = prod[:m]
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def xpow(e):
-        result = [1]
-        base = [0, 1]
-        while e:
-            if e & 1:
-                result = polymulmod(result, base)
-            base = polymulmod(base, base)
-            e >>= 1
-        return result
-
-    def polygcd(a, b):
-        a, b = list(a), list(b)
-        while b:
-            # reduce a mod b
-            while len(a) >= len(b) and a:
-                c = a[-1] * pow(b[-1], -1, p) % p
-                shift = len(a) - len(b)
-                for j in range(len(b)):
-                    a[shift + j] = (a[shift + j] - c * b[j]) % p
-                while a and a[-1] == 0:
-                    a.pop()
-            a, b = b, a
-        return a
-
-    # x^(p^m) == x mod f, and gcd(x^(p^(m/q)) - x, f) == 1 for prime q | m
-    xq = xpow(p ** m)
-    target = [0, 1] if m > 1 else [0]
-    if (xq + [0] * (2 - len(xq)))[:2] != target or len(xq) > 2:
-        if xq != [0, 1]:
-            return False
-    mm = m
-    prime_divs = set()
-    d = 2
-    while d * d <= mm:
-        while mm % d == 0:
-            prime_divs.add(d)
-            mm //= d
-        d += 1
-    if mm > 1:
-        prime_divs.add(mm)
-    for q in prime_divs:
-        h = xpow(p ** (m // q))
-        # h - x
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        while diff and diff[-1] == 0:
-            diff.pop()
-        g = polygcd(diff, list(coeffs))
-        if len(g) != 1:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def make_field(p: int, m: int) -> FieldDescriptor:
-    """Construct F_{p^m} with the canonical modulus (see module docstring)."""
-    if not is_prime(p):
+    """Construct F_{p^m} with the canonical modulus (see module docstring).
+
+    A candidate with a root in F_p is reducible; for m <= 3 having no
+    root is also sufficient, and for m >= 4 Rabin's test decides.
+    """
+    if not sympy.isprime(p):
         raise ValueError("p = %d is not prime" % p)
     if m < 1:
         raise ValueError("extension degree must be >= 1, got %d" % m)
     if m == 1:
         return FieldDescriptor(p, 1, (0, 1))
+    # polys builds on this module, hence the function-level import
+    from .polys import FqPoly, is_irreducible_fq
+
+    prime_field = make_field(p, 1)
     for n in range(p ** m):
         coeffs = []
         t = n
@@ -276,6 +176,10 @@ def make_field(p: int, m: int) -> FieldDescriptor:
             coeffs.append(t % p)
             t //= p
         candidate = tuple(coeffs) + (1,)
-        if _is_irreducible_over_fp(candidate, p):
+        if _poly_has_root(candidate, p):
+            continue
+        if m <= 3 or is_irreducible_fq(
+            FqPoly.from_ints(prime_field, candidate)
+        ):
             return FieldDescriptor(p, m, candidate)
     raise AssertionError("no irreducible polynomial found (unreachable)")

@@ -155,13 +155,7 @@ def dim1_exclusion(lpolys: Sequence[LPolynomial]) -> FrozenSet[int]:
     """
     if not lpolys:
         raise ValueError("no L-polynomials supplied")
-    g = 0
-    for lp in lpolys:
-        poly = lp.to_int_poly()
-        contrib = poly(1) * poly(lp.p)
-        if contrib == 0:
-            continue
-        g = gcd(g, abs(contrib))
+    g = gcd(*(lp(1) * lp(lp.p) for lp in lpolys))
     assert g != 0, "Weil bounds forbid P_p(1) = 0 or P_p(p) = 0 at good p"
     return frozenset(q for q in sympy.primefactors(g) if q % 2 == 1)
 
@@ -189,22 +183,17 @@ def dim2_resultants(
     return out
 
 
-def dim2_exclusion(
-    qpolys: Dict[int, IntPoly], hecke_polys: Dict[int, IntPoly]
-) -> FrozenSet[int]:
-    """Odd-prime support of gcd of the nonzero resultants r_p.
+def dim2_exclusion(rps: Dict[int, int]) -> FrozenSet[int]:
+    """Odd-prime support of gcd of the nonzero resultants r_p (as
+    returned by :func:`dim2_resultants`).
 
     A 2-dimensional factor with determinant the cyclotomic character is
     modular (TF-SERRE), so its Frobenius trace t_p is a common root mod
     ell of H_p and Q_p, forcing ell | r_p for every good p != ell.
     """
-    rps = dim2_resultants(qpolys, hecke_polys)
-    nonzero = [abs(r) for r in rps.values() if r != 0]
-    if not nonzero:
+    g = gcd(*rps.values())
+    if g == 0:
         raise ValueError("all Hecke/Q resultants vanish; no dim-2 constraint")
-    g = 0
-    for r in nonzero:
-        g = gcd(g, r)
     return frozenset(q for q in sympy.primefactors(g) if q % 2 == 1)
 
 
@@ -382,7 +371,7 @@ def irreducibility_certify(
         usable = {p: h for p, h in hecke_polys.items() if p in qpolys}
         if usable:
             rps = dim2_resultants(qpolys, usable)
-            dim2_gcd_support = dim2_exclusion(qpolys, usable)
+            dim2_gcd_support = dim2_exclusion(rps)
     dim2_set = (
         (dim2_gcd_support | escape) if dim2_gcd_support is not None else None
     )
@@ -472,7 +461,7 @@ def irreducibility_certify(
             str(anchor.p): [int(poly(1)), int(poly(anchor.p))]
         },
         "dim2_resultants": {str(p): rps[p] for p in sorted(rps)},
-        "dim2_gcd": _gcd_of(rps) if rps else None,
+        "dim2_gcd": gcd(*rps.values()) if rps else None,
         "dim3_obstructions": {"0": n0, "1": n1},
         "nebentypus_escape": sorted(escape),
     }
@@ -487,11 +476,3 @@ def irreducibility_certify(
         details=details,
         complete=complete,
     )
-
-
-def _gcd_of(rps: Dict[int, int]) -> int:
-    g = 0
-    for r in rps.values():
-        if r != 0:
-            g = gcd(g, abs(r))
-    return g

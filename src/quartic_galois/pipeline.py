@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from math import gcd
+from math import prod
 from typing import Dict, List, Optional, Tuple
 
 import sympy
@@ -259,16 +259,13 @@ def run_pipeline(config: Optional[dict] = None) -> Certificate:
     )
 
     # (5) irreducibility ledger ----------------------------------------------
-    level = 1
-    for p in bad_primes:
-        level *= p
     try:
-        hecke_polys, hecke_src = _load_hecke(cfg, level)
+        hecke_polys, hecke_src = _load_hecke(cfg, prod(bad_primes))
+        ledger = irreducibility_certify(
+            lpolys, hecke_polys, bad_primes=tuple(bad_primes)
+        )
     except (PipelineFailure, ValueError) as exc:
         return fail("irreducibility", str(exc))
-    ledger = irreducibility_certify(
-        lpolys, hecke_polys, bad_primes=tuple(bad_primes)
-    )
     ledger_obj = ledger.to_json_obj()
     ledger_obj["hecke_source"] = hecke_src
     if not ledger.complete or ledger.open_primes:
@@ -317,10 +314,7 @@ def run_pipeline(config: Optional[dict] = None) -> Certificate:
     # (optional) extended dim-2 gcd check ------------------------------------
     if cfg["extended_checks"]:
         rps = ledger.details["dim2_resultants"]
-        g = 0
-        for r in rps.values():
-            if r != 0:
-                g = gcd(g, abs(r))
+        g = ledger.details["dim2_gcd"]
         odd = g
         while odd % 2 == 0:
             odd //= 2

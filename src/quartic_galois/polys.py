@@ -1,9 +1,9 @@
-"""Univariate polynomial arithmetic over Z, Q and finite fields.
+"""Univariate polynomial arithmetic over Z and finite fields.
 
-Three representations are used:
+Two representations are used:
 
-* ``IntPoly`` / ``RatPoly`` -- thin wrappers over dense coefficient lists
-  (low degree first) with int / Fraction entries.
+* ``IntPoly`` -- a thin wrapper over a dense coefficient list (low degree
+  first) with int entries.
 * ``FqPoly`` -- dense coefficient list of field elements over a
   :class:`~quartic_galois.fields.FieldDescriptor`.
 
@@ -22,9 +22,10 @@ determinant of the Sylvester matrix.  No floating point anywhere.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
+
+import sympy
 
 from .fields import Element, FieldDescriptor, make_field
 
@@ -36,7 +37,7 @@ _BAREISS_CUTOFF = 64
 
 
 # ---------------------------------------------------------------------------
-# integer / rational polynomials
+# integer polynomials
 
 
 def _trim(coeffs: list) -> list:
@@ -107,10 +108,7 @@ class IntPoly:
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def monic_rem(self, other: "IntPoly") -> "IntPoly":
         """Remainder of self by a *monic* other, exactly over Z."""
@@ -149,60 +147,6 @@ class IntPoly:
             parts.append(("- " if c < 0 else "+ ") + term)
         s = " ".join(parts)
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
-
-
-class RatPoly:
-    """Dense polynomial over Q; coefficients kept as Fractions (always in
-    lowest terms by construction)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence):
-        self.coeffs = tuple(_trim([Fraction(c) for c in coeffs]))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def lc(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return RatPoly([x - y for x, y in zip(a, b)])
-
-    def clear_denominators(self) -> Tuple[int, IntPoly]:
-        """Return (d, d*self) with d the lcm of coefficient denominators."""
-        d = 1
-        for c in self.coeffs:
-            d = lcm(d, c.denominator)
-        return d, IntPoly([int(c * d) for c in self.coeffs])
-
-    def as_int_poly(self) -> IntPoly:
-        d, f = self.clear_denominators()
-        if d != 1:
-            raise ValueError("polynomial has non-integer coefficients")
-        return f
-
-    def __repr__(self):
-        return "RatPoly(%r)" % ([str(c) for c in self.coeffs],)
 
 
 def _bareiss_det(mat: List[List[int]]) -> int:
@@ -283,13 +227,6 @@ def int_resultant(f: IntPoly, g: IntPoly) -> int:
     if b.degree == 0:
         return sign * b.lc() ** a.degree
     return sign * _sylvester_resultant(a, b)
-
-
-def rat_resultant(f: RatPoly, g: RatPoly) -> Fraction:
-    df, ff = f.clear_denominators()
-    dg, gg = g.clear_denominators()
-    r = int_resultant(ff, gg)
-    return Fraction(r, df ** g.degree * dg ** f.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -629,17 +566,7 @@ def is_irreducible_fq(f: FqPoly) -> bool:
     h = x.pow_mod(F.order ** n, f)
     if h != x % f:
         return False
-    divs = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            divs.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        divs.add(m)
-    for q in divs:
+    for q in sympy.primefactors(n):
         h = x.pow_mod(F.order ** (n // q), f)
         if f.gcd(h - x).degree != 0:
             return False
@@ -652,12 +579,6 @@ def is_irreducible_mod(f: IntPoly, ell: int) -> bool:
     if f.lc() % ell == 0:
         raise ValueError("leading coefficient vanishes mod %d" % ell)
     return is_irreducible_fq(f.reduce_mod(ell))
-
-
-def _factor_int(n: int) -> dict:
-    import sympy
-
-    return sympy.factorint(n)
 
 
 def multiplicative_order(f: FqPoly) -> int:
@@ -679,7 +600,7 @@ def multiplicative_order(f: FqPoly) -> int:
             continue
         group = F.order ** g.degree - 1
         order = group
-        for prime, exp in _factor_int(group).items():
+        for prime, exp in sympy.factorint(group).items():
             for _ in range(exp):
                 cand = order // prime
                 if x.pow_mod(cand, g) == FqPoly.one(F):

@@ -206,6 +206,16 @@ def test_criterion_10_extended_gcd_support():
         odd //= 2
     assert sympy.primefactors(odd) == [3]
     assert odd == 3 ** 16
+    # the pipeline's own extended obligation reports the same odd part
+    cert = run_pipeline({"extended_checks": True})
+    assert cert.final_verdict == "maximal adelic image"
+    (ext,) = [
+        ob for ob in cert.obligations if ob["name"] == "extended-dim2-gcd"
+    ]
+    assert ext["status"] == "proved"
+    assert ext["evidence"]["gcd"] == str(g)
+    assert ext["evidence"]["odd_part"] == str(3 ** 16)
+    assert ext["evidence"]["odd_part_is_3_pow"] == 16
 
 
 def test_criterion_11_end_to_end():

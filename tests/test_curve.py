@@ -2,6 +2,8 @@ import json
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quartic_galois.curve import (
     LPolynomial,
@@ -205,3 +207,41 @@ def test_lpolynomial_power_sums_and_counts():
 def test_weil_violation_detected():
     with pytest.raises(ArithmeticError):
         LPolynomial(p=2, a=99, b=0, c=0).verify_weil()
+
+
+def test_from_counts_p2():
+    # counts verified by exhaustive enumeration of P^2(F_2), P^2(F_4),
+    # P^2(F_8) on the bundled curve
+    assert LPolynomial.from_counts(2, [6, 8, 9]) == LPolynomial(2, 3, 6, 9)
+
+
+def test_from_counts_p3():
+    # counts derived by Newton power sums from (a,b,c) = (1,2,3) at p=3:
+    # s1 = -1, s2 = -3, s3 = -4 -> N_m = 3^m + 1 - s_m
+    assert LPolynomial.from_counts(3, [5, 13, 32]) == LPolynomial(3, 1, 2, 3)
+
+
+def test_from_counts_needs_three_counts():
+    with pytest.raises(ValueError):
+        LPolynomial.from_counts(2, [6, 8])
+
+
+def test_from_counts_rejects_non_integral_coefficients():
+    # s = (-3, -2, 0): 2 e2 = 9 + 2 is odd
+    with pytest.raises(ArithmeticError):
+        LPolynomial.from_counts(2, [6, 7, 9])
+    # s = (-3, -3, -1): e2 = 6, but 3 e3 = -18 - 9 - 1 = -28
+    with pytest.raises(ArithmeticError):
+        LPolynomial.from_counts(2, [6, 8, 10])
+
+
+@given(
+    p=st.sampled_from([q for q in range(2, 74) if sympy.isprime(q)]),
+    a=st.integers(),
+    b=st.integers(),
+    c=st.integers(),
+)
+def test_from_counts_inverts_point_count(p, a, b, c):
+    lp = LPolynomial(p=p, a=a, b=b, c=c)
+    counts = [lp.point_count(m) for m in (1, 2, 3)]
+    assert LPolynomial.from_counts(p, counts) == lp

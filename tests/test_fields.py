@@ -1,18 +1,45 @@
 import pytest
 
-from quartic_galois.fields import FieldDescriptor, is_prime, make_field
+from quartic_galois.fields import FieldDescriptor, make_field
+
+TABLE_PRIMES = (2, 3, 5, 17, 19, 23, 41, 43, 73)
+BAD_PRIMES = (7, 11, 83)
 
 
-def test_is_prime_small():
-    primes = [2, 3, 5, 7, 11, 13, 83, 6389]
-    composites = [0, 1, 4, 6, 9, 91, 6391, 2 ** 16]  # 6391 = 7 * 11 * 83
-    assert all(is_prime(p) for p in primes)
-    assert not any(is_prime(n) for n in composites)
+def _monic(p, d, n):
+    """The n-th monic polynomial of degree d over F_p in base-p order of
+    its lower coefficients, low degree first."""
+    return [n // p ** i % p for i in range(d)] + [1]
+
+
+def _divides(p, g, f):
+    """Trial division of f by the monic g over F_p."""
+    r, d = list(f), len(g) - 1
+    for k in range(len(r) - 1, d - 1, -1):
+        c = r[k]
+        for j in range(d + 1):
+            r[k - d + j] = (r[k - d + j] - c * g[j]) % p
+    return not any(r)
+
+
+def _first_irreducible(p, m):
+    """Exhaustive-scan oracle: the first monic polynomial of degree m in
+    base-p order with no monic factor of degree <= m/2."""
+    for n in range(p ** m):
+        f = _monic(p, m, n)
+        if not any(
+            _divides(p, _monic(p, d, k), f)
+            for d in range(1, m // 2 + 1)
+            for k in range(p ** d)
+        ):
+            return tuple(f)
 
 
 def test_make_field_rejects_bad_input():
-    with pytest.raises(ValueError):
-        make_field(6, 1)
+    # 6391 = 7 * 11 * 83
+    for n in (6, 0, 1, 91, 6391):
+        with pytest.raises(ValueError):
+            make_field(n, 1)
     with pytest.raises(ValueError):
         make_field(5, 0)
 
@@ -24,16 +51,18 @@ def test_prime_field_modulus_is_x():
 
 
 def test_canonical_modulus_f7_squared():
-    # Exhaustive-scan oracle: enumerate monic quadratics x^2 + c1 x + c0
-    # in base-7 order of (c0, c1) and take the first with no root in F_7.
-    expected = None
-    for n in range(49):
-        c0, c1 = n % 7, n // 7
-        if all((x * x + c1 * x + c0) % 7 for x in range(7)):
-            expected = (c0, c1, 1)
-            break
     F = make_field(7, 2)
-    assert F.modulus == expected == (1, 0, 1)  # x^2 + 1 (since -1 is a non-square)
+    # x^2 + 1 (since -1 is a non-square)
+    assert F.modulus == _first_irreducible(7, 2) == (1, 0, 1)
+
+
+def test_canonical_moduli_match_oracle():
+    # the F_{p^2} coordinates of singular points appear in the
+    # certificate, so the choice of modulus must never drift
+    cases = [(p, m) for p in TABLE_PRIMES + BAD_PRIMES for m in (2, 3)]
+    cases += [(2, 4), (3, 4), (5, 4), (2, 6)]
+    for p, m in cases:
+        assert make_field(p, m).modulus == _first_irreducible(p, m), (p, m)
 
 
 def test_canonical_modulus_f73_cubed():

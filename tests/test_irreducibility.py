@@ -7,6 +7,7 @@ from quartic_galois.irreducibility import (
     dim1_exclusion,
     dim2_exclusion,
     dim2_qpoly,
+    dim2_resultants,
     dim3_obstruction,
     dim3_solutions,
     enumerate_case_profiles,
@@ -119,7 +120,7 @@ def test_dim2_exclusion_degree_one_sanity(lpoly_map):
         support = (
             set(sympy.primefactors(abs(q2(tval)))) if q2(tval) else set()
         )
-        got = dim2_exclusion({2: q2}, {2: h})
+        got = dim2_exclusion(dim2_resultants({2: q2}, {2: h}))
         assert got == {q for q in support if q % 2 == 1}
 
 
@@ -128,12 +129,16 @@ def test_dim2_exclusion_discards_zero_resultants(lpoly_map):
     # a Hecke factor sharing a root with Q_2 gives r = 0 and is discarded
     zero_h = q2
     other = IntPoly([-1, 1])
-    got = dim2_exclusion({2: q2, 5: dim2_qpoly(lpoly_map[5])},
-                         {2: zero_h, 5: other})
+    rps = dim2_resultants({2: q2, 5: dim2_qpoly(lpoly_map[5])},
+                          {2: zero_h, 5: other})
+    assert rps[2] == 0
     q5 = dim2_qpoly(lpoly_map[5])
+    got = dim2_exclusion(rps)
     assert got == {q for q in sympy.primefactors(abs(q5(1))) if q % 2 == 1}
     with pytest.raises(ValueError):
-        dim2_exclusion({2: q2}, {2: zero_h})
+        dim2_exclusion({2: 0})
+    with pytest.raises(ValueError):
+        dim2_exclusion({})
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,40 @@ def test_fermat_quartic_fails_reduction(tmp_path):
     assert "reduction-analysis" in cert.final_verdict
 
 
+def test_vanishing_hecke_resultants_fail_irreducibility(tmp_path):
+    # H_p = Q_p * x^(g-3) is monic of the right degree, so the file loads,
+    # but every resultant Res(H_p, Q_p) is zero
+    from quartic_galois.counting import l_polynomial
+    from quartic_galois.curve import TernaryQuarticForm
+    from quartic_galois.irreducibility import dim2_qpoly
+    from quartic_galois.modsym import genus_x0
+    from quartic_galois.polys import IntPoly
+
+    curve = TernaryQuarticForm.bundled_curve()
+    shift = IntPoly([0] * (genus_x0(6391) - 3) + [1])
+    operators = [
+        {
+            "p": p,
+            "charpoly": [
+                str(c)
+                for c in (dim2_qpoly(l_polynomial(curve, p)) * shift).coeffs
+            ],
+        }
+        for p in (2, 5)
+    ]
+    path = tmp_path / "hecke_zero.json"
+    path.write_text(
+        json.dumps({"level": 6391, "weight": 2, "operators": operators})
+    )
+    cert = run_pipeline({"hecke": {"mode": "file", "path": str(path)}})
+    assert cert.final_verdict == (
+        "not certified (failing step: irreducibility)"
+    )
+    failing = cert.obligations[-1]
+    assert failing["status"] == "failed"
+    assert "resultants vanish" in failing["evidence"]["error"]
+
+
 def test_unknown_hecke_mode():
     from quartic_galois.pipeline import PipelineFailure, _default_config, _load_hecke
 

@@ -7,14 +7,12 @@ from quartic_galois.fields import make_field
 from quartic_galois.polys import (
     FqPoly,
     IntPoly,
-    RatPoly,
     factor_fq,
     fq_resultant,
     int_resultant,
     is_irreducible_fq,
     is_irreducible_mod,
     multiplicative_order,
-    rat_resultant,
 )
 
 F2 = make_field(2, 1)
@@ -132,15 +130,6 @@ def test_resultant_large_monic_fast_path():
 def test_resultant_zero_poly_rejected():
     with pytest.raises(ValueError):
         int_resultant(IntPoly([]), IntPoly([1, 1]))
-
-
-def test_rat_resultant_matches_scaled_int():
-    from fractions import Fraction
-
-    f = RatPoly([Fraction(1, 2), Fraction(1)])  # x + 1/2, root -1/2
-    g = RatPoly([1, 0, 1])  # x^2 + 1
-    # Res = lc(f)^2 * g(-1/2) = 5/4
-    assert rat_resultant(f, g) == Fraction(5, 4)
 
 
 # ---------------------------------------------------------------------------

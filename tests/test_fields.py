@@ -35,6 +35,17 @@ def _first_irreducible(p, m):
             return tuple(f)
 
 
+def test_is_prime_small():
+    # make_field's primality gate: prime fields are built, composites refused
+    primes = [2, 3, 5, 7, 11, 13, 83, 6389]
+    composites = [0, 1, 4, 6, 9, 91, 6391, 2 ** 16]  # 6391 = 7 * 11 * 83
+    for p in primes:
+        assert make_field(p, 1).order == p
+    for n in composites:
+        with pytest.raises(ValueError, match="not prime"):
+            make_field(n, 1)
+
+
 def test_make_field_rejects_bad_input():
     # 6391 = 7 * 11 * 83
     for n in (6, 0, 1, 91, 6391):

@@ -19,15 +19,8 @@ from .counting import l_polynomial
 from .curve import TernaryQuarticForm
 from .facts import render_registry
 from .hecke_io import store_hecke_charpolys
-from .modsym import (
-    cuspidal_space,
-    genus_x0,
-    hecke_charpoly,
-    hecke_charpolys_multimodular,
-)
+from .modsym import check_hecke_prime, hecke_charpolys_multimodular
 from .pipeline import render_report, run_pipeline
-
-_EXACT_GENUS_LIMIT = 30
 
 
 def _cmd_run(args) -> int:
@@ -68,15 +61,18 @@ def _cmd_lpoly(args) -> int:
 
 
 def _cmd_hecke(args) -> int:
-    primes = [int(tok) for tok in args.primes.split(",") if tok]
-    if not primes:
-        raise SystemExit("no primes given")
-    if genus_x0(args.level) <= _EXACT_GENUS_LIMIT:
-        space = cuspidal_space(args.level)
-        cps = [hecke_charpoly(space, p) for p in primes]
-    else:
-        by_p = hecke_charpolys_multimodular(args.level, primes)
-        cps = [by_p[p] for p in primes]
+    try:
+        if args.level < 1:
+            raise ValueError("level must be >= 1, got %d" % args.level)
+        primes = [int(tok) for tok in args.primes.split(",") if tok]
+        if not primes:
+            raise ValueError("no primes given")
+        for p in primes:
+            check_hecke_prime(args.level, p)
+    except ValueError as exc:
+        raise SystemExit("certify hecke: %s" % exc)
+    by_p = hecke_charpolys_multimodular(args.level, primes)
+    cps = [by_p[p] for p in primes]
     store_hecke_charpolys(args.out, cps)
     sys.stdout.write(
         "stored %d operator(s) at level %d in %s\n"

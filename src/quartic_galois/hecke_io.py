@@ -2,8 +2,8 @@
 
 JSON: {"level": N, "weight": 2, "operators": [{"p": 2, "charpoly":
 ["c0", "c1", ...]}]} with decimal-string coefficients, low degree
-first.  Loading validates monicity and that each degree equals the
-genus of X_0(N).
+first.  Loading validates that each p is a prime not dividing N,
+monicity, and that each degree equals the genus of X_0(N).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Dict, Sequence
 
-from .modsym import HeckeCharPoly, genus_x0
+from .modsym import HeckeCharPoly, check_hecke_prime, genus_x0
 
 
 def store_hecke_charpolys(
@@ -54,6 +54,7 @@ def load_hecke_charpolys(path) -> Dict[int, HeckeCharPoly]:
         if "p" not in op or "charpoly" not in op:
             raise ValueError("operator entry missing 'p' or 'charpoly'")
         p = op["p"]
+        check_hecke_prime(level, p)
         try:
             coeffs = tuple(int(c) for c in op["charpoly"])
         except (TypeError, ValueError):

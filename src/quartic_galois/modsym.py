@@ -15,12 +15,17 @@ family [[1,k],[0,p]] (k = 0..p-1) and [[p,0],[0,1]], with each image
 path {alpha, beta} re-expressed in Manin symbols by the
 continued-fraction convergents of its endpoints (Manin's trick); the
 path decomposition is integral and field-independent, so it is computed
-once and reused by every arithmetic backend.
+once and reused by the integer matrices and the exact oracle below.
 
-Two backends share the symbolic skeleton: an exact one over Fraction
-for small levels, and a mod-q numpy backend whose characteristic
-polynomials are CRT-lifted with verification moduli for the
-hours-scale level 6391.
+The cuspidal matrix of each T_p is integral in the basis of free
+classes, so it is built once over Z: the relation solve and the
+cuspidal basis are row-reduced modulo one 26-bit prime, lifted to the
+symmetric range and proved exact over Z.  Each CRT modulus then only
+reduces those matrices and computes their characteristic polynomials;
+the lift uses the coefficient bound from Deligne's |a_p| <= 2 sqrt(p)
+and is re-verified against held-out moduli.  An exact Fraction
+implementation (``cuspidal_space``, ``hecke_matrix``,
+``hecke_charpoly``) is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import comb, gcd, isqrt, prod
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy
@@ -87,7 +92,7 @@ def p1_normalize(N: int, c: int, d: int) -> Optional[Tuple[int, int]]:
         return (0, 1)
     g = gcd(c, N)
     # scale c to g: s*c = g (mod N) for some unit s
-    s = (sympy.mod_inverse(c // g, N // g) * 1) % (N // g)
+    s = pow(c // g, -1, N // g)
     # any lift of s coprime to N works; adjust modulo N/g
     step = N // g
     while gcd(s, N) != 1:
@@ -135,10 +140,22 @@ def _lift_to_sl2z(N: int, c: int, d: int) -> Tuple[int, int, int, int]:
         return (1, 0, 0, 1) if d == 1 else (1, 0, 0, d)
     if d == 0:
         return (0, -1, 1, 0) if c == 1 else (0, -1, c, 0)
-    x, y, g = sympy.gcdex(c, d)
+    g, x, y = _xgcd(c, d)
     assert g == 1, "canonical representative should be a coprime pair"
     # x*c + y*d = 1 -> det [[y, -x], [c, d]] = y*d + x*c = 1
-    return (int(y), int(-x), c, d)
+    return (y, -x, c, d)
+
+
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) for a, b > 0, the same
+    (x, y) as ``sympy.gcdex(a, b)``."""
+    x, r, y, s = 1, 0, 0, 1
+    while b:
+        q, rem = divmod(a, b)
+        a, b = b, rem
+        x, r = r, x - q * r
+        y, s = s, y - q * s
+    return a, x, y
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +174,7 @@ def _cusps_equivalent(
             return p  # p = +-1; p*p = 1
         if q == 1:
             return 0
-        return int(sympy.mod_inverse(p % q, q))
+        return pow(p % q, -1, q)
 
     m = gcd(q1 * q2, N)
     if m == 0:
@@ -382,6 +399,15 @@ def _hecke_paths(N: int, p: int, sym_index: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(contributions)
 
 
+def check_hecke_prime(N: int, p) -> None:
+    """Raise ValueError unless p is a prime that does not divide the
+    level N: the coset formula for T_p is only valid for such p."""
+    if isinstance(p, bool) or not isinstance(p, int) or not sympy.isprime(p):
+        raise ValueError("T_p needs a prime p, got p = %r" % (p,))
+    if N % p == 0:
+        raise ValueError("p = %d divides the level %d" % (p, N))
+
+
 # ---------------------------------------------------------------------------
 # exact backend (Fraction linear algebra)
 
@@ -515,8 +541,7 @@ def _hecke_on_quotient_exact(space: HeckeSpace, p: int) -> List[List[Fraction]]:
 
 def hecke_matrix(space: HeckeSpace, p: int) -> List[List[Fraction]]:
     """T_p restricted to the cuspidal subspace (g x g, exact)."""
-    if space.N % p == 0:
-        raise ValueError("p = %d divides the level %d" % (p, space.N))
+    check_hecke_prime(space.N, p)
     T = _hecke_on_quotient_exact(space, p)
     D, g = space.dimension_plus, space.genus
     K = space._kernel
@@ -567,7 +592,12 @@ def hecke_charpoly(space: HeckeSpace, p: int) -> HeckeCharPoly:
 
 
 # ---------------------------------------------------------------------------
-# modular backend with CRT lifting
+# integer Hecke matrices and multimodular characteristic polynomials
+
+_INT64_LIMIT = 1 << 63
+_FLOAT64_EXACT = 1 << 53
+# the one-time row reductions run modulo this prime and are lifted to Z
+_LIFT_PRIME = (1 << 26) - 5
 
 
 def _rref_mod(M: np.ndarray, q: int):
@@ -597,17 +627,110 @@ def _rref_mod(M: np.ndarray, q: int):
     return M[: len(pivots)], pivots
 
 
+def _int_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y over Z for int64 matrices, as int64.
+
+    The product runs in float64 BLAS (numpy's int64 matmul has no BLAS
+    and is about 40x slower).  Every partial sum is an integer of
+    absolute value <= max|X| * max|Y| * inner, so the product is exact
+    when that bound is below 2^53, and refused otherwise."""
+    inner = X.shape[1]
+    worst = int(np.abs(X).max(initial=0)) * int(np.abs(Y).max(initial=0)) * inner
+    if worst >= _FLOAT64_EXACT:
+        raise OverflowError(
+            "integer product bound max|X| * max|Y| * %d = %d reaches 2^53"
+            % (inner, worst)
+        )
+    return (X.astype(np.float64) @ Y.astype(np.float64)).astype(np.int64)
+
+
+def _integer_kernel(M: np.ndarray, N: int, what: str):
+    """(E, free): the kernel basis of the integer matrix M with
+    E[free] = I, as an integer matrix.
+
+    E is read off the row-echelon form of M mod _LIFT_PRIME and lifted
+    to the symmetric range, then proved exact: M.E = 0 over Z gives
+    rank_Q(M) <= n - |free| = rank_q(M) <= rank_Q(M), so the columns of
+    E span the rational kernel, and E[free] = I makes that basis unique.
+    """
+    q = _LIFT_PRIME
+    n = M.shape[1]
+    rref, pivots = _rref_mod(M, q)
+    pivset = set(pivots)
+    free = [c for c in range(n) if c not in pivset]
+    E = np.zeros((n, len(free)), dtype=np.int64)
+    E[free, np.arange(len(free))] = 1
+    E[pivots] = -rref[:, free] % q
+    E[E > q // 2] -= q
+    identity = np.eye(len(free), dtype=np.int64)
+    if not np.array_equal(E[free], identity) or _int_matmul(M, E).any():
+        raise ArithmeticError(
+            "the integer lift of the %s at level %d is not exact" % (what, N)
+        )
+    return E, free
+
+
+def integer_hecke_matrices(N: int, primes: Sequence[int]) -> Dict[int, np.ndarray]:
+    """T_p on the cuspidal plus-space at level N, for each given good
+    prime p, as an integer g x g matrix (int64) in the cuspidal basis K
+    with K[free_b] = I; field-independent, so built once per level."""
+    g = genus_x0(N)
+    for p in primes:
+        check_hecke_prime(N, p)
+    sk = skeleton(N)
+    R = np.zeros((len(sk.rows), sk.n_classes), dtype=np.int64)
+    for i, row in enumerate(sk.rows):
+        for k, v in row:
+            R[i, k] = v
+    # expr[k] writes class k in the basis of the free classes
+    expr, free = _integer_kernel(R, N, "relation solve")
+    B = np.zeros((len(sk.cusp_reps), len(free)), dtype=np.int64)
+    for j, c in enumerate(free):
+        for k, v in sk.boundary[c]:
+            B[k, j] += v
+    K, free_b = _integer_kernel(B, N, "cuspidal basis")
+    if len(free_b) != g:
+        raise AssertionError(
+            "cuspidal dimension %d at level %d does not match the genus "
+            "formula value %d" % (len(free_b), N, g)
+        )
+    out = {}
+    for p in primes:
+        # C[k, j]: signed count of class k in the image of free class j
+        ks, js, vs = [], [], []
+        for j, c in enumerate(free):
+            for sym_idx, sign in _hecke_paths(N, p, sk.class_rep[c]):
+                k = sk.cls[sym_idx]
+                if k >= 0:
+                    ks.append(k)
+                    js.append(j)
+                    vs.append(sign * sk.sgn[sym_idx])
+        C = np.zeros((sk.n_classes, len(free)), dtype=np.int64)
+        np.add.at(C, (ks, js), vs)
+        M = _int_matmul(_int_matmul(expr.T, C), K)
+        A = M[free_b]
+        if not np.array_equal(_int_matmul(K, A), M):
+            raise AssertionError(
+                "cuspidal subspace is not T_%d-stable at level %d" % (p, N)
+            )
+        out[p] = A
+    return out
+
+
 def _charpoly_hessenberg_mod(A: np.ndarray, q: int) -> np.ndarray:
     """Characteristic polynomial coefficients (low degree first) of A
-    mod q via Hessenberg reduction; q must be < 2^26 so int64 dot
-    products cannot overflow."""
-    H = A.copy() % q
-    n = H.shape[0]
+    mod q via Hessenberg reduction.  Every int64 dot product here has at
+    most n terms below q^2, so n (q - 1)^2 < 2^63 is required."""
+    n = A.shape[0]
+    if n * (q - 1) ** 2 >= _INT64_LIMIT:
+        raise OverflowError(
+            "charpoly of a %d x %d matrix mod %d may overflow int64" % (n, n, q)
+        )
     if n == 0:
         return np.array([1], dtype=np.int64)
+    H = A % q
     for j in range(n - 2):
-        col = H[j + 1 :, j]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(H[j + 1 :, j])
         if nz.size == 0:
             continue
         piv = j + 1 + int(nz[0])
@@ -616,117 +739,46 @@ def _charpoly_hessenberg_mod(A: np.ndarray, q: int) -> np.ndarray:
             H[:, [j + 1, piv]] = H[:, [piv, j + 1]]
         inv = pow(int(H[j + 1, j]), -1, q)
         f = H[j + 2 :, j] * inv % q
-        nzf = np.nonzero(f)[0]
-        if nzf.size:
-            rows = j + 2 + nzf
-            H[rows] = (H[rows] - f[nzf, None] * H[j + 1]) % q
-            H[:, j + 1] = (H[:, j + 1] + H[:, rows] @ f[nzf]) % q
+        if f.any():
+            # rows j + 1 and below vanish left of column j
+            block = H[j + 2 :, j:]
+            block -= np.outer(f, H[j + 1, j:])
+            block %= q
+            H[:, j + 1] = (H[:, j + 1] + H[:, j + 2 :] @ f) % q
     # p_0 = 1; p_m = (x - H[m-1,m-1]) p_(m-1)
-    #             - sum_i H[i-1,m-1] (prod_(k=i..m-2) H[k+1,k]) p_(i-1)
+    #             - sum_i H[i-1,m-1] (prod_(k=i-1..m-2) H[k+1,k]) p_(i-1)
+    # p_m has degree m, so only its first m + 1 entries are touched
     P = np.zeros((n + 1, n + 1), dtype=np.int64)
     P[0, 0] = 1
-    sub = np.array([int(H[k + 1, k]) % q for k in range(n - 1)], dtype=np.int64)
+    sub = np.diagonal(H, -1)
+    # suffix[i] = prod_(k=i..m-2) sub[k], kept for i = 0..m-2
+    suffix = np.zeros(n, dtype=np.int64)
     for m in range(1, n + 1):
-        shifted = np.zeros(n + 1, dtype=np.int64)
-        shifted[1:] = P[m - 1][:-1]
-        new = (shifted - int(H[m - 1, m - 1]) % q * P[m - 1]) % q
+        new = P[m, : m + 1]
+        new[1:] = P[m - 1, :m]
+        new[:m] = (new[:m] - H[m - 1, m - 1] * P[m - 1, :m]) % q
         if m >= 2:
-            # weights w_i = H[i-1, m-1] * prod of subdiagonal entries
-            # H[k+1,k] for k = i-1 .. m-2, for i = 1..m-1
-            w = np.empty(m - 1, dtype=np.int64)
-            acc = 1
-            for i in range(m - 1, 0, -1):
-                acc = acc * int(sub[i - 1]) % q
-                w[i - 1] = int(H[i - 1, m - 1]) * acc % q
-            new = (new - (w @ P[0 : m - 1])) % q
-        P[m] = new
-    return P[n] % q
+            suffix[m - 2] = 1
+            suffix[: m - 1] = suffix[: m - 1] * sub[m - 2] % q
+            w = H[: m - 1, m - 1] * suffix[: m - 1] % q
+            new[: m - 1] = (new[: m - 1] - w @ P[: m - 1, : m - 1]) % q
+    return P[n].copy()  # a view would keep all of P alive
 
 
-class _ModularSpace:
-    """One modulus worth of the plus-quotient linear algebra."""
-
-    def __init__(self, N: int, q: int):
-        sk = skeleton(N)
-        self.N, self.q, self.sk = N, q, sk
-        ncls = sk.n_classes
-        R = np.zeros((len(sk.rows), ncls), dtype=np.int64)
-        for i, row in enumerate(sk.rows):
-            for k, v in row:
-                R[i, k] = v
-        rref, pivots = _rref_mod(R, q)
-        pivset = set(pivots)
-        free = [c for c in range(ncls) if c not in pivset]
-        D = len(free)
-        self.free = free
-        self.D = D
-        expr = np.zeros((ncls, D), dtype=np.int64)
-        pos = {c: j for j, c in enumerate(free)}
-        for c in free:
-            expr[c, pos[c]] = 1
-        free_arr = np.array(free, dtype=np.intp)
-        for row, c in zip(rref, pivots):
-            expr[c] = (-row[free_arr]) % q
-        self.expr = expr
-
-        ncusp = len(sk.cusp_reps)
-        B = np.zeros((ncusp, D), dtype=np.int64)
-        for j, c in enumerate(free):
-            for k, v in sk.boundary[c]:
-                B[k, j] = (B[k, j] + v) % q
-        rref_b, piv_b = _rref_mod(B, q)
-        pivset_b = set(piv_b)
-        free_b = [j for j in range(D) if j not in pivset_b]
-        g = len(free_b)
-        K = np.zeros((D, g), dtype=np.int64)
-        for col, j in enumerate(free_b):
-            K[j, col] = 1
-        fb_arr = np.array(free_b, dtype=np.intp)
-        for row, pj in zip(rref_b, piv_b):
-            K[pj] = (-row[fb_arr]) % q
-        self.K = K
-        self.free_b = free_b
-        self.genus = g
-
-    def hecke_cuspidal(self, p: int) -> np.ndarray:
-        sk, q, D = self.sk, self.q, self.D
-        cols = np.zeros((D, D), dtype=np.int64)
-        for j, c in enumerate(self.free):
-            rep = sk.class_rep[c]
-            acc = np.zeros(D, dtype=np.int64)
-            for sym_idx, sign in _hecke_paths(self.N, p, rep):
-                k, s = sk.cls[sym_idx], sk.sgn[sym_idx]
-                if k < 0:
-                    continue
-                acc += sign * s * self.expr[k]
-            cols[:, j] = acc % q
-        T = cols
-        M = T @ self.K % q
-        A = M[np.array(self.free_b, dtype=np.intp)]
-        if not np.array_equal(self.K @ A % q, M):
-            raise AssertionError(
-                "cuspidal subspace not T_%d-stable mod %d" % (p, q)
-            )
-        return A
-
-
-def _crt_moduli(count: int, bound: int = 1 << 26) -> List[int]:
-    out = []
-    q = bound - 1
-    while len(out) < count:
+def _crt_moduli(g: int) -> Iterator[int]:
+    """Primes below min(2^26, isqrt((2^63 - 1) // g)), largest first, so
+    that a charpoly of a g x g matrix modulo any of them fits int64."""
+    q = min(1 << 26, isqrt((2 ** 63 - 1) // max(g, 1))) - 1
+    while q > 2:
         if sympy.isprime(q):
-            out.append(q)
+            yield q
         q -= 1
-    return out
 
 
 def _coeff_bound(n: int, eigen_bound: int) -> int:
-    best = 0
-    for k in range(n + 1):
-        v = sympy.binomial(n, k) * eigen_bound ** k
-        if v > best:
-            best = int(v)
-    return best
+    """Bound on every |c_k| of a monic degree-n polynomial whose roots
+    all have absolute value <= eigen_bound: max_k C(n, k) eigen_bound^k."""
+    return max(comb(n, k) * eigen_bound ** k for k in range(n + 1))
 
 
 def hecke_charpolys_multimodular(
@@ -736,42 +788,43 @@ def hecke_charpolys_multimodular(
     progress=None,
 ) -> Dict[int, HeckeCharPoly]:
     """Cuspidal Hecke characteristic polynomials at level N for the
-    given good primes, computed modulo a battery of 26-bit primes and
-    CRT-lifted; the lift is re-verified against held-out moduli."""
-    for p in primes:
-        if N % p == 0:
-            raise ValueError("p = %d divides the level %d" % (p, N))
+    given good primes.
+
+    The integer matrices of T_p are built once; each modulus then only
+    reduces them and computes their charpolys.  T_p's charpoly is
+    CRT-lifted from the fewest moduli whose product exceeds twice the
+    coefficient bound from Deligne's |a_p| <= 2 sqrt(p), and re-verified
+    against the next ``extra_verification`` moduli."""
+    matrices = integer_hecke_matrices(N, primes)
     g = genus_x0(N)
-    eigen_bound = max(p + 1 for p in primes)
-    bound = 2 * _coeff_bound(g, eigen_bound)
-    n_mod = max(1, (bound.bit_length() + 25) // 26) + extra_verification
-    moduli = _crt_moduli(n_mod)
-    residues: Dict[int, List[np.ndarray]] = {p: [] for p in primes}
+    # isqrt(4p - 1) + 1 = ceil(2 sqrt(p))
+    bounds = {p: 2 * _coeff_bound(g, isqrt(4 * p - 1) + 1) for p in matrices}
+    candidates = _crt_moduli(g)
+    moduli: List[int] = []
+    products = [1]  # products[n] = product of the first n moduli
+    while products[-1] <= max(bounds.values(), default=0):
+        moduli.append(next(candidates))
+        products.append(products[-1] * moduli[-1])
+    n_lift = {
+        p: next(n for n, M in enumerate(products) if M > bound)
+        for p, bound in bounds.items()
+    }
+    moduli += [next(candidates) for _ in range(extra_verification)]
+
+    residues: Dict[int, List[np.ndarray]] = {p: [] for p in matrices}
     for i, q in enumerate(moduli):
-        sp = _ModularSpace(N, q)
-        if sp.genus != g:
-            raise AssertionError(
-                "dimension drop mod %d at level %d (torsion modulus); "
-                "rerun with different moduli" % (q, N)
-            )
-        for p in primes:
-            A = sp.hecke_cuspidal(p)
-            residues[p].append(_charpoly_hessenberg_mod(A, q))
+        for p, A in matrices.items():
+            if i < n_lift[p] + extra_verification:
+                residues[p].append(_charpoly_hessenberg_mod(A, q))
         if progress is not None:
             progress(i + 1, len(moduli))
 
-    lift_moduli = moduli[: len(moduli) - extra_verification]
-    check_moduli = moduli[len(moduli) - extra_verification :]
     out = {}
-    for p in primes:
-        lifted = _crt_lift(
-            [residues[p][i] for i in range(len(lift_moduli))], lift_moduli
-        )
-        for j, q in enumerate(check_moduli):
-            got = residues[p][len(lift_moduli) + j]
-            if any(
-                c % q != int(r) for c, r in zip(lifted, got)
-            ):
+    for p in matrices:
+        n = n_lift[p]
+        lifted = _crt_lift(residues[p][:n], moduli[:n])
+        for got, q in zip(residues[p][n:], moduli[n:]):
+            if any(c % q != int(r) for c, r in zip(lifted, got)):
                 raise AssertionError(
                     "CRT lift of T_%d charpoly fails verification mod %d"
                     % (p, q)

@@ -29,6 +29,21 @@ def test_hecke_subcommand(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "level, primes",
+    [("0", "2"), ("-5", "2"), ("6391", "7"), ("11", "4"), ("11", "2,x"), ("11", ",")],
+)
+def test_hecke_subcommand_rejects_bad_input(tmp_path, level, primes):
+    out_path = tmp_path / "h.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["hecke", "--level", level, "--primes", primes, "--out", str(out_path)])
+    message = exc.value.code
+    # a one-line message (exit status 1), not a traceback
+    assert isinstance(message, str) and message.startswith("certify hecke: ")
+    assert "\n" not in message
+    assert not out_path.exists()
+
+
 def test_run_exit_code_on_failure(tmp_path, capsys):
     # skip-mode config cannot certify, so the exit status is nonzero
     cfg = tmp_path / "cfg.json"

@@ -72,6 +72,10 @@ def test_load_rejects_bad_entries(tmp_path):
         lambda o: o["operators"][0].update(charpoly=["2", "3"]),  # not monic
         lambda o: o["operators"][0].update(charpoly=["x", "1"]),
         lambda o: o["operators"].append({"p": 2, "charpoly": ["2", "1"]}),
+        lambda o: o["operators"][0].update(p=4),  # not prime
+        lambda o: o["operators"][0].update(p=1),
+        lambda o: o["operators"][0].update(p="2"),
+        lambda o: o["operators"][0].update(p=11),  # divides the level
     ):
         obj = json.loads(json.dumps(base))
         mutate(obj)

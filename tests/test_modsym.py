@@ -1,8 +1,14 @@
+import hashlib
+import json
 from fractions import Fraction
+from importlib import resources
+from math import comb, isqrt
 
+import numpy as np
 import pytest
 import sympy
 
+from quartic_galois import modsym
 from quartic_galois.etaproducts import ETA_NEWFORMS, newform_ap
 from quartic_galois.modsym import (
     cuspidal_space,
@@ -10,6 +16,7 @@ from quartic_galois.modsym import (
     hecke_charpoly,
     hecke_charpolys_multimodular,
     hecke_matrix,
+    integer_hecke_matrices,
     p1_list,
     p1_normalize,
 )
@@ -80,7 +87,7 @@ def test_charpoly_level_37():
 
 
 def test_multimodular_matches_exact():
-    for N in (37, 67):
+    for N in (37, 67, 91, 143):
         space = cuspidal_space(N)
         exact = {p: hecke_charpoly(space, p).coeffs for p in (2, 3, 5)}
         multi = hecke_charpolys_multimodular(N, (2, 3, 5))
@@ -96,3 +103,122 @@ def test_charpoly_satisfies_eichler_shimura_bound():
         poly = sum(c * x ** i for i, c in enumerate(cp.coeffs))
         for root in sympy.real_roots(poly):
             assert abs(float(root)) <= 2 * p ** 0.5 + 1e-9
+
+
+def test_integer_hecke_matches_exact():
+    for N in (11, 37, 67, 389):
+        space = cuspidal_space(N)
+        integer = integer_hecke_matrices(N, (2, 3, 5))
+        for p in (2, 3, 5):
+            assert integer[p].tolist() == hecke_matrix(space, p), (N, p)
+
+
+def test_integer_hecke_operators_commute_389():
+    mats = integer_hecke_matrices(389, (2, 3))
+    t2, t3 = mats[2], mats[3]
+    assert t2.shape == (32, 32)
+    assert np.array_equal(t2 @ t3, t3 @ t2)
+
+
+def test_integer_lift_every_level_to_200():
+    for N in range(1, 201):
+        g = genus_x0(N)
+        if g == 0:
+            continue
+        p = next(q for q in sympy.primerange(2, 20) if N % q)
+        assert integer_hecke_matrices(N, [p])[p].shape == (g, g), N
+
+
+def _assert_within_deligne_bound(p, coeffs):
+    # the coefficient of x^(g-k) is +-e_k of the eigenvalues, each of
+    # absolute value <= 2 sqrt(p) <= B = ceil(2 sqrt(p))
+    g = len(coeffs) - 1
+    B = isqrt(4 * p - 1) + 1
+    for k in range(g + 1):
+        assert abs(coeffs[g - k]) <= comb(g, k) * B ** k, (p, k)
+
+
+def test_lifted_coefficients_within_deligne_bound():
+    for N in (37, 91, 143, 389):
+        for p, cp in hecke_charpolys_multimodular(N, (2, 3, 5)).items():
+            _assert_within_deligne_bound(p, cp.coeffs)
+    ref = resources.files("quartic_galois").joinpath("data", "hecke_6391.json")
+    bundled = json.loads(ref.read_text())
+    for op in bundled["operators"]:
+        _assert_within_deligne_bound(op["p"], [int(c) for c in op["charpoly"]])
+
+
+def test_corrupted_lift_raises(monkeypatch):
+    real = modsym._rref_mod
+
+    def corrupted(M, q):
+        # one entry of a free column feeds exactly one entry of E
+        rref, pivots = real(M, q)
+        free = [c for c in range(M.shape[1]) if c not in pivots]
+        rref[0, free[0]] += 1
+        return rref, pivots
+
+    monkeypatch.setattr(modsym, "_rref_mod", corrupted)
+    with pytest.raises(ArithmeticError, match="level 37"):
+        integer_hecke_matrices(37, [2])
+
+
+def test_non_prime_p_rejected():
+    # T_4 on 11a has eigenvalue a_4 = 2, but the p-coset formula gives -2
+    space = cuspidal_space(11)
+    for p in (4, 1, 0, -3):
+        with pytest.raises(ValueError, match="prime"):
+            hecke_charpolys_multimodular(11, [p])
+        with pytest.raises(ValueError, match="prime"):
+            hecke_matrix(space, p)
+    with pytest.raises(ValueError, match="divides the level"):
+        hecke_charpolys_multimodular(11, [11])
+
+
+def test_charpoly_int64_guard():
+    A = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    # 2 (q - 1)^2 < 2^63 just below 2^31, and not above 2^31.5
+    q = sympy.prevprime(1 << 31)
+    assert modsym._charpoly_hessenberg_mod(A, q).tolist() == [q - 2, q - 5, 1]
+    with pytest.raises(OverflowError):
+        modsym._charpoly_hessenberg_mod(A, sympy.nextprime(isqrt(1 << 63)))
+
+
+def test_crt_moduli_fit_int64():
+    # levels up to genus 2048 keep the 26-bit moduli; larger ones shrink
+    for g in (237, 669, 2048):
+        assert next(modsym._crt_moduli(g)) == (1 << 26) - 5
+    for g in (2049, 100000):
+        q = next(modsym._crt_moduli(g))
+        assert q < 1 << 26 and g * (q - 1) ** 2 < 1 << 63
+
+
+def test_integer_product_guard():
+    # exact up to the float64 limit: 2 * (2^26 - 1) * (2^26 - 1) < 2^53
+    X = np.array([[(1 << 26) - 1, (1 << 26) - 1]], dtype=np.int64)
+    Y = np.array([[(1 << 26) - 1], [-((1 << 26) - 3)]], dtype=np.int64)
+    assert modsym._int_matmul(X, Y).tolist() == [[2 * ((1 << 26) - 1)]]
+    with pytest.raises(OverflowError):
+        modsym._int_matmul(X, Y + 2 ** 26)
+
+
+def test_xgcd_matches_sympy_gcdex():
+    for N in (91, 143, 210):
+        for c, d in p1_list(N):
+            if c > 0 and d > 0:
+                x, y, g = sympy.gcdex(c, d)
+                assert modsym._xgcd(c, d) == (g, x, y)
+
+
+def test_skeleton_unchanged_at_2233():
+    # fingerprint of the symbolic skeleton and of the T_5 paths as built
+    # with sympy's mod_inverse and gcdex
+    sk = modsym.skeleton(2233)
+    fields = (sk.symbols, sk.cls, sk.sgn, sk.class_rep, sk.rows, sk.cusp_reps, sk.boundary)
+    paths = [modsym._hecke_paths(2233, 5, r) for r in sk.class_rep]
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == (
+        "ea9d31d82e053f910411e6206ee1536f582d2969983e2b3ffd248856093357bf"
+    )
+    assert hashlib.sha256(repr(paths).encode()).hexdigest() == (
+        "61da035b8ed2fefccca97e4e4b9c29f64311214efdf6662e7cbe9b9d2606b55f"
+    )

@@ -24,11 +24,16 @@ from .pipeline import render_report, run_pipeline
 
 
 def _cmd_run(args) -> int:
-    config = None
-    if args.config is not None:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    cert = run_pipeline(config)
+    # every error inside an obligation step becomes a failed obligation,
+    # so a ValueError or OSError here comes from the config or the curve
+    try:
+        config = None
+        if args.config is not None:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        cert = run_pipeline(config)
+    except (ValueError, OSError) as exc:
+        raise SystemExit("certify: %s" % exc)
     doc = render_report(cert, args.format)
     sys.stdout.write(doc)
     if args.report is not None:
@@ -38,25 +43,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_lpoly(args) -> int:
-    curve = (
-        TernaryQuarticForm.bundled_curve()
-        if args.curve is None
-        else TernaryQuarticForm.load(args.curve)
-    )
+    curve = TernaryQuarticForm.load(args.curve)
     lp = l_polynomial(curve, args.p, workers=args.workers)
-    sys.stdout.write(
-        json.dumps(
-            {
-                "p": lp.p,
-                "a": lp.a,
-                "b": lp.b,
-                "c": lp.c,
-                "polynomial": lp.to_int_poly().pretty("T"),
-            },
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    sys.stdout.write(json.dumps(lp.to_json_obj(), sort_keys=True) + "\n")
     return 0
 
 

@@ -69,6 +69,9 @@ class TernaryQuarticForm:
 
     @classmethod
     def load(cls, path) -> "TernaryQuarticForm":
+        """The curve stored at ``path``; the bundled curve when it is None."""
+        if path is None:
+            return cls.bundled_curve()
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json_obj(json.load(fh))
 
@@ -192,6 +195,16 @@ class LPolynomial:
     def to_int_poly(self) -> IntPoly:
         p, a, b, c = self.p, self.a, self.b, self.c
         return IntPoly([p ** 3, p ** 2 * a, p * b, c, b, a, 1])
+
+    def to_json_obj(self) -> dict:
+        """One row of the L-polynomial table: (p, a, b, c) and P_p(T)."""
+        return {
+            "p": self.p,
+            "a": self.a,
+            "b": self.b,
+            "c": self.c,
+            "polynomial": self.to_int_poly().pretty("T"),
+        }
 
     def __call__(self, t: int) -> int:
         return self.to_int_poly()(t)

@@ -781,10 +781,13 @@ def _coeff_bound(n: int, eigen_bound: int) -> int:
     return max(comb(n, k) * eigen_bound ** k for k in range(n + 1))
 
 
+# held-out moduli each CRT-lifted charpoly is re-verified against
+_VERIFICATION_MODULI = 2
+
+
 def hecke_charpolys_multimodular(
     N: int,
     primes: Sequence[int],
-    extra_verification: int = 2,
     progress=None,
 ) -> Dict[int, HeckeCharPoly]:
     """Cuspidal Hecke characteristic polynomials at level N for the
@@ -794,7 +797,8 @@ def hecke_charpolys_multimodular(
     reduces them and computes their charpolys.  T_p's charpoly is
     CRT-lifted from the fewest moduli whose product exceeds twice the
     coefficient bound from Deligne's |a_p| <= 2 sqrt(p), and re-verified
-    against the next ``extra_verification`` moduli."""
+    against the next ``_VERIFICATION_MODULI`` (2) moduli.  ``progress(i,
+    n)``, if given, is called after the i-th of the n moduli."""
     matrices = integer_hecke_matrices(N, primes)
     g = genus_x0(N)
     # isqrt(4p - 1) + 1 = ceil(2 sqrt(p))
@@ -809,12 +813,12 @@ def hecke_charpolys_multimodular(
         p: next(n for n, M in enumerate(products) if M > bound)
         for p, bound in bounds.items()
     }
-    moduli += [next(candidates) for _ in range(extra_verification)]
+    moduli += [next(candidates) for _ in range(_VERIFICATION_MODULI)]
 
     residues: Dict[int, List[np.ndarray]] = {p: [] for p in matrices}
     for i, q in enumerate(moduli):
         for p, A in matrices.items():
-            if i < n_lift[p] + extra_verification:
+            if i < n_lift[p] + _VERIFICATION_MODULI:
                 residues[p].append(_charpoly_hessenberg_mod(A, q))
         if progress is not None:
             progress(i + 1, len(moduli))

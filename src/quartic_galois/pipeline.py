@@ -1,20 +1,26 @@
 """End-to-end certification pipeline.
 
-Assembles, in order: reduction analysis at the bad primes, the
-L-polynomial table, the mod-2 verdict, transvection availability for
-every odd ell, the irreducibility ledger, the primitivity ledger, and
-the final group-theoretic assembly.  The output is a deterministic
-certificate whose verdict is "maximal adelic image" exactly when every
-obligation is proved or rests on a registry fact.
+The proof is a fixed list of obligation steps, run in order:
+``reduction-analysis``, ``l-polynomial-table``, ``mod-2-maximality``,
+``transvection-availability``, ``irreducibility``, ``primitivity`` and,
+with ``extended_checks``, ``extended-dim2-gcd``; the trusted ``assembly``
+obligation closes the list.  A step takes ``(cfg, curve, run)``, leaves
+what later steps need in ``run`` and returns ``(evidence, fact_refs)``.
+It fails by raising :class:`PipelineFailure`, or a ValueError,
+ArithmeticError or OSError from a library call; :func:`run_pipeline`
+then records it as failed and stops.  The certificate is deterministic,
+and its verdict is "maximal adelic image" exactly when every obligation
+is proved or rests on a registry fact.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from copy import deepcopy
+from dataclasses import asdict, dataclass
 from importlib import resources
 from math import prod
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import sympy
 
@@ -27,7 +33,11 @@ from .mod2 import mod2_orders, mod2_verdict
 from .modsym import hecke_charpolys_multimodular
 from .primitivity import FACT_REFS as PRIMITIVITY_FACTS
 from .primitivity import primitivity_witnesses
-from .reduction import inertia_certificate
+from .reduction import (
+    TRANSVECTION_RULE,
+    inertia_certificate,
+    select_transvection_prime,
+)
 
 DEFAULT_FROBENIUS_PRIMES = (2, 3, 5, 17, 19, 23, 41, 43, 73)
 _BUNDLED_HECKE = "hecke_6391.json"
@@ -45,32 +55,54 @@ class Certificate:
     registry_version: str = REGISTRY_VERSION
 
     def to_json_obj(self) -> dict:
-        return {
-            "curve": self.curve,
-            "obligations": list(self.obligations),
-            "final_verdict": self.final_verdict,
-            "registry_version": self.registry_version,
-        }
+        return asdict(self)
+
+
+_DEFAULTS = {
+    "curve_path": None,
+    "frobenius_primes": list(DEFAULT_FROBENIUS_PRIMES),
+    "hecke": {"mode": "file", "path": None, "primes": [2, 5]},
+    "extended_checks": False,
+    "workers": 1,
+}
+
+
+# a config value must be of its default's kind: type -> (test, description)
+_VALID = {
+    type(None): (lambda v: v is None or isinstance(v, str), "a path or null"),
+    list: (lambda v: isinstance(v, list) and all(type(x) is int for x in v),
+           "a list of integers"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+}
+
+
+def _merge(defaults: dict, given: dict, prefix: str = "") -> dict:
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ValueError("unknown config key %r" % (prefix + unknown[0]))
+    out = {}
+    for key, default in defaults.items():
+        name, value = prefix + key, given.get(key, default)
+        valid, what = _VALID[type(default)]
+        if not valid(value):
+            raise ValueError(
+                "config key %r must be %s, got %r" % (name, what, value)
+            )
+        if isinstance(default, dict):
+            value = _merge(default, value, name + ".")
+        out[key] = deepcopy(value)
+    return out
 
 
 def _default_config(config: Optional[dict]) -> dict:
-    cfg = dict(config or {})
-    cfg.setdefault("curve_path", None)
-    cfg.setdefault("frobenius_primes", list(DEFAULT_FROBENIUS_PRIMES))
-    hecke = dict(cfg.get("hecke") or {})
-    hecke.setdefault("mode", "file")
-    hecke.setdefault("path", None)
-    hecke.setdefault("primes", [2, 5])
-    cfg["hecke"] = hecke
-    cfg.setdefault("extended_checks", False)
-    cfg.setdefault("workers", 1)
-    return cfg
-
-
-def _load_curve(cfg: dict) -> TernaryQuarticForm:
-    if cfg["curve_path"] is None:
-        return TernaryQuarticForm.bundled_curve()
-    return TernaryQuarticForm.load(cfg["curve_path"])
+    """``config`` merged over the defaults; raises ValueError naming an
+    unknown key or a wrongly typed value."""
+    if not isinstance(config, (dict, type(None))):
+        raise ValueError("config must be an object, got %r" % (config,))
+    return _merge(_DEFAULTS, config or {})
 
 
 def _load_hecke(cfg: dict, level: int):
@@ -108,264 +140,218 @@ def _load_hecke(cfg: dict, level: int):
     raise PipelineFailure("unknown Hecke mode %r" % mode)
 
 
-def run_pipeline(config: Optional[dict] = None) -> Certificate:
-    cfg = _default_config(config)
-    curve = _load_curve(cfg)
-    obligations: List[dict] = []
+# ---------------------------------------------------------------------------
+# obligation steps
 
-    def fail(name: str, message: str) -> Certificate:
-        obligations.append(
-            {"name": name, "status": "failed", "evidence": {"error": message},
-             "fact_refs": []}
-        )
-        return Certificate(
-            curve=curve.to_json_obj(),
-            obligations=tuple(obligations),
-            final_verdict="not certified (failing step: %s)" % name,
-        )
 
-    # (1) reduction analysis -------------------------------------------------
-    try:
-        b = find_bad_prime_candidates(curve)
-    except ValueError as exc:
-        return fail("reduction-analysis", str(exc))
-    bad_primes = []
+def _reduction_analysis(cfg, curve, run):
     reports = {}
-    for p in sympy.primefactors(b):
+    for p in sympy.primefactors(find_bad_prime_candidates(curve)):
         rep = singular_points(curve, p)
         if not rep.complete:
-            return fail(
-                "reduction-analysis",
+            raise PipelineFailure(
                 "singular-point search incomplete at p=%d; the curve is "
-                "outside the certifier's hypotheses" % p,
+                "outside the certifier's hypotheses" % p
             )
         if rep.points:
-            bad_primes.append(p)
             reports[p] = rep
-    certs = {}
-    for p in bad_primes:
-        try:
-            certs[p] = inertia_certificate(reports[p])
-        except ValueError as exc:
-            return fail("reduction-analysis", str(exc))
-    obligations.append(
-        {
-            "name": "reduction-analysis",
-            "status": "proved",
-            "evidence": {
-                "bad_primes": list(bad_primes),
-                "certificates": [
-                    certs[p].to_json_obj() for p in bad_primes
-                ],
-                "singular_points": {
-                    str(p): [
-                        {
-                            "coords": [str(c) for c in pt.coords],
-                            "field_degree": pt.field_degree,
-                            "ordinary_node": pt.ordinary_node,
-                            "total_space_regular": pt.total_space_regular,
-                        }
-                        for pt in reports[p].points
-                    ]
-                    for p in bad_primes
-                },
-            },
-            "fact_refs": ["TF-PICLEF"],
-        }
-    )
+    bad_primes = list(reports)
+    certs = {p: inertia_certificate(reports[p]) for p in bad_primes}
+    run["bad_primes"] = bad_primes
+    run["certs"] = certs
+    evidence = {
+        "bad_primes": bad_primes,
+        "certificates": [certs[p].to_json_obj() for p in bad_primes],
+        "singular_points": {
+            str(p): [
+                {
+                    "coords": [str(c) for c in pt.coords],
+                    "field_degree": pt.field_degree,
+                    "ordinary_node": pt.ordinary_node,
+                    "total_space_regular": pt.total_space_regular,
+                }
+                for pt in reports[p].points
+            ]
+            for p in bad_primes
+        },
+    }
+    return evidence, ["TF-PICLEF"]
 
-    # (2) L-polynomial table -------------------------------------------------
+
+def _l_polynomial_table(cfg, curve, run):
     lpolys = []
     for p in sorted(cfg["frobenius_primes"]):
-        if p in bad_primes:
-            return fail(
-                "l-polynomial-table",
-                "configured Frobenius prime %d is a bad prime" % p,
+        if p in run["bad_primes"]:
+            raise PipelineFailure(
+                "configured Frobenius prime %d is a bad prime" % p
             )
         try:
             lpolys.append(l_polynomial(curve, p, workers=cfg["workers"]))
         except (ValueError, ArithmeticError) as exc:
-            return fail(
-                "l-polynomial-table",
-                "L-polynomial at p=%d failed: %s" % (p, exc),
-            )
-    obligations.append(
-        {
-            "name": "l-polynomial-table",
-            "status": "proved",
-            "evidence": {
-                "table": [
-                    {
-                        "p": lp.p,
-                        "a": lp.a,
-                        "b": lp.b,
-                        "c": lp.c,
-                        "polynomial": lp.to_int_poly().pretty("T"),
-                    }
-                    for lp in lpolys
-                ]
-            },
-            "fact_refs": [],
-        }
-    )
+            raise PipelineFailure(
+                "L-polynomial at p=%d failed: %s" % (p, exc)
+            ) from exc
+    run["lpolys"] = lpolys
+    return {"table": [lp.to_json_obj() for lp in lpolys]}, []
 
-    # (3) mod-2 verdict ------------------------------------------------------
-    ev = mod2_orders(lpolys)
-    verdict2 = mod2_verdict(ev)
-    if verdict2["verdict"] != "surjective":
-        return fail(
-            "mod-2-maximality",
-            "orders attained %s do not contain {7, 15}"
-            % verdict2["orders_attained"],
+
+def _mod2_maximality(cfg, curve, run):
+    ev = mod2_orders(run["lpolys"])
+    verdict = mod2_verdict(ev)
+    if verdict["verdict"] != "surjective":
+        required = ", ".join(map(str, verdict["orders_required"]))
+        raise PipelineFailure(
+            "orders attained %s do not contain {%s}"
+            % (verdict["orders_attained"], required)
         )
-    obligations.append(
-        {
-            "name": "mod-2-maximality",
-            "status": "proved",
-            "evidence": {"orders": verdict2, "entries": ev.to_json_obj()},
-            "fact_refs": verdict2["trusted_fact_refs"],
-        }
-    )
+    evidence = {"orders": verdict, "entries": ev.to_json_obj()}
+    return evidence, verdict["trusted_fact_refs"]
 
-    # (4) transvection availability -----------------------------------------
+
+def _transvection_availability(cfg, curve, run):
+    certs = run["certs"]
     trans_primes = sorted(p for p, c in certs.items() if c.transvection)
     if len(trans_primes) < 2:
-        return fail(
-            "transvection-availability",
+        raise PipelineFailure(
             "need transvections at two distinct bad primes so every odd "
-            "ell has one with p != ell; found %s" % trans_primes,
+            "ell has one with p != ell; found %s" % trans_primes
         )
-    selection = {
-        "rule": "p=11 when ell=7, otherwise p=7",
-        "examples": {
-            str(ell): (11 if ell == 7 else 7) for ell in (3, 5, 7, 11, 83)
-        },
-    }
-    if not {7, 11} <= set(trans_primes):
+    try:
+        selection = {
+            "rule": TRANSVECTION_RULE,
+            "examples": {
+                str(ell): select_transvection_prime(certs, ell)
+                for ell in (3, 5, 7, 11, 83)
+            },
+        }
+    except ValueError:
         selection = {
             "rule": "first transvection prime different from ell",
             "transvection_primes": trans_primes,
         }
-    obligations.append(
-        {
-            "name": "transvection-availability",
-            "status": "proved",
-            "evidence": {
-                "transvection_primes": trans_primes,
-                "selection": selection,
-            },
-            "fact_refs": ["TF-PICLEF", "TF-HALL"],
-        }
-    )
+    evidence = {"transvection_primes": trans_primes, "selection": selection}
+    return evidence, ["TF-PICLEF", "TF-HALL"]
 
-    # (5) irreducibility ledger ----------------------------------------------
-    try:
-        hecke_polys, hecke_src = _load_hecke(cfg, prod(bad_primes))
-        ledger = irreducibility_certify(
-            lpolys, hecke_polys, bad_primes=tuple(bad_primes)
-        )
-    except (PipelineFailure, ValueError) as exc:
-        return fail("irreducibility", str(exc))
-    ledger_obj = ledger.to_json_obj()
-    ledger_obj["hecke_source"] = hecke_src
+
+def _irreducibility(cfg, curve, run):
+    bad_primes = run["bad_primes"]
+    hecke_polys, hecke_src = _load_hecke(cfg, prod(bad_primes))
+    ledger = irreducibility_certify(
+        run["lpolys"], hecke_polys, bad_primes=tuple(bad_primes)
+    )
     if not ledger.complete or ledger.open_primes:
         if hecke_polys is None:
-            return fail(
-                "irreducibility",
+            raise PipelineFailure(
                 "dim-2 exclusion open: no Hecke data (%s); rerun with "
-                "Hecke mode 'file' or 'compute'" % hecke_src,
+                "Hecke mode 'file' or 'compute'" % hecke_src
             )
-        return fail(
-            "irreducibility",
-            "no witness found for ell in %s" % list(ledger.open_primes),
+        raise PipelineFailure(
+            "no witness found for ell in %s" % list(ledger.open_primes)
         )
-    obligations.append(
-        {
-            "name": "irreducibility",
-            "status": "proved",
-            "evidence": ledger_obj,
-            "fact_refs": ["TF-RAYNAUD", "TF-SERRE", "TF-LEM52"],
-        }
-    )
+    run["ledger"] = ledger
+    evidence = ledger.to_json_obj()
+    evidence["hecke_source"] = hecke_src
+    return evidence, ["TF-RAYNAUD", "TF-SERRE", "TF-LEM52"]
 
-    # (6) primitivity ledger -------------------------------------------------
-    prim_set = sorted(set(bad_primes) | {3, 5})
-    witnesses = primitivity_witnesses(lpolys, prim_set)
+
+def _primitivity(cfg, curve, run):
+    prim_set = sorted(set(run["bad_primes"]) | {3, 5})
+    witnesses = primitivity_witnesses(run["lpolys"], prim_set)
     gaps = [ell for ell, w in witnesses.items() if w is None]
     if gaps:
-        return fail(
-            "primitivity",
-            "no primitivity witness for ell in %s" % gaps,
-        )
-    obligations.append(
-        {
-            "name": "primitivity",
-            "status": "proved",
-            "evidence": {
-                "finite_set": prim_set,
-                "witnesses": {
-                    str(ell): w.to_json_obj() for ell, w in witnesses.items()
-                },
-            },
-            "fact_refs": list(PRIMITIVITY_FACTS),
-        }
-    )
+        raise PipelineFailure("no primitivity witness for ell in %s" % gaps)
+    evidence = {
+        "finite_set": prim_set,
+        "witnesses": {
+            str(ell): w.to_json_obj() for ell, w in witnesses.items()
+        },
+    }
+    return evidence, list(PRIMITIVITY_FACTS)
 
-    # (optional) extended dim-2 gcd check ------------------------------------
-    if cfg["extended_checks"]:
-        rps = ledger.details["dim2_resultants"]
-        g = ledger.details["dim2_gcd"]
-        odd = g
-        while odd % 2 == 0:
-            odd //= 2
-        support = sympy.primefactors(odd)
-        if support != [3]:
-            return fail(
-                "extended-dim2-gcd",
-                "odd support of gcd of Hecke resultants is %s, expected [3]"
-                % support,
-            )
+
+def _extended_dim2_gcd(cfg, curve, run):
+    details = run["ledger"].details
+    g = details["dim2_gcd"]
+    odd = g // 2 ** sympy.multiplicity(2, g)
+    support = sympy.primefactors(odd)
+    if support != [3]:
+        raise PipelineFailure(
+            "odd support of gcd of Hecke resultants is %s, expected [3]"
+            % support
+        )
+    evidence = {
+        "resultants": {
+            str(p): str(r) for p, r in details["dim2_resultants"].items()
+        },
+        "gcd": str(g),
+        "odd_part": str(odd),
+        "odd_part_is_3_pow": sympy.multiplicity(3, odd),
+    }
+    return evidence, []
+
+
+_STEPS = (
+    ("reduction-analysis", _reduction_analysis),
+    ("l-polynomial-table", _l_polynomial_table),
+    ("mod-2-maximality", _mod2_maximality),
+    ("transvection-availability", _transvection_availability),
+    ("irreducibility", _irreducibility),
+    ("primitivity", _primitivity),
+)
+_EXTENDED_STEPS = (("extended-dim2-gcd", _extended_dim2_gcd),)
+
+_ASSEMBLY = {
+    "name": "assembly",
+    "status": "trusted",
+    "evidence": {
+        "argument": [
+            "for each odd prime ell: the mod-ell image contains a "
+            "transvection (obligation 4), acts irreducibly "
+            "(obligation 5) and primitively (obligation 6), hence "
+            "contains Sp_6(F_ell) [TF-PROP22, TF-ZS]",
+            "for ell = 2 the image is all of GSp_6(F_2) = "
+            "Sp_6(F_2) (obligation 3)",
+            "the similitude character is the cyclotomic character "
+            "(Weil pairing), so the image surjects onto Z-hat^*",
+            "a closed subgroup of GSp_6(Z-hat) with these "
+            "reductions is everything [TF-PROP21]",
+        ]
+    },
+    "fact_refs": ["TF-PROP22", "TF-ZS", "TF-PROP21"],
+}
+
+
+def run_pipeline(config: Optional[dict] = None) -> Certificate:
+    """Run every obligation step in order and stop at the first failure.
+
+    Raises ValueError or OSError only for a bad config or curve file;
+    any such error inside a step becomes that step's failed obligation.
+    """
+    cfg = _default_config(config)
+    curve = TernaryQuarticForm.load(cfg["curve_path"])
+    steps = _STEPS + (_EXTENDED_STEPS if cfg["extended_checks"] else ())
+    run: dict = {}
+    obligations: List[dict] = []
+    verdict = "maximal adelic image"
+    for name, step in steps:
+        try:
+            evidence, fact_refs = step(cfg, curve, run)
+            status = "proved"
+        except (PipelineFailure, ValueError, ArithmeticError, OSError) as exc:
+            evidence, fact_refs, status = {"error": str(exc)}, [], "failed"
         obligations.append(
-            {
-                "name": "extended-dim2-gcd",
-                "status": "proved",
-                "evidence": {
-                    "resultants": {str(p): str(r) for p, r in rps.items()},
-                    "gcd": str(g),
-                    "odd_part": str(odd),
-                    "odd_part_is_3_pow": sympy.multiplicity(3, odd),
-                },
-                "fact_refs": [],
-            }
+            {"name": name, "status": status, "evidence": evidence,
+             "fact_refs": fact_refs}
         )
-
-    # (7) final assembly -----------------------------------------------------
-    obligations.append(
-        {
-            "name": "assembly",
-            "status": "trusted",
-            "evidence": {
-                "argument": [
-                    "for each odd prime ell: the mod-ell image contains a "
-                    "transvection (obligation 4), acts irreducibly "
-                    "(obligation 5) and primitively (obligation 6), hence "
-                    "contains Sp_6(F_ell) [TF-PROP22, TF-ZS]",
-                    "for ell = 2 the image is all of GSp_6(F_2) = "
-                    "Sp_6(F_2) (obligation 3)",
-                    "the similitude character is the cyclotomic character "
-                    "(Weil pairing), so the image surjects onto Z-hat^*",
-                    "a closed subgroup of GSp_6(Z-hat) with these "
-                    "reductions is everything [TF-PROP21]",
-                ]
-            },
-            "fact_refs": ["TF-PROP22", "TF-ZS", "TF-PROP21"],
-        }
-    )
-
+        if status == "failed":
+            verdict = "not certified (failing step: %s)" % name
+            break
+    else:
+        obligations.append(deepcopy(_ASSEMBLY))
     return Certificate(
         curve=curve.to_json_obj(),
         obligations=tuple(obligations),
-        final_verdict="maximal adelic image",
+        final_verdict=verdict,
     )
 
 

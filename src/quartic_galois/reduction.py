@@ -18,6 +18,9 @@ from .curve import SingularFiberReport
 
 _FACT_REFS = ("TF-PICLEF",)
 
+# the rule of select_transvection_prime, as quoted in certificates
+TRANSVECTION_RULE = "p=11 when ell=7, otherwise p=7"
+
 
 @dataclass(frozen=True)
 class InertiaCertificate:
@@ -77,9 +80,9 @@ def select_transvection_prime(
 ) -> int:
     """The bad prime whose inertia supplies a transvection mod ell.
 
-    The fixed selection rule uses p=11 when ell=7, and p=7 otherwise
-    (in particular p=7 when ell=11), so the requirement p != ell always
-    holds on the certified curve.
+    The fixed selection rule (:data:`TRANSVECTION_RULE`) uses p=11 when
+    ell=7, and p=7 otherwise (in particular p=7 when ell=11), so the
+    requirement p != ell always holds on the certified curve.
     """
     p = 11 if ell == 7 else 7
     cert = certs.get(p)

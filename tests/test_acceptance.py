@@ -4,6 +4,7 @@ Each test recomputes its claim from scratch (no shared caches beyond
 the module-scoped L-polynomial table, which is itself criterion 1).
 """
 
+import hashlib
 import time
 
 import pytest
@@ -29,9 +30,15 @@ from quartic_galois.modsym import (
 from quartic_galois.pipeline import (
     _default_config,
     _load_hecke,
+    render_report,
     run_pipeline,
 )
 from quartic_galois.primitivity import primitivity_witnesses
+
+
+def report_sha256(cert, format="json"):
+    return hashlib.sha256(render_report(cert, format).encode()).hexdigest()
+
 
 TABLE = {
     2: (3, 6, 9),
@@ -216,6 +223,9 @@ def test_criterion_10_extended_gcd_support():
     assert ext["evidence"]["gcd"] == str(g)
     assert ext["evidence"]["odd_part"] == str(3 ** 16)
     assert ext["evidence"]["odd_part_is_3_pow"] == 16
+    assert report_sha256(cert) == (
+        "2e08522ed3681467b37a3ee9c54e2a5347660c21dca8ff835ef189157c9d19a0"
+    )
 
 
 def test_criterion_11_end_to_end():
@@ -224,6 +234,13 @@ def test_criterion_11_end_to_end():
     assert all(
         ob["status"] in ("proved", "trusted") for ob in cert.obligations
     )
+    # the certificate bytes are pinned, JSON and text
+    assert report_sha256(cert) == (
+        "34530f2f9cc65b312d71283af1d6d1460a6b749bcb540e4dfd4fe17400e1e099"
+    )
+    assert report_sha256(cert, "text") == (
+        "6d380c0a9f2d5f86dfb381e51d2a1ac260ae0c0b5376cb51511e212f7a346e79"
+    )
     degraded = run_pipeline({"hecke": {"mode": "skip"}})
     assert degraded.final_verdict == (
         "not certified (failing step: irreducibility)"
@@ -231,3 +248,6 @@ def test_criterion_11_end_to_end():
     failing = degraded.obligations[-1]
     assert failing["status"] == "failed"
     assert "dim-2" in failing["evidence"]["error"]
+    assert report_sha256(degraded) == (
+        "f4a5868876ddbc214f6cf676b9465032761bf94708c75969b650350d45972b95"
+    )

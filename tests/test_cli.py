@@ -79,3 +79,29 @@ def test_bare_invocation_defaults_to_run(tmp_path, capsys):
 def test_unknown_format_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--format", "xml"])
+
+
+@pytest.mark.parametrize(
+    "config, needle",
+    [
+        ('{"frobenius_primse": [2]}', "frobenius_primse"),
+        ('{"workers": "two"}', "workers"),
+        ('{"frobenius_primes": ["2"]}', "frobenius_primes"),
+        ("[2]", "config"),
+        ("{not json", "Expecting"),
+        ('{"curve_path": "absent_curve.json"}', "absent_curve.json"),
+        (None, "absent_cfg.json"),
+    ],
+)
+def test_run_config_errors_are_one_line(tmp_path, monkeypatch, config, needle):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+    path = "cfg.json" if config is not None else "absent_cfg.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", path])
+    message = exc.value.code
+    # a one-line message (exit status 1), not a traceback
+    assert isinstance(message, str) and message.startswith("certify: ")
+    assert "\n" not in message
+    assert needle in message

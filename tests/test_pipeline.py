@@ -147,3 +147,66 @@ def test_certificate_serialization(skip_cert):
         registry_version=obj["registry_version"],
     )
     assert render_report(rebuilt, "json") == render_report(skip_cert, "json")
+
+
+@pytest.mark.parametrize(
+    "config, needle",
+    [
+        ({"frobenius_primse": [2]}, "'frobenius_primse'"),
+        ({"hecke": {"mode": "skip", "pth": "h.json"}}, "'hecke.pth'"),
+        ({"workers": "two"}, "'workers'"),
+        ({"workers": 0}, "'workers'"),
+        ({"workers": True}, "'workers'"),
+        ({"frobenius_primes": ["2"]}, "'frobenius_primes'"),
+        ({"frobenius_primes": 2}, "'frobenius_primes'"),
+        ({"extended_checks": "yes"}, "'extended_checks'"),
+        ({"hecke": "skip"}, "'hecke'"),
+        ({"hecke": {"primes": [2.0]}}, "'hecke.primes'"),
+        ({"curve_path": 5}, "'curve_path'"),
+        ([2, 3], "config must be an object"),
+    ],
+)
+def test_bad_config_rejected(config, needle):
+    # rejected before any computation, with the offending key named
+    with pytest.raises(ValueError) as exc:
+        run_pipeline(config)
+    assert needle in str(exc.value)
+
+
+def test_config_merge_keeps_given_values_and_defaults():
+    from quartic_galois.pipeline import _default_config
+
+    cfg = _default_config({"workers": 2, "hecke": {"mode": "skip"}})
+    assert cfg["workers"] == 2
+    assert cfg["hecke"] == {"mode": "skip", "path": None, "primes": [2, 5]}
+    assert cfg["frobenius_primes"] == list(DEFAULT_FROBENIUS_PRIMES)
+    # the defaults are copied, not shared between configs
+    cfg["frobenius_primes"].append(7)
+    assert _default_config(None)["frobenius_primes"] == list(
+        DEFAULT_FROBENIUS_PRIMES
+    )
+
+
+def test_empty_frobenius_primes_fail_mod2():
+    cert = run_pipeline({"frobenius_primes": [], "hecke": {"mode": "skip"}})
+    assert cert.final_verdict == (
+        "not certified (failing step: mod-2-maximality)"
+    )
+    failing = cert.obligations[-1]
+    assert failing["status"] == "failed"
+    assert "no L-polynomials" in failing["evidence"]["error"]
+
+
+def test_missing_hecke_file_fails_irreducibility(tmp_path):
+    # p = 23 and p = 73 give Frobenius orders 7 and 15 mod 2, so the run
+    # reaches the irreducibility step, which reads the Hecke file
+    missing = tmp_path / "absent.json"
+    cert = run_pipeline(
+        {"frobenius_primes": [23, 73], "hecke": {"path": str(missing)}}
+    )
+    assert cert.final_verdict == (
+        "not certified (failing step: irreducibility)"
+    )
+    failing = cert.obligations[-1]
+    assert failing["status"] == "failed"
+    assert str(missing) in failing["evidence"]["error"]

@@ -43,8 +43,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_lpoly(args) -> int:
-    curve = TernaryQuarticForm.load(args.curve)
-    lp = l_polynomial(curve, args.p, workers=args.workers)
+    # a missing or malformed curve file, a non-prime p or a prime of bad
+    # reduction raises OSError or ValueError
+    try:
+        curve = TernaryQuarticForm.load(args.curve)
+        lp = l_polynomial(curve, args.p, workers=args.workers)
+    except (ValueError, OSError) as exc:
+        raise SystemExit("certify lpoly: %s" % exc)
     sys.stdout.write(json.dumps(lp.to_json_obj(), sort_keys=True) + "\n")
     return 0
 

@@ -15,7 +15,7 @@ family [[1,k],[0,p]] (k = 0..p-1) and [[p,0],[0,1]], with each image
 path {alpha, beta} re-expressed in Manin symbols by the
 continued-fraction convergents of its endpoints (Manin's trick); the
 path decomposition is integral and field-independent, so it is computed
-once and reused by the integer matrices and the exact oracle below.
+once and reused for every prime's integer matrix.
 
 The cuspidal matrix of each T_p is integral in the basis of free
 classes, so it is built once over Z: the relation solve and the
@@ -23,15 +23,12 @@ cuspidal basis are row-reduced modulo one 26-bit prime, lifted to the
 symmetric range and proved exact over Z.  Each CRT modulus then only
 reduces those matrices and computes their characteristic polynomials;
 the lift uses the coefficient bound from Deligne's |a_p| <= 2 sqrt(p)
-and is re-verified against held-out moduli.  An exact Fraction
-implementation (``cuspidal_space``, ``hecke_matrix``,
-``hecke_charpoly``) is kept as the test oracle.
+and is re-verified against held-out moduli.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -46,7 +43,8 @@ from .polys import IntPoly
 
 
 def genus_x0(N: int) -> int:
-    """1 + mu/12 - nu2/4 - nu3/3 - nu_inf/2 for Gamma_0(N)."""
+    """1 + mu/12 - nu2/4 - nu3/3 - nu_inf/2 for Gamma_0(N), computed as
+    12g = 12 + mu - 3 nu2 - 4 nu3 - 6 nu_inf."""
     if N < 1:
         raise ValueError("level must be >= 1")
     ps = sympy.primefactors(N)
@@ -65,14 +63,11 @@ def genus_x0(N: int) -> int:
         nu3 = 1
         for p in ps:
             nu3 *= 1 if p == 3 else (2 if p % 3 == 1 else 0)
-    nu_inf = sum(
-        sympy.totient(gcd(d, N // d)) for d in sympy.divisors(N)
-    )
-    g = Fraction(12 + mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(
-        nu_inf, 2
-    )
-    assert g.denominator == 1
-    return int(g)
+    nu_inf = int(sum(sympy.totient(gcd(d, N // d)) for d in sympy.divisors(N)))
+    g, rem = divmod(12 + mu - 3 * nu2 - 4 * nu3 - 6 * nu_inf, 12)
+    if rem:
+        raise ArithmeticError("genus formula at level %d is not integral" % N)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -409,189 +404,6 @@ def check_hecke_prime(N: int, p) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact backend (Fraction linear algebra)
-
-
-def _rref_exact(rows: List[List[Fraction]], ncols: int):
-    mat = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[: len(pivots)], pivots
-
-
-@dataclass
-class HeckeSpace:
-    """Plus-quotient modular-symbol space of weight 2 for Gamma_0(N),
-    with the cuspidal subspace isolated (exact backend)."""
-
-    N: int
-    manin_generators: List[Tuple[int, int]]
-    dimension_plus: int
-    genus: int
-    _sk: _Skeleton
-    _expr: List[List[Fraction]]  # class id -> coords in the quotient basis
-    _free_classes: List[int]
-    _kernel: List[List[Fraction]]  # D x g cuspidal basis (columns)
-    _kernel_free_rows: List[int]
-
-    @property
-    def cuspidal_dimension(self) -> int:
-        return self.genus
-
-
-def cuspidal_space(N: int) -> HeckeSpace:
-    """Exact plus-quotient cuspidal space; dimension = genus of X_0(N)."""
-    sk = skeleton(N)
-    ncls = sk.n_classes
-    dense = [
-        [Fraction(0)] * ncls for _ in range(len(sk.rows))
-    ]
-    for i, row in enumerate(sk.rows):
-        for k, v in row:
-            dense[i][k] = Fraction(v)
-    rref, pivots = _rref_exact(dense, ncls)
-    pivset = set(pivots)
-    free = [c for c in range(ncls) if c not in pivset]
-    D = len(free)
-    pos = {c: j for j, c in enumerate(free)}
-    expr = [[Fraction(0)] * D for _ in range(ncls)]
-    for c in free:
-        expr[c][pos[c]] = Fraction(1)
-    for row, c in zip(rref, pivots):
-        expr[c] = [-row[f] for f in free]
-
-    # boundary matrix on the quotient basis: rows = free classes
-    ncusp = len(sk.cusp_reps)
-    bmat = [[Fraction(0)] * ncusp for _ in range(D)]
-    for j, c in enumerate(free):
-        for k, v in sk.boundary[c]:
-            bmat[j][k] += v
-    # cuspidal = null space of the transpose
-    bt = [[bmat[j][k] for j in range(D)] for k in range(ncusp)]
-    rref_b, piv_b = _rref_exact(bt, D)
-    pivset_b = set(piv_b)
-    free_b = [j for j in range(D) if j not in pivset_b]
-    g = len(free_b)
-    kernel = [[Fraction(0)] * g for _ in range(D)]
-    for col, j in enumerate(free_b):
-        kernel[j][col] = Fraction(1)
-    for row, pj in zip(rref_b, piv_b):
-        for col, j in enumerate(free_b):
-            kernel[pj][col] = -row[j]
-
-    expected = genus_x0(N)
-    if g != expected:
-        raise AssertionError(
-            "cuspidal dimension %d at level %d does not match the genus "
-            "formula value %d" % (g, N, expected)
-        )
-    return HeckeSpace(
-        N=N,
-        manin_generators=list(sk.symbols),
-        dimension_plus=D,
-        genus=g,
-        _sk=sk,
-        _expr=expr,
-        _free_classes=free,
-        _kernel=kernel,
-        _kernel_free_rows=free_b,
-    )
-
-
-def _hecke_on_quotient_exact(space: HeckeSpace, p: int) -> List[List[Fraction]]:
-    """T_p as a D x D matrix (columns = images of the basis generators)."""
-    sk = space._sk
-    D = space.dimension_plus
-    cols = []
-    for c in space._free_classes:
-        rep = sk.class_rep[c]
-        acc = [Fraction(0)] * D
-        for sym_idx, sign in _hecke_paths(space.N, p, rep):
-            k, s = sk.cls[sym_idx], sk.sgn[sym_idx]
-            if k < 0:
-                continue
-            coeff = sign * s
-            vec = space._expr[k]
-            for t in range(D):
-                if vec[t]:
-                    acc[t] += coeff * vec[t]
-        cols.append(acc)
-    # matrix with columns cols
-    return [[cols[j][i] for j in range(D)] for i in range(D)]
-
-
-def hecke_matrix(space: HeckeSpace, p: int) -> List[List[Fraction]]:
-    """T_p restricted to the cuspidal subspace (g x g, exact)."""
-    check_hecke_prime(space.N, p)
-    T = _hecke_on_quotient_exact(space, p)
-    D, g = space.dimension_plus, space.genus
-    K = space._kernel
-    # M = T.K (D x g)
-    M = [
-        [sum(T[i][j] * K[j][col] for j in range(D)) for col in range(g)]
-        for i in range(D)
-    ]
-    # K has the identity on its free rows, so A = M restricted there
-    A = [M[j] for j in space._kernel_free_rows]
-    # verify stability: K.A == M
-    for i in range(D):
-        for col in range(g):
-            v = sum(K[i][j] * A[j][col] for j in range(g))
-            if v != M[i][col]:
-                raise AssertionError(
-                    "cuspidal subspace is not T_%d-stable at level %d"
-                    % (p, space.N)
-                )
-    return A
-
-
-@dataclass(frozen=True)
-class HeckeCharPoly:
-    N: int
-    p: int
-    coeffs: Tuple[int, ...]  # low degree first, monic
-
-    def to_int_poly(self) -> IntPoly:
-        return IntPoly(list(self.coeffs))
-
-
-def hecke_charpoly(space: HeckeSpace, p: int) -> HeckeCharPoly:
-    """Exact characteristic polynomial of T_p on the cuspidal space."""
-    A = hecke_matrix(space, p)
-    if not A:
-        return HeckeCharPoly(N=space.N, p=p, coeffs=(1,))
-    x = sympy.Symbol("x")
-    poly = sympy.Matrix(A).charpoly(x)
-    coeffs = list(reversed(poly.all_coeffs()))
-    out = []
-    for v in coeffs:
-        r = sympy.Rational(v)
-        if r.q != 1:
-            raise AssertionError("non-integral Hecke characteristic polynomial")
-        out.append(int(r))
-    return HeckeCharPoly(N=space.N, p=p, coeffs=tuple(out))
-
-
-# ---------------------------------------------------------------------------
 # integer Hecke matrices and multimodular characteristic polynomials
 
 _INT64_LIMIT = 1 << 63
@@ -715,6 +527,16 @@ def integer_hecke_matrices(N: int, primes: Sequence[int]) -> Dict[int, np.ndarra
             )
         out[p] = A
     return out
+
+
+@dataclass(frozen=True)
+class HeckeCharPoly:
+    N: int
+    p: int
+    coeffs: Tuple[int, ...]  # low degree first, monic
+
+    def to_int_poly(self) -> IntPoly:
+        return IntPoly(list(self.coeffs))
 
 
 def _charpoly_hessenberg_mod(A: np.ndarray, q: int) -> np.ndarray:

@@ -70,8 +70,9 @@ _DEFAULTS = {
 # a config value must be of its default's kind: type -> (test, description)
 _VALID = {
     type(None): (lambda v: v is None or isinstance(v, str), "a path or null"),
-    list: (lambda v: isinstance(v, list) and all(type(x) is int for x in v),
-           "a list of integers"),
+    list: (lambda v: isinstance(v, list)
+           and all(type(x) is int and sympy.isprime(x) for x in v)
+           and len(set(v)) == len(v), "a list of distinct primes"),
     dict: (lambda v: isinstance(v, dict), "an object"),
     str: (lambda v: isinstance(v, str), "a string"),
     bool: (lambda v: isinstance(v, bool), "true or false"),

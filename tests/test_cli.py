@@ -12,6 +12,27 @@ def test_lpoly_subcommand(capsys):
     assert "T^6" in out["polynomial"]
 
 
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        (["--p", "3", "--curve", "absent_curve.json"], "absent_curve.json"),
+        (["--p", "3", "--curve", "curve.json"], "malformed curve JSON"),
+        (["--p", "4"], "prime"),
+        (["--p", "7"], "bad (or unresolved) reduction at 7"),
+    ],
+)
+def test_lpoly_errors_are_one_line(tmp_path, monkeypatch, args, needle):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "curve.json").write_text('{"monomials": 5}')
+    with pytest.raises(SystemExit) as exc:
+        main(["lpoly"] + args)
+    message = exc.value.code
+    # a one-line message (exit status 1), not a traceback
+    assert isinstance(message, str) and message.startswith("certify lpoly: ")
+    assert "\n" not in message
+    assert needle in message
+
+
 def test_facts_subcommand(capsys):
     assert main(["facts"]) == 0
     out = capsys.readouterr().out

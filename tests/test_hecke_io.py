@@ -3,13 +3,13 @@ import json
 import pytest
 
 from quartic_galois.hecke_io import load_hecke_charpolys, store_hecke_charpolys
-from quartic_galois.modsym import HeckeCharPoly, cuspidal_space, hecke_charpoly
+from quartic_galois.modsym import HeckeCharPoly, hecke_charpolys_multimodular
 
 
 @pytest.fixture(scope="module")
 def charpolys_37():
-    space = cuspidal_space(37)
-    return [hecke_charpoly(space, p) for p in (2, 3, 5)]
+    cps = hecke_charpolys_multimodular(37, (2, 3, 5))
+    return [cps[p] for p in (2, 3, 5)]
 
 
 def test_roundtrip(tmp_path, charpolys_37):

@@ -1,6 +1,5 @@
 import hashlib
 import json
-from fractions import Fraction
 from importlib import resources
 from math import comb, isqrt
 
@@ -11,11 +10,8 @@ import sympy
 from quartic_galois import modsym
 from quartic_galois.etaproducts import ETA_NEWFORMS, newform_ap
 from quartic_galois.modsym import (
-    cuspidal_space,
     genus_x0,
-    hecke_charpoly,
     hecke_charpolys_multimodular,
-    hecke_matrix,
     integer_hecke_matrices,
     p1_list,
     p1_normalize,
@@ -54,63 +50,93 @@ def test_p1_normalize_is_canonical():
                 assert p1_normalize(N, u * c % N, u * d % N) == (c, d)
 
 
+def test_genus_formula_remainder_raises(monkeypatch):
+    # without its prime factors, level 11 gives 12g = 4: an exception
+    # that survives python -O, not an assert
+    monkeypatch.setattr(modsym.sympy, "primefactors", lambda N: [])
+    with pytest.raises(ArithmeticError, match="level 11"):
+        genus_x0(11)
+
+
 def test_cuspidal_dimension_matches_genus():
     for N in (11, 14, 15, 22, 37, 50):
-        space = cuspidal_space(N)
-        assert space.genus == genus_x0(N)
+        p = next(q for q in (2, 3, 5, 7) if N % q)
+        assert integer_hecke_matrices(N, [p])[p].shape == (genus_x0(N),) * 2
 
 
 def test_hecke_agrees_with_eta_newforms():
     # genus-1 levels: T_p acts as the scalar a_p of the unique newform
     for N, factors in ETA_NEWFORMS.items():
-        space = cuspidal_space(N)
-        for p in (2, 3, 5, 7, 11, 13):
-            if N % p == 0:
-                continue
-            m = hecke_matrix(space, p)
-            assert m == [[Fraction(newform_ap(factors, p))]]
+        primes = [p for p in (2, 3, 5, 7, 11, 13) if N % p]
+        mats = integer_hecke_matrices(N, primes)
+        for p in primes:
+            assert mats[p].tolist() == [[newform_ap(factors, p)]], (N, p)
 
 
 def test_hecke_operators_commute():
-    space = cuspidal_space(37)
-    t2 = sympy.Matrix(hecke_matrix(space, 2))
-    t3 = sympy.Matrix(hecke_matrix(space, 3))
+    mats = integer_hecke_matrices(37, (2, 3))
+    t2, t3 = sympy.Matrix(mats[2].tolist()), sympy.Matrix(mats[3].tolist())
     assert t2 * t3 == t3 * t2
 
 
 def test_charpoly_level_37():
-    space = cuspidal_space(37)
+    cps = hecke_charpolys_multimodular(37, (2, 3))
     # S_2(37) has two rational newforms with a_2 = -2 and 0:
     # charpoly(T_2) = (x+2)x = x^2 + 2x
-    assert hecke_charpoly(space, 2).coeffs == (0, 2, 1)
-    assert hecke_charpoly(space, 3).coeffs == (-3, 2, 1)
+    assert cps[2].coeffs == (0, 2, 1)
+    assert cps[3].coeffs == (-3, 2, 1)
+
+
+def _sympy_charpoly(A):
+    x = sympy.Symbol("x")
+    poly = sympy.Matrix(A.tolist()).charpoly(x)
+    return tuple(int(c) for c in reversed(poly.all_coeffs()))
 
 
 def test_multimodular_matches_exact():
+    # the CRT lift against sympy's exact charpoly of the integer matrices
     for N in (37, 67, 91, 143):
-        space = cuspidal_space(N)
-        exact = {p: hecke_charpoly(space, p).coeffs for p in (2, 3, 5)}
+        mats = integer_hecke_matrices(N, (2, 3, 5))
         multi = hecke_charpolys_multimodular(N, (2, 3, 5))
-        assert {p: cp.coeffs for p, cp in multi.items()} == exact
+        for p in (2, 3, 5):
+            assert multi[p].coeffs == _sympy_charpoly(mats[p]), (N, p)
 
 
 def test_charpoly_satisfies_eichler_shimura_bound():
     # all roots of charpoly(T_p) lie in [-2 sqrt(p), 2 sqrt(p)]
-    space = cuspidal_space(50)
+    cps = hecke_charpolys_multimodular(50, (3, 7))
     for p in (3, 7):
-        cp = hecke_charpoly(space, p)
         x = sympy.symbols("x")
-        poly = sum(c * x ** i for i, c in enumerate(cp.coeffs))
+        poly = sum(c * x ** i for i, c in enumerate(cps[p].coeffs))
         for root in sympy.real_roots(poly):
             assert abs(float(root)) <= 2 * p ** 0.5 + 1e-9
 
 
-def test_integer_hecke_matches_exact():
+def _sympy_kernel(M):
+    # sympy's nullspace basis is normalized to 1 at its free columns,
+    # which is the normalization _integer_kernel promises
+    return sympy.Matrix.hstack(*sympy.Matrix(M.tolist()).nullspace()).tolist()
+
+
+def test_integer_kernel_matches_sympy_nullspace(monkeypatch):
+    # the relation solve E and the cuspidal basis K, entry for entry,
+    # against sympy's exact rational nullspace of the engine's R and B
+    calls = []
+    real = modsym._integer_kernel
+
+    def recording(M, N, what):
+        E, free = real(M, N, what)
+        calls.append((what, M, E))
+        return E, free
+
+    monkeypatch.setattr(modsym, "_integer_kernel", recording)
     for N in (11, 37, 67, 389):
-        space = cuspidal_space(N)
-        integer = integer_hecke_matrices(N, (2, 3, 5))
-        for p in (2, 3, 5):
-            assert integer[p].tolist() == hecke_matrix(space, p), (N, p)
+        calls.clear()
+        integer_hecke_matrices(N, [])
+        assert [what for what, _, _ in calls] == ["relation solve", "cuspidal basis"]
+        for what, M, E in calls:
+            assert E.tolist() == _sympy_kernel(M), (N, what)
+        assert calls[1][2].shape[1] == genus_x0(N)
 
 
 def test_integer_hecke_operators_commute_389():
@@ -118,15 +144,6 @@ def test_integer_hecke_operators_commute_389():
     t2, t3 = mats[2], mats[3]
     assert t2.shape == (32, 32)
     assert np.array_equal(t2 @ t3, t3 @ t2)
-
-
-def test_integer_lift_every_level_to_200():
-    for N in range(1, 201):
-        g = genus_x0(N)
-        if g == 0:
-            continue
-        p = next(q for q in sympy.primerange(2, 20) if N % q)
-        assert integer_hecke_matrices(N, [p])[p].shape == (g, g), N
 
 
 def _assert_within_deligne_bound(p, coeffs):
@@ -165,12 +182,11 @@ def test_corrupted_lift_raises(monkeypatch):
 
 def test_non_prime_p_rejected():
     # T_4 on 11a has eigenvalue a_4 = 2, but the p-coset formula gives -2
-    space = cuspidal_space(11)
     for p in (4, 1, 0, -3):
         with pytest.raises(ValueError, match="prime"):
             hecke_charpolys_multimodular(11, [p])
         with pytest.raises(ValueError, match="prime"):
-            hecke_matrix(space, p)
+            integer_hecke_matrices(11, [p])
     with pytest.raises(ValueError, match="divides the level"):
         hecke_charpolys_multimodular(11, [11])
 

@@ -164,6 +164,10 @@ def test_certificate_serialization(skip_cert):
         ({"hecke": {"primes": [2.0]}}, "'hecke.primes'"),
         ({"curve_path": 5}, "'curve_path'"),
         ([2, 3], "config must be an object"),
+        ({"frobenius_primes": [2, 2, 3]}, "'frobenius_primes'"),
+        ({"frobenius_primes": [4]}, "'frobenius_primes'"),
+        ({"frobenius_primes": [[2]]}, "'frobenius_primes'"),
+        ({"hecke": {"primes": [2, 2]}}, "'hecke.primes'"),
     ],
 )
 def test_bad_config_rejected(config, needle):

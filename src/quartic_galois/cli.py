@@ -46,6 +46,8 @@ def _cmd_lpoly(args) -> int:
     # a missing or malformed curve file, a non-prime p or a prime of bad
     # reduction raises OSError or ValueError
     try:
+        if args.workers < 1:
+            raise ValueError("--workers must be an integer >= 1, got %d" % args.workers)
         curve = TernaryQuarticForm.load(args.curve)
         lp = l_polynomial(curve, args.p, workers=args.workers)
     except (ValueError, OSError) as exc:

@@ -20,16 +20,27 @@ once and reused for every prime's integer matrix.
 The cuspidal matrix of each T_p is integral in the basis of free
 classes, so it is built once over Z: the relation solve and the
 cuspidal basis are row-reduced modulo one 26-bit prime, lifted to the
-symmetric range and proved exact over Z.  Each CRT modulus then only
-reduces those matrices and computes their characteristic polynomials;
-the lift uses the coefficient bound from Deligne's |a_p| <= 2 sqrt(p)
-and is re-verified against held-out moduli.
+symmetric range and proved exact over Z.
+
+The Atkin-Lehner involutions W_Q (Q || N a prime power) are built the
+same way, each from the one matrix [[Q, y], [N, Q w]] of determinant Q,
+and proved exactly to be commuting involutions that commute with every
+T_p.  So T_p preserves each joint sign space V_s of the W_Q, and its
+characteristic polynomial is the product of those on the V_s.  Each
+V_s, about g / 2^k wide, gets an integer basis B_s once: d_s pivot
+columns of the projector prod(I + s_i W_i), whose trace is 2^k d_s.
+Each CRT modulus q then row-reduces [B_s | T_p B_s] on d_s rows where
+B_s is invertible to read off T_p on V_s (a modulus where that block is
+singular is skipped) and computes the block charpolys.  Each block is
+lifted from the coefficient bound that Deligne's |a_p| <= 2 sqrt(p)
+gives at its own size and re-verified against held-out moduli.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 from math import comb, gcd, isqrt, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -95,16 +106,12 @@ def p1_normalize(N: int, c: int, d: int) -> Optional[Tuple[int, int]]:
     d1 = s * d % N
     if g == 1:
         return (1, d1)
-    # remaining freedom: units t = 1 (mod N/g) act by d1 -> t*d1
-    best = d1
-    for k in range(1, g):
-        t = 1 + k * step
-        if gcd(t, N) != 1:
-            continue
-        cand = t * d1 % N
-        if cand < best:
-            best = cand
-    return (g, best)
+    # remaining freedom: the units t = 1 (mod N/g) carry d1 to exactly
+    # the d = d1 (mod N/g) with gcd(d, g) = 1; the least is canonical
+    d = d1 % step
+    while gcd(d, g) != 1:
+        d += step
+    return (g, d)
 
 
 def p1_list(N: int) -> List[Tuple[int, int]]:
@@ -363,16 +370,19 @@ def _infty_path(num: int, den: int) -> List[Tuple[int, int]]:
     return terms
 
 
-@lru_cache(maxsize=None)
-def _hecke_paths(N: int, p: int, sym_index: int) -> Tuple[Tuple[int, int], ...]:
-    """T_p applied to the sym_index-th canonical symbol, as a list of
-    (symbol index, +-1) contributions; independent of the coefficient
+def _path_images(
+    N: int, matrices: Sequence[Tuple[int, int, int, int]], sym_index: int
+) -> Tuple[Tuple[int, int], ...]:
+    """The sum of the images m.x of the sym_index-th canonical symbol x
+    under the given integer matrices m = (m11, m12, m21, m22), as a list
+    of (symbol index, +-1) contributions; independent of the coefficient
     field."""
     sk = skeleton(N)
     c, d = sk.symbols[sym_index]
     a, b, c0, d0 = _lift_to_sl2z(N, c, d)
     # the underlying path is {alpha, beta} with alpha = g.0 = b/d0,
-    # beta = g.infinity = a/c0 (denominator 0 means infinity)
+    # beta = g.infinity = a/c0 (denominator 0 means infinity), and
+    # {m.alpha, m.beta} = {infinity, m.beta} - {infinity, m.alpha}
     contributions: List[Tuple[int, int]] = []
 
     def add_endpoint(num, den, sign):
@@ -384,14 +394,25 @@ def _hecke_paths(N: int, p: int, sym_index: int) -> Tuple[Tuple[int, int], ...]:
                 continue
             contributions.append((sk.index[key], sign))
 
-    for k in range(p):
-        # [[1,k],[0,p]]: x -> (x + k)/p
-        add_endpoint(a + k * c0, p * c0, 1)  # m.beta
-        add_endpoint(b + k * d0, p * d0, -1)  # m.alpha
-    # [[p,0],[0,1]]: x -> p*x
-    add_endpoint(p * a, c0, 1)
-    add_endpoint(p * b, d0, -1)
+    for m11, m12, m21, m22 in matrices:
+        add_endpoint(m11 * a + m12 * c0, m21 * a + m22 * c0, 1)  # m.beta
+        add_endpoint(m11 * b + m12 * d0, m21 * b + m22 * d0, -1)  # m.alpha
     return tuple(contributions)
+
+
+@lru_cache(maxsize=None)
+def _hecke_paths(N: int, p: int, sym_index: int) -> Tuple[Tuple[int, int], ...]:
+    """T_p applied to the sym_index-th canonical symbol, through the
+    coset family [[1,k],[0,p]] (k = 0..p-1) and [[p,0],[0,1]]."""
+    cosets = [(1, k, 0, p) for k in range(p)] + [(p, 0, 0, 1)]
+    return _path_images(N, cosets, sym_index)
+
+
+def _atkin_lehner_matrix(N: int, Q: int) -> Tuple[int, int, int, int]:
+    """W_Q = [[Q, y], [N, Q w]] of determinant Q for Q || N, with
+    w = Q^-1 (mod N/Q) and y = (Q w - 1)/(N/Q)."""
+    w = pow(Q, -1, N // Q)
+    return (Q, (Q * w - 1) // (N // Q), N, Q * w)
 
 
 def check_hecke_prime(N: int, p) -> None:
@@ -413,25 +434,29 @@ _LIFT_PRIME = (1 << 26) - 5
 
 
 def _rref_mod(M: np.ndarray, q: int):
+    """(R, pivots): the reduced row-echelon form of M mod q, without its
+    zero rows, and its pivot columns.  Rows are updated in place."""
     M = M % q
     nrows, ncols = M.shape
     pivots = []
     r = 0
     for c in range(ncols):
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(M[r:, c])
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             M[[r, piv]] = M[[piv, r]]
-        inv = pow(int(M[r, c]), -1, q)
-        M[r] = M[r] * inv % q
+        # row r vanishes left of column c, so only columns c.. change
+        row = M[r, c:]
+        row *= pow(int(row[0]), -1, q)
+        row %= q
         factors = M[:, c].copy()
         factors[r] = 0
-        nzr = np.nonzero(factors)[0]
-        if nzr.size:
-            M[nzr] = (M[nzr] - factors[nzr, None] * M[r]) % q
+        for i in np.flatnonzero(factors):
+            other = M[i, c:]
+            other -= factors[i] * row
+            other %= q
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -482,19 +507,17 @@ def _integer_kernel(M: np.ndarray, N: int, what: str):
     return E, free
 
 
-def integer_hecke_matrices(N: int, primes: Sequence[int]) -> Dict[int, np.ndarray]:
-    """T_p on the cuspidal plus-space at level N, for each given good
-    prime p, as an integer g x g matrix (int64) in the cuspidal basis K
-    with K[free_b] = I; field-independent, so built once per level."""
+def _cuspidal_basis(N: int):
+    """(expr, free, K, free_b): expr[k] writes class k in the basis of
+    the free classes, and the columns of K (K[free_b] = I) are the
+    cuspidal basis in those coordinates; field-independent, so built
+    once per level."""
     g = genus_x0(N)
-    for p in primes:
-        check_hecke_prime(N, p)
     sk = skeleton(N)
     R = np.zeros((len(sk.rows), sk.n_classes), dtype=np.int64)
     for i, row in enumerate(sk.rows):
         for k, v in row:
             R[i, k] = v
-    # expr[k] writes class k in the basis of the free classes
     expr, free = _integer_kernel(R, N, "relation solve")
     B = np.zeros((len(sk.cusp_reps), len(free)), dtype=np.int64)
     for j, c in enumerate(free):
@@ -506,27 +529,101 @@ def integer_hecke_matrices(N: int, primes: Sequence[int]) -> Dict[int, np.ndarra
             "cuspidal dimension %d at level %d does not match the genus "
             "formula value %d" % (len(free_b), N, g)
         )
-    out = {}
+    return expr, free, K, free_b
+
+
+def _cuspidal_matrix(N: int, basis, paths, name: str) -> np.ndarray:
+    """The integer g x g matrix, in the cuspidal basis, of the operator
+    that sends the symbol of index i to ``paths(i)``."""
+    sk = skeleton(N)
+    expr, free, K, free_b = basis
+    # C[k, j]: signed count of class k in the image of free class j
+    ks, js, vs = [], [], []
+    for j, c in enumerate(free):
+        for sym_idx, sign in paths(sk.class_rep[c]):
+            k = sk.cls[sym_idx]
+            if k >= 0:
+                ks.append(k)
+                js.append(j)
+                vs.append(sign * sk.sgn[sym_idx])
+    C = np.zeros((sk.n_classes, len(free)), dtype=np.int64)
+    np.add.at(C, (ks, js), vs)
+    M = _int_matmul(_int_matmul(expr.T, C), K)
+    A = M[free_b]
+    if not np.array_equal(_int_matmul(K, A), M):
+        raise AssertionError(
+            "cuspidal subspace is not %s-stable at level %d" % (name, N)
+        )
+    return A
+
+
+def _hecke_matrices(N: int, basis, primes: Sequence[int]) -> Dict[int, np.ndarray]:
+    return {
+        p: _cuspidal_matrix(N, basis, partial(_hecke_paths, N, p), "T_%d" % p)
+        for p in primes
+    }
+
+
+def integer_hecke_matrices(N: int, primes: Sequence[int]) -> Dict[int, np.ndarray]:
+    """T_p on the cuspidal plus-space at level N, for each given good
+    prime p, as an integer g x g matrix (int64) in the cuspidal basis K
+    with K[free_b] = I; field-independent, so built once per level."""
     for p in primes:
-        # C[k, j]: signed count of class k in the image of free class j
-        ks, js, vs = [], [], []
-        for j, c in enumerate(free):
-            for sym_idx, sign in _hecke_paths(N, p, sk.class_rep[c]):
-                k = sk.cls[sym_idx]
-                if k >= 0:
-                    ks.append(k)
-                    js.append(j)
-                    vs.append(sign * sk.sgn[sym_idx])
-        C = np.zeros((sk.n_classes, len(free)), dtype=np.int64)
-        np.add.at(C, (ks, js), vs)
-        M = _int_matmul(_int_matmul(expr.T, C), K)
-        A = M[free_b]
-        if not np.array_equal(_int_matmul(K, A), M):
-            raise AssertionError(
-                "cuspidal subspace is not T_%d-stable at level %d" % (p, N)
+        check_hecke_prime(N, p)
+    return _hecke_matrices(N, _cuspidal_basis(N), primes)
+
+
+def _atkin_lehner_involutions(
+    N: int, basis, matrices: Dict[int, np.ndarray]
+) -> List[np.ndarray]:
+    """W_Q in the cuspidal basis for each prime power Q || N, proved
+    exactly to be commuting involutions that commute with every T_p."""
+    identity = np.eye(basis[2].shape[1], dtype=np.int64)
+    involutions: Dict[str, np.ndarray] = {}
+    for ell, e in sorted(sympy.factorint(N).items()):
+        name = "W_%d" % ell ** e
+        image = [_atkin_lehner_matrix(N, ell ** e)]
+        W = _cuspidal_matrix(N, basis, partial(_path_images, N, image), name)
+        if not np.array_equal(_int_matmul(W, W), identity):
+            raise ArithmeticError("%s^2 != 1 at level %d" % (name, N))
+        others = [*involutions.items()] + [("T_%d" % p, A) for p, A in matrices.items()]
+        for other, A in others:
+            if not np.array_equal(_int_matmul(W, A), _int_matmul(A, W)):
+                raise ArithmeticError(
+                    "%s does not commute with %s at level %d" % (name, other, N)
+                )
+        involutions[name] = W
+    return list(involutions.values())
+
+
+def _sign_blocks(N: int, involutions: List[np.ndarray], g: int):
+    """(B_s, rows_s) for each nonzero joint sign space V_s of the
+    involutions: the integer columns of B_s are a basis of V_s, and
+    B_s[rows_s] is invertible.
+
+    B_s is a set of pivot columns of the integer projector
+    P_s = prod(I + s_i W_i), whose image is V_s and whose trace is
+    2^k dim V_s.  (The reduced echelon bases of the V_s are not
+    integral, so the kernel lift does not apply.)"""
+    identity = np.eye(g, dtype=np.int64)
+    blocks = []
+    for signs in product((1, -1), repeat=len(involutions)):
+        P = identity
+        for s, W in zip(signs, involutions):
+            P = _int_matmul(P, identity + s * W)
+        d, rem = divmod(int(np.trace(P)), 1 << len(involutions))
+        _, cols = _rref_mod(P, _LIFT_PRIME)
+        if rem or len(cols) != d:
+            raise ArithmeticError(
+                "sign space %s at level %d has trace %d and rank %d"
+                % (signs, N, int(np.trace(P)), len(cols))
             )
-        out[p] = A
-    return out
+        if d:
+            B = P[:, cols]
+            blocks.append((B, _rref_mod(B.T, _LIFT_PRIME)[1]))
+    if sum(B.shape[1] for B, _ in blocks) != g:
+        raise ArithmeticError("the sign spaces at level %d do not span" % N)
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -615,49 +712,87 @@ def hecke_charpolys_multimodular(
     """Cuspidal Hecke characteristic polynomials at level N for the
     given good primes.
 
-    The integer matrices of T_p are built once; each modulus then only
-    reduces them and computes their charpolys.  T_p's charpoly is
-    CRT-lifted from the fewest moduli whose product exceeds twice the
-    coefficient bound from Deligne's |a_p| <= 2 sqrt(p), and re-verified
-    against the next ``_VERIFICATION_MODULI`` (2) moduli.  ``progress(i,
-    n)``, if given, is called after the i-th of the n moduli."""
-    matrices = integer_hecke_matrices(N, primes)
+    The integer matrices of T_p and of the Atkin-Lehner involutions W_Q
+    are built once, and the cuspidal space is split into the joint sign
+    spaces of the W_Q, which every T_p preserves.  Each modulus solves
+    for T_p on every sign space and computes those block charpolys.  A
+    block's charpoly is CRT-lifted from the fewest moduli whose product
+    exceeds twice the coefficient bound from Deligne's |a_p| <= 2
+    sqrt(p) at the block's size, re-verified against the next
+    ``_VERIFICATION_MODULI`` (2) moduli, and the block charpolys are
+    multiplied over Z.  ``progress(i, n)``, if given, is called after
+    the i-th of the n moduli."""
+    for p in primes:
+        check_hecke_prime(N, p)
     g = genus_x0(N)
+    basis = _cuspidal_basis(N)
+    matrices = _hecke_matrices(N, basis, primes)
+    involutions = _atkin_lehner_involutions(N, basis, matrices)
+    # per block, [B_s | T_p B_s ...] on rows_s: row reduction mod q gives
+    # [I | X_p ...] with T_p B_s = B_s X_p, X_p in column slot[p]
+    slot = {p: k for k, p in enumerate(matrices, 1)}
+    systems = [
+        np.hstack([B[rows]] + [_int_matmul(A[rows], B) for A in matrices.values()])
+        for B, rows in _sign_blocks(N, involutions, g)
+    ]
     # isqrt(4p - 1) + 1 = ceil(2 sqrt(p))
-    bounds = {p: 2 * _coeff_bound(g, isqrt(4 * p - 1) + 1) for p in matrices}
-    candidates = _crt_moduli(g)
-    moduli: List[int] = []
-    products = [1]  # products[n] = product of the first n moduli
-    while products[-1] <= max(bounds.values(), default=0):
-        moduli.append(next(candidates))
-        products.append(products[-1] * moduli[-1])
-    n_lift = {
-        p: next(n for n, M in enumerate(products) if M > bound)
-        for p, bound in bounds.items()
+    bounds = {
+        (j, p): 2 * _coeff_bound(Y.shape[0], isqrt(4 * p - 1) + 1)
+        for j, Y in enumerate(systems)
+        for p in matrices
     }
-    moduli += [next(candidates) for _ in range(_VERIFICATION_MODULI)]
+    candidates = _crt_moduli(max((Y.shape[0] for Y in systems), default=0))
+    moduli: List[int] = []
 
-    residues: Dict[int, List[np.ndarray]] = {p: [] for p in matrices}
-    for i, q in enumerate(moduli):
-        for p, A in matrices.items():
-            if i < n_lift[p] + _VERIFICATION_MODULI:
-                residues[p].append(_charpoly_hessenberg_mod(A, q))
+    def plan():
+        # the product of all moduli but the held-out ones covers every bound
+        while bounds and prod(moduli[:-_VERIFICATION_MODULI]) <= max(
+            bounds.values()
+        ):
+            moduli.append(next(candidates))
+
+    plan()
+    residues: Dict[Tuple[int, int], List[np.ndarray]] = {key: [] for key in bounds}
+    i = 0
+    while i < len(moduli):
+        q = moduli[i]
+        # a block takes residues until its bound and the held-out moduli
+        covered = prod(moduli[: max(i - _VERIFICATION_MODULI, 0)])
+        active = [key for key, bound in bounds.items() if covered <= bound]
+        solved = {j: _rref_mod(systems[j], q) for j in {j for j, _ in active}}
+        if any(
+            pivots != list(range(systems[j].shape[0]))
+            for j, (_, pivots) in solved.items()
+        ):
+            # some B_s[rows_s] is singular mod q: use the next prime instead
+            del moduli[i]
+            plan()
+            continue
+        for j, p in active:
+            d, k = systems[j].shape[0], slot[p]
+            X = solved[j][0][:, k * d : (k + 1) * d]
+            residues[(j, p)].append(_charpoly_hessenberg_mod(X, q))
+        i += 1
         if progress is not None:
-            progress(i + 1, len(moduli))
+            progress(i, len(moduli))
 
     out = {}
     for p in matrices:
-        n = n_lift[p]
-        lifted = _crt_lift(residues[p][:n], moduli[:n])
-        for got, q in zip(residues[p][n:], moduli[n:]):
-            if any(c % q != int(r) for c, r in zip(lifted, got)):
-                raise AssertionError(
-                    "CRT lift of T_%d charpoly fails verification mod %d"
-                    % (p, q)
-                )
-        if lifted[-1] != 1:
-            raise AssertionError("lifted characteristic polynomial not monic")
-        out[p] = HeckeCharPoly(N=N, p=p, coeffs=tuple(lifted))
+        charpoly = IntPoly([1])
+        for j in range(len(systems)):
+            got = residues[(j, p)]
+            n = len(got) - _VERIFICATION_MODULI
+            lifted = _crt_lift(got[:n], moduli[:n])
+            for check, q in zip(got[n:], moduli[n:]):
+                if any(c % q != int(r) for c, r in zip(lifted, check)):
+                    raise AssertionError(
+                        "CRT lift of a T_%d block charpoly fails verification "
+                        "mod %d" % (p, q)
+                    )
+            if lifted[-1] != 1:
+                raise AssertionError("lifted characteristic polynomial not monic")
+            charpoly = charpoly * IntPoly(lifted)
+        out[p] = HeckeCharPoly(N=N, p=p, coeffs=charpoly.coeffs)
     return out
 
 

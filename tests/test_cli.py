@@ -1,4 +1,6 @@
 import json
+import time
+from importlib import resources
 
 import pytest
 
@@ -19,6 +21,8 @@ def test_lpoly_subcommand(capsys):
         (["--p", "3", "--curve", "curve.json"], "malformed curve JSON"),
         (["--p", "4"], "prime"),
         (["--p", "7"], "bad (or unresolved) reduction at 7"),
+        (["--p", "3", "--workers", "0"], "--workers must be an integer >= 1, got 0"),
+        (["--p", "3", "--workers", "-5"], "--workers must be an integer >= 1, got -5"),
     ],
 )
 def test_lpoly_errors_are_one_line(tmp_path, monkeypatch, args, needle):
@@ -126,3 +130,16 @@ def test_run_config_errors_are_one_line(tmp_path, monkeypatch, config, needle):
     assert isinstance(message, str) and message.startswith("certify: ")
     assert "\n" not in message
     assert needle in message
+
+
+def test_hecke_regenerates_bundled_file(tmp_path):
+    # the bundled level-6391 T_2 and T_5 charpolys, recomputed byte for
+    # byte; the budget is a floor to beat, not a target
+    out_path = tmp_path / "hecke_6391.json"
+    start = time.perf_counter()
+    args = ["hecke", "--level", "6391", "--primes", "2,5", "--out", str(out_path)]
+    assert main(args) == 0
+    elapsed = time.perf_counter() - start
+    bundled = resources.files("quartic_galois").joinpath("data", "hecke_6391.json")
+    assert out_path.read_bytes() == bundled.read_bytes()
+    assert elapsed < 30.0, elapsed

@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 from importlib import resources
-from math import comb, isqrt
+from pathlib import Path
+from math import comb, gcd, isqrt
 
 import numpy as np
 import pytest
@@ -48,6 +50,42 @@ def test_p1_normalize_is_canonical():
         for u in range(1, N):
             if sympy.gcd(u, N) == 1:
                 assert p1_normalize(N, u * c % N, u * d % N) == (c, d)
+
+
+def _p1_normalize_by_unit_scan(N, c, d):
+    # the earlier p1_normalize: the least t * d1 over all g units
+    # t = 1 (mod N/g), one gcd each
+    if N == 1:
+        return (0, 0)
+    c %= N
+    d %= N
+    if gcd(gcd(c, d), N) != 1:
+        return None
+    if c == 0:
+        return (0, 1)
+    g = gcd(c, N)
+    s = pow(c // g, -1, N // g)
+    step = N // g
+    while gcd(s, N) != 1:
+        s += step
+    d1 = s * d % N
+    if g == 1:
+        return (1, d1)
+    best = d1
+    for k in range(1, g):
+        t = 1 + k * step
+        if gcd(t, N) == 1:
+            best = min(best, t * d1 % N)
+    return (g, best)
+
+
+def test_p1_normalize_matches_unit_scan():
+    # every (c, d) mod N with gcd(c, N) > 1; for c coprime to N both
+    # functions return (1, d1) before the part that changed
+    for N in range(1, 201):
+        pairs = [(c, d) for c in range(N) if gcd(c, N) > 1 for d in range(N)]
+        got = [p1_normalize(N, c, d) for c, d in pairs]
+        assert got == [_p1_normalize_by_unit_scan(N, c, d) for c, d in pairs], N
 
 
 def test_genus_formula_remainder_raises(monkeypatch):
@@ -110,6 +148,109 @@ def test_charpoly_satisfies_eichler_shimura_bound():
         poly = sum(c * x ** i for i, c in enumerate(cps[p].coeffs))
         for root in sympy.real_roots(poly):
             assert abs(float(root)) <= 2 * p ** 0.5 + 1e-9
+
+
+def _recorded_sign_blocks(monkeypatch):
+    # block sizes d_s, in sign order (+,+,...), (+,...,-), ..., per call
+    sizes = []
+    real = modsym._sign_blocks
+
+    def recording(N, involutions, g):
+        blocks = real(N, involutions, g)
+        sizes.append([B.shape[1] for B, _ in blocks])
+        return blocks
+
+    monkeypatch.setattr(modsym, "_sign_blocks", recording)
+    return sizes
+
+
+def test_sign_blocks_multiply_to_sympy_charpoly(monkeypatch):
+    # levels where some Q || N is a prime power: 9, 49, 25, 243, 125
+    sizes = _recorded_sign_blocks(monkeypatch)
+    cases = ((99, (2, 5)), (147, (2, 5)), (175, (2, 3)), (243, (2, 5)), (500, (3, 7)))
+    for N, primes in cases:
+        mats = integer_hecke_matrices(N, primes)
+        multi = hecke_charpolys_multimodular(N, primes)
+        for p in primes:
+            assert multi[p].coeffs == _sympy_charpoly(mats[p]), (N, p)
+        assert len(sizes[-1]) > 1 and sum(sizes[-1]) == genus_x0(N), N
+
+
+def test_sign_block_dimensions_at_2233(monkeypatch):
+    sizes = _recorded_sign_blocks(monkeypatch)
+    ticks = []
+    cps = hecke_charpolys_multimodular(2233, (2, 5), progress=lambda *t: ticks.append(t))
+    assert sizes == [[29, 30, 30, 28, 31, 29, 29, 31]]
+    # T_5's Deligne bound at d = 31 needs 4 moduli, plus 2 held out
+    assert ticks == [(i, 6) for i in range(1, 7)]
+    assert sum(sizes[0]) == genus_x0(2233) == 237
+    data = Path(__file__).parents[1] / "perfbench" / "data" / "hecke_2233.json"
+    reference = json.loads(data.read_text())["charpolys"]
+    for p in (2, 5):
+        assert cps[p].coeffs == tuple(int(c) for c in reference[str(p)])
+
+
+def test_empty_sign_blocks_and_genus_zero(monkeypatch):
+    sizes = _recorded_sign_blocks(monkeypatch)
+    # level 11: W_11 has one sign space of dimension 1, the other is empty
+    assert hecke_charpolys_multimodular(11, (2, 3))[2].coeffs == (2, 1)
+    assert sizes == [[1]]
+    for N in (1, 2, 3, 10, 13, 25):
+        p = next(q for q in (2, 3, 5, 7) if N % q)
+        assert hecke_charpolys_multimodular(N, (p,))[p].coeffs == (1,), N
+        assert sizes[-1] == [], N
+
+
+def test_corrupted_atkin_lehner_raises(monkeypatch):
+    real = modsym._cuspidal_matrix
+
+    def corrupted(N, basis, paths, name):
+        A = real(N, basis, paths, name)
+        if name.startswith("W_"):
+            A[0, 0] += 1
+        return A
+
+    monkeypatch.setattr(modsym, "_cuspidal_matrix", corrupted)
+    with pytest.raises(ArithmeticError, match="W_.* at level 37"):
+        hecke_charpolys_multimodular(37, (2,))
+
+
+def test_atkin_lehner_commutes_with_hecke_check(monkeypatch):
+    # a W_Q that is an involution but does not commute with T_2
+    real = modsym._cuspidal_matrix
+
+    def swapped(N, basis, paths, name):
+        A = real(N, basis, paths, name)
+        if name.startswith("W_"):
+            return -A[::-1, ::-1].copy()
+        return A
+
+    monkeypatch.setattr(modsym, "_cuspidal_matrix", swapped)
+    with pytest.raises(ArithmeticError, match="does not commute with T_2"):
+        hecke_charpolys_multimodular(67, (2,))
+
+
+def test_singular_modulus_is_skipped(monkeypatch):
+    # the B_s[rows_s] have determinants that are powers of 2, so no
+    # block solve works mod 2; that modulus must give no residue
+    expected = hecke_charpolys_multimodular(143, (2, 3))
+    real_moduli = modsym._crt_moduli
+    real_charpoly = modsym._charpoly_hessenberg_mod
+    used, ticks = [], []
+
+    def recording(A, q):
+        used.append(q)
+        return real_charpoly(A, q)
+
+    def small_first(g):
+        return itertools.chain([2, 3], real_moduli(g))
+
+    monkeypatch.setattr(modsym, "_crt_moduli", small_first)
+    monkeypatch.setattr(modsym, "_charpoly_hessenberg_mod", recording)
+    got = hecke_charpolys_multimodular(143, (2, 3), progress=lambda *t: ticks.append(t))
+    assert got == expected
+    assert 2 not in used and 3 in used
+    assert ticks[-1][0] == ticks[-1][1] == len(ticks)
 
 
 def _sympy_kernel(M):

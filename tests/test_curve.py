@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 import sympy
@@ -12,6 +14,7 @@ from quartic_galois.curve import (
     find_bad_prime_candidates,
     singular_points,
 )
+from quartic_galois.fields import make_field
 
 CURVE = TernaryQuarticForm.bundled_curve()
 FERMAT = TernaryQuarticForm({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
@@ -245,3 +248,122 @@ def test_from_counts_inverts_point_count(p, a, b, c):
     lp = LPolynomial(p=p, a=a, b=b, c=c)
     counts = [lp.point_count(m) for m in (1, 2, 3)]
     assert LPolynomial.from_counts(p, counts) == lp
+
+
+# ---------------------------------------------------------------------------
+# fingerprints of the elimination over a seeded corpus
+
+# the 15 degree-4 monomials, x-degree descending, then y-degree descending
+MONOMIALS = tuple(
+    (i, j, 4 - i - j) for i in range(4, -1, -1) for j in range(4 - i, -1, -1)
+)
+# (y^2 - xz)^2: singular along a whole conic, so every eliminant vanishes
+DOUBLE_CONIC = TernaryQuarticForm(
+    {(0, 4, 0): 1, (1, 2, 1): -2, (2, 0, 2): 1}
+)
+# z^2 (x^2 + y^2 + z^2): every point of the line z = 0 is singular
+DOUBLE_LINE = TernaryQuarticForm({(2, 0, 2): 1, (0, 2, 2): 1, (0, 0, 4): 1})
+# sha256 pins of the reports and the candidates: any rewrite of the
+# elimination must leave them unchanged
+SINGULAR_CORPUS_SHA256 = (
+    "6ebe64a3c1edee92c2ce9845337b27fb0d4cb49fc2936271a58dc6adbc2a7d87"
+)
+BAD_PRIME_SHA256 = (
+    "b2e7f824cdec2fd039e25fc835aba2a404d5e3775cee7a38029edc2958b2d56a"
+)
+
+
+def _seeded_forms(seed, count=6):
+    rng = random.Random(seed)
+    return [
+        TernaryQuarticForm({m: rng.randint(-3, 3) for m in MONOMIALS})
+        for _ in range(count)
+    ]
+
+
+def _corpus():
+    """(label, form, p) for the seeded forms of seeds 0-14 at p <= 7, the
+    third form of seed 32 at p = 3 and the two constructed forms."""
+    for seed in range(15):
+        for draw, form in enumerate(_seeded_forms(seed)):
+            for p in (2, 3, 5, 7):
+                yield (seed, draw), form, p
+    yield (32, 2), _seeded_forms(32)[2], 3
+    for name, form in (("double-conic", DOUBLE_CONIC), ("double-line", DOUBLE_LINE)):
+        for p in (3, 5, 7):
+            yield name, form, p
+
+
+def _digest(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_singular_points_corpus_fingerprint():
+    lines = [
+        "%r %d %r" % (label, p, singular_points(form, p))
+        for label, form, p in _corpus()
+    ]
+    assert len(lines) == 367
+    assert _digest(lines) == SINGULAR_CORPUS_SHA256
+
+
+def test_bad_prime_candidates_fingerprint():
+    forms = [CURVE, FERMAT] + [_seeded_forms(seed)[0] for seed in (0, 1, 2)]
+    lines = ["%r %d" % (f, find_bad_prime_candidates(f)) for f in forms]
+    assert _digest(lines) == BAD_PRIME_SHA256
+
+
+def _singular_locus(form, F, points):
+    """The points of ``points`` (triples over F) where the form and its
+    three partials all vanish."""
+    maps = [form.coeffs] + [form.partial(v) for v in range(3)]
+
+    def value(m, pt):
+        acc = F.zero()
+        for e, c in m.items():
+            t = F.from_int(c)
+            for coord, k in zip(pt, e):
+                t = F.mul(t, F.pow(coord, k))
+            acc = F.add(acc, t)
+        return acc
+
+    return {pt for pt in points if all(F.is_zero(value(m, pt)) for m in maps)}
+
+
+def _projective_plane(F):
+    """P^2(F), each point with its last nonzero coordinate equal to 1."""
+    els = list(F.elements())
+    pts = [(x, y, F.one()) for x in els for y in els]
+    pts += [(x, F.one(), F.zero()) for x in els]
+    return pts + [(F.one(), F.zero(), F.zero())]
+
+
+def test_singular_points_match_brute_scan_over_fp2():
+    with_quadratic = 0
+    for p in (2, 3):
+        F1, F2 = make_field(p, 1), make_field(p, 2)
+        for form in (DOUBLE_CONIC, DOUBLE_LINE):
+            assert not singular_points(form, p).complete
+        for seed in range(15):
+            for form in _seeded_forms(seed):
+                rep = singular_points(form, p)
+                if not rep.complete:
+                    continue
+                rational = {
+                    tuple(c[0] for c in pt)
+                    for pt in _singular_locus(form, F1, _projective_plane(F1))
+                }
+                quadratic = {
+                    pt
+                    for pt in _singular_locus(form, F2, _projective_plane(F2))
+                    if any(c[1] for c in pt)
+                }
+                got = {d: {pt.coords for pt in rep.points if pt.field_degree == d}
+                       for d in (1, 2)}
+                assert got[1] == rational, (seed, p)
+                assert got[2] == quadratic, (seed, p)
+                with_quadratic += bool(quadratic)
+    assert with_quadratic

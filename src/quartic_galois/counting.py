@@ -38,7 +38,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .curve import LPolynomial, TernaryQuarticForm, singular_points
+from .curve import (
+    LPolynomial,
+    TernaryQuarticForm,
+    coordinate_line_poly,
+    singular_points,
+)
 from .fields import make_field
 from .polys import FqPoly
 
@@ -357,24 +362,16 @@ def count_points(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             affine = sum(pool.map(count_block, blocks))
 
-    # the line chart_var = 0: points (u : 1 : 0) plus (1 : 0 : 0)
-    F = make_field(p, m)
-    line_coeffs = [F.zero()] * 5
-    for (i, j, k), c in curve.coeffs.items():
-        e = (i, j, k)
-        if e[chart_var] == 0:
-            d = e[iter_var]
-            line_coeffs[d] = F.add(line_coeffs[d], F.from_int(c))
-    g = FqPoly(F, line_coeffs)
+    # the line chart_var = 0: points (u : 1 : 0) plus (1 : 0 : 0).  The
+    # line polynomial g has F_p coefficients, so its number of roots in
+    # F_q, deg gcd(g, x^q - x), is computed over F_p.
+    F = make_field(p, 1)
+    g = coordinate_line_poly(curve.coeffs, F, iter_var, chart_var)
     if g.is_zero():
         line = q + 1  # the whole line lies on the curve
     else:
         x = FqPoly.x(F)
-        xq = x.pow_mod(q, g) if g.degree >= 1 else None
-        if g.degree >= 1:
-            line = g.gcd(xq - x).degree
-        else:
-            line = 0
+        line = g.gcd(x.pow_mod(q, g) - x).degree
         exps = [0, 0, 0]
         exps[iter_var] = 4
         if curve.coeff(*exps) % p == 0:

@@ -5,17 +5,25 @@ quartic in (x, y, z).  This module locates the primes of bad reduction
 (by iterated resultant elimination), finds and classifies the singular
 points of each bad fiber, and houses :class:`LPolynomial`, the stored
 form of the degree-6 Frobenius characteristic polynomial.
+
+Over Z the form and its partials are sparse integer polynomials of
+sympy's ``PolyRing`` (resultants and factorization over Q); over F_q
+they are restricted to lines and handled as univariate
+:class:`~quartic_galois.polys.FqPoly`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
-from math import comb, gcd, isqrt
+from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.rings import ring
 
 from .fields import FieldDescriptor, make_field
 from .polys import FqPoly, IntPoly, factor_fq
@@ -23,6 +31,11 @@ from .polys import FqPoly, IntPoly, factor_fq
 Monomial = Tuple[int, int, int]
 
 _VARIABLE_NAMES = ("x", "y", "z")
+
+# sparse integer polynomial rings: the plane in (x, y, z), and an affine
+# chart whose generator 0 is the variable a resultant eliminates
+_XYZ = ring("x,y,z", ZZ)[0]
+_ELIM = ring("u,v", ZZ)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +133,8 @@ class TernaryQuarticForm:
             acc = F.add(acc, F.scalar_mul(c, t))
         return acc
 
-    def sympy_expr(self):
-        x, y, z = sympy.symbols("x y z")
-        return sum(
-            c * x ** i * y ** j * z ** k for (i, j, k), c in self.coeffs.items()
-        )
-
     def is_irreducible_over_q(self) -> bool:
-        expr = self.sympy_expr()
-        factors = sympy.factor_list(expr)[1]
+        factors = _XYZ.from_dict(self.coeffs).factor_list()[1]
         return len(factors) == 1 and factors[0][1] == 1
 
     def __eq__(self, other) -> bool:
@@ -269,24 +275,26 @@ def find_bad_prime_candidates(curve: TernaryQuarticForm) -> int:
     """
     if not curve.is_irreducible_over_q():
         raise ValueError("curve is not irreducible over Q")
-    xyz = sympy.symbols("x y z")
-    f = curve.sympy_expr()
+    maps = [curve.coeffs] + [curve.partial(t) for t in range(3)]
     vals: List[int] = []
     for chart in range(3):
-        others = [v for t, v in enumerate(xyz) if t != chart]
-        sub = {xyz[chart]: 1}
-        g = f.subs(sub)
-        gu = f.diff(others[0]).subs(sub)
-        gv = f.diff(others[1]).subs(sub)
-        for first, second in (others, list(reversed(others))):
-            r1 = sympy.resultant(g, gu, first)
-            r2 = sympy.resultant(g, gv, first)
-            r = sympy.resultant(r1, r2, second)
-            if r != 0:
-                vals.append(abs(int(r)))
+        u, v = (t for t in range(3) if t != chart)
+        for first, second in ((u, v), (v, u)):
+            g, gu, gv = (_affine(maps[t], first, second) for t in (0, 1 + u, 1 + v))
+            r = int(g.resultant(gu).resultant(g.resultant(gv)))
+            if r:
+                vals.append(abs(r))
     if not vals:
         raise ValueError("all eliminants vanish: curve is singular over Q")
     return gcd(*vals)
+
+
+def _affine(coeff_map: Dict[Monomial, int], first: int, second: int):
+    """A homogeneous coefficient map on the chart where the third
+    variable is 1, as an element of ``_ELIM`` in (first, second)."""
+    return _ELIM.from_dict(
+        {(e[first], e[second]): c for e, c in coeff_map.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +400,43 @@ def classify_node(
     return {"ordinary_node": ordinary, "total_space_regular": regular}
 
 
-def _restrict_to_line(coeff_map: Dict[Monomial, int], F: FieldDescriptor, x0):
-    """f(x0, y, 1) as an FqPoly in y (chart z = 1, x specialized)."""
-    out = [F.zero()] * 5
-    for (i, j, k), c in coeff_map.items():
-        term = F.scalar_mul(c, F.pow(x0, i))
-        out[j] = F.add(out[j], term)
-    return FqPoly(F, out)
+def coordinate_line_poly(
+    coeff_map: Dict[Monomial, int], F: FieldDescriptor, var: int, zero: int
+) -> FqPoly:
+    """The restriction of a coefficient map to the line where coordinate
+    ``zero`` is 0 and the third coordinate is 1, as an FqPoly over F in
+    coordinate ``var``."""
+    out = [0] * 5
+    for e, c in coeff_map.items():
+        if e[zero] == 0:
+            out[e[var]] += c
+    return FqPoly.from_ints(F, out)
+
+
+def _at_x(coeff_map: Dict[Monomial, int], K: FieldDescriptor, x0) -> FqPoly:
+    """f(x0, y, 1) as an FqPoly in y over K."""
+    out = [K.zero()] * 5
+    for (i, j, _k), c in coeff_map.items():
+        out[j] = K.add(out[j], K.scalar_mul(c, K.pow(x0, i)))
+    return FqPoly(K, out)
+
+
+def _gcd_all(K: FieldDescriptor, polys) -> FqPoly:
+    """The monic gcd of polys over K; zero when all of them are zero."""
+    return reduce(FqPoly.gcd, polys, FqPoly.zero(K))
+
+
+def _split_over_fp2(f: FqPoly) -> Tuple[list, bool]:
+    """The roots of a nonzero f (over F_p or F_{p^2}) in the canonical
+    F_{p^2}, sorted, and whether f splits there into linear factors."""
+    K2 = make_field(f.field.p, 2)
+    if f.field.m == 1:
+        f = FqPoly.from_ints(K2, f.to_ints())
+    if f.degree <= 0:
+        return [], True
+    factors = [g for g, _ in factor_fq(f)]
+    roots = sorted(K2.neg(g.coeffs[0]) for g in factors if g.degree == 1)
+    return roots, len(roots) == len(factors)
 
 
 def singular_points(curve: TernaryQuarticForm, p: int) -> SingularFiberReport:
@@ -406,159 +444,75 @@ def singular_points(curve: TernaryQuarticForm, p: int) -> SingularFiberReport:
     F_{p^2}, with node classification for the rational ones.
 
     Works by elimination: on the chart z = 1 the x-coordinates of
-    singular points are among the roots of g(x) = gcd of the reductions
-    of the integer resultants Res_y(f, f_*); each irreducible factor of g
-    of degree <= 2 is then resolved by univariate gcds over the matching
-    extension field.  Degree >= 3 factors are probed for genuine
-    solutions in their residue field; if any exist, ``complete`` is
-    False.  The line z = 0 is handled separately.  Soundness of the
-    reduction step uses that the leading y-coefficient of f survives
-    mod p (guaranteed here: the certifier's curves have a unit pure
-    y^4 coefficient; degenerate inputs yield ``complete=False``).
+    singular points are among the roots of g(x), the gcd of the
+    reductions of the integer resultants Res_y(f, f_*).  Each irreducible
+    factor of g of degree <= 2 is split over F_{p^2}, and at each root x0
+    so is the gcd of f and its partials on the line x = x0.  A factor of
+    degree >= 3 is probed for genuine solutions in its residue field; if
+    any exist, ``complete`` is False.  The line z = 0 is split the same
+    way, and (1:0:0) is tested directly.  A point whose coordinates all
+    lie in F_p is rational.  Soundness of the reduction step uses that
+    the leading y-coefficient of f survives mod p (guaranteed here: the
+    certifier's curves have a unit pure y^4 coefficient); when it dies,
+    or when every eliminant vanishes mod p, the chart z = 1 falls back to
+    a scan of its F_p-points and ``complete`` is False.
     """
     if not sympy.isprime(p):
         raise ValueError("p must be prime")
-    F = make_field(p, 1)
-    partials = [curve.partial(t) for t in range(3)]
+    F, K2 = make_field(p, 1), make_field(p, 2)
+    maps = [curve.coeffs] + [curve.partial(t) for t in range(3)]
     complete = True
-    rational: List[Tuple[int, int, int]] = []
-    quadratic: List[tuple] = []
+    one, zero = K2.one(), K2.zero()
+    found: List[tuple] = []  # (x, y, z) over F_{p^2}
 
     # --- affine chart z = 1 ---------------------------------------------
-    if curve.coeff(0, 4, 0) % p == 0:
-        # leading y-coefficient dies: fall back to a full F_p scan and
-        # give up on extension-field completeness
+    gx = FqPoly.zero(F)
+    if curve.coeff(0, 4, 0) % p:
+        f = _affine(curve.coeffs, 1, 0)
+        elim = (f.resultant(_affine(m, 1, 0)) for m in maps[1:])
+        gx = _gcd_all(F, (FqPoly.from_ints(F, r.to_dense()[::-1]) for r in elim))
+    if gx.is_zero():
+        # the leading y-coefficient dies, or every eliminant vanishes:
+        # scan the F_p-points and give up on completeness
         complete = False
-        for x0 in range(p):
-            for y0 in range(p):
-                if all(
-                    _eval_map(m, x0, y0, 1) % p == 0
-                    for m in [curve.coeffs] + partials
-                ):
-                    rational.append((x0, y0, 1))
+        found += [
+            (K2.from_int(x0), K2.from_int(y0), one)
+            for x0 in range(p)
+            for y0 in range(p)
+            if all(_eval_map(m, x0, y0, 1) % p == 0 for m in maps)
+        ]
     else:
-        xs, ys, zs = sympy.symbols("x y z")
-        f_aff = curve.sympy_expr().subs(zs, 1)
-        elim: List[IntPoly] = []
-        for dvar in range(3):
-            g_aff = sum(
-                c * xs ** i * ys ** j for (i, j, k), c in partials[dvar].items()
-            )
-            r = sympy.resultant(f_aff, g_aff, ys)
-            elim.append(IntPoly(sympy.Poly(r, xs).all_coeffs()[::-1]))
-        gx = FqPoly.zero(F)
-        for r in elim:
-            if not r.is_zero():
-                gx = gx.gcd(r.reduce_mod(p, F)) if not gx.is_zero() else r.reduce_mod(p, F).monic()
-        if gx.is_zero():
-            # all three eliminants vanish mod p: positive-dimensional
-            # singular locus candidate; report honestly
-            complete = False
-            for x0 in range(p):
-                for y0 in range(p):
-                    if all(
-                        _eval_map(m, x0, y0, 1) % p == 0
-                        for m in [curve.coeffs] + partials
-                    ):
-                        rational.append((x0, y0, 1))
-        elif gx.degree > 0:
-            for factor, _mult in factor_fq(gx):
-                d = factor.degree
-                if d == 1:
-                    x0 = F.neg(factor.coeffs[0])
-                    ygcd = _y_gcd_at(curve, partials, F, x0)
-                    for yfac, _m in factor_fq(ygcd) if ygcd.degree > 0 else []:
-                        if yfac.degree == 1:
-                            y0 = F.neg(yfac.coeffs[0])
-                            rational.append((x0[0], y0[0], 1))
-                        elif yfac.degree == 2:
-                            K2 = make_field(p, 2)
-                            for y0 in FqPoly.from_ints(
-                                K2, yfac.to_ints()
-                            ).roots():
-                                quadratic.append(
-                                    ((K2.from_int(x0[0]), y0, K2.one()), K2)
-                                )
-                        else:
-                            complete = False
-                elif d == 2:
-                    K2 = make_field(p, 2)
-                    for x0 in FqPoly.from_ints(K2, factor.to_ints()).roots():
-                        ygcd = _y_gcd_at(curve, partials, K2, x0)
-                        for yfac, _m in (
-                            factor_fq(ygcd) if ygcd.degree > 0 else []
-                        ):
-                            if yfac.degree == 1:
-                                y0 = K2.neg(yfac.coeffs[0])
-                                quadratic.append(((x0, y0, K2.one()), K2))
-                            else:
-                                complete = False
-                else:
-                    # residue-field probe: does a singular point live over
-                    # F_{p^d}?  Root of the factor = class of x.
-                    Kd = FieldDescriptor(p, d, tuple(factor.to_ints()))
-                    x0 = Kd.gen()
-                    if _y_gcd_at(curve, partials, Kd, x0).degree > 0:
-                        complete = False
+        for factor, _mult in factor_fq(gx):
+            if factor.degree <= 2:
+                for x0 in _split_over_fp2(factor)[0]:
+                    ygcd = _gcd_all(K2, (_at_x(m, K2, x0) for m in maps))
+                    ys, split = _split_over_fp2(ygcd)
+                    complete &= split
+                    found += [(x0, y0, one) for y0 in ys]
+            else:
+                # residue-field probe: does a singular point live over
+                # F_{p^d}?  Root of the factor = class of x.
+                Kd = FieldDescriptor(p, factor.degree, tuple(factor.to_ints()))
+                if _gcd_all(Kd, (_at_x(m, Kd, Kd.gen()) for m in maps)).degree > 0:
+                    complete = False
 
     # --- line z = 0 ------------------------------------------------------
-    line_polys = []
-    for m in [curve.coeffs] + partials:
-        coeffs = [F.zero()] * 5
-        for (i, j, k), c in m.items():
-            if k == 0:
-                coeffs[i] = F.add(coeffs[i], F.from_int(c))
-        line_polys.append(FqPoly(F, coeffs))  # in x, with y = 1
-    lg = FqPoly.zero(F)
-    for lp_ in line_polys:
-        if not lp_.is_zero():
-            lg = lg.gcd(lp_) if not lg.is_zero() else lp_.monic()
+    lg = _gcd_all(F, (coordinate_line_poly(m, F, 0, 2) for m in maps))
     if lg.is_zero():
         complete = False
-    elif lg.degree > 0:
-        for factor, _m in factor_fq(lg):
-            if factor.degree == 1:
-                x0 = F.neg(factor.coeffs[0])
-                rational.append((x0[0], 1, 0))
-            elif factor.degree == 2:
-                K2 = make_field(p, 2)
-                for x0 in FqPoly.from_ints(K2, factor.to_ints()).roots():
-                    quadratic.append(((x0, K2.one(), K2.zero()), K2))
-            else:
-                complete = False
+    else:
+        xs, split = _split_over_fp2(lg)
+        complete &= split
+        found += [(x0, one, zero) for x0 in xs]
     # the point (1:0:0)
-    if all(_eval_map(m, 1, 0, 0) % p == 0 for m in [curve.coeffs] + partials):
-        rational.append((1, 0, 0))
+    if all(_eval_map(m, 1, 0, 0) % p == 0 for m in maps):
+        found.append((one, zero, zero))
 
-    pts: List[SingularPoint] = []
-    for coords in sorted(set(rational)):
-        flags = classify_node(curve, p, coords)
-        pts.append(
-            SingularPoint(
-                coords=coords,
-                field_degree=1,
-                ordinary_node=flags["ordinary_node"],
-                total_space_regular=flags["total_space_regular"],
-            )
-        )
-    for coords, _K in sorted(set(quadratic), key=lambda t: t[0]):
-        pts.append(
-            SingularPoint(
-                coords=coords,
-                field_degree=2,
-                ordinary_node=None,
-                total_space_regular=None,
-            )
-        )
+    quadratic = {pt for pt in found if any(c[1] for c in pt)}
+    rational = {tuple(c[0] for c in pt) for pt in set(found) - quadratic}
+    pts = [
+        SingularPoint(coords, 1, **classify_node(curve, p, coords))
+        for coords in sorted(rational)
+    ]
+    pts += [SingularPoint(coords, 2, None, None) for coords in sorted(quadratic)]
     return SingularFiberReport(p=p, points=tuple(pts), complete=complete)
-
-
-def _y_gcd_at(curve, partials, K: FieldDescriptor, x0) -> FqPoly:
-    """gcd over K of f(x0, y, 1) and all three partials at x = x0."""
-    g = FqPoly.zero(K)
-    for m in [curve.coeffs] + partials:
-        poly = _restrict_to_line(m, K, x0)
-        if poly.is_zero():
-            continue
-        g = g.gcd(poly) if not g.is_zero() else poly.monic()
-    return g

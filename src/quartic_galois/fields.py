@@ -54,12 +54,6 @@ class FieldDescriptor:
             return (0,)
         return (0, 1) + (0,) * (self.m - 2)
 
-    def element(self, coords) -> Element:
-        coords = tuple(c % self.p for c in coords)
-        if len(coords) != self.m:
-            raise ValueError("expected %d coordinates" % self.m)
-        return coords
-
     def add(self, a: Element, b: Element) -> Element:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))

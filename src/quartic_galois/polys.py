@@ -379,25 +379,6 @@ class FqPoly:
             return False
         return self.gcd(d).degree == 0
 
-    def roots(self) -> List[Element]:
-        """Distinct roots in the coefficient field, sorted by coordinate
-        tuple.  Uses gcd with x^q - x, then exhaustive search on the
-        (small) linear-factor part."""
-        F = self.field
-        if self.is_zero():
-            raise ValueError("the zero polynomial has every root")
-        xp = FqPoly.x(F).pow_mod(F.order, self)
-        lin = self.gcd(xp - FqPoly.x(F))
-        if lin.degree <= 0:
-            return []
-        found = []
-        for e in F.elements():
-            if F.is_zero(lin(e)):
-                found.append(e)
-                if len(found) == lin.degree:
-                    break
-        return sorted(found)
-
     def coeff_key(self) -> tuple:
         return tuple(self.coeffs)
 
@@ -414,29 +395,6 @@ class FqPoly:
 
     def __repr__(self):
         return "FqPoly(F_%d^%d, %r)" % (self.field.p, self.field.m, list(self.coeffs))
-
-
-def fq_resultant(f: FqPoly, g: FqPoly) -> Element:
-    """Resultant over a finite field via the Euclidean PRS."""
-    F = f.field
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of a zero polynomial")
-    res = F.one()
-    sign = 1
-    a, b = f, g
-    while b.degree > 0:
-        r = a % b
-        dr = r.degree if not r.is_zero() else 0
-        res = F.mul(res, F.pow(b.lc(), a.degree - dr))
-        if (a.degree * b.degree) % 2:
-            sign = -sign
-        if r.is_zero():
-            return F.zero()
-        a, b = b, r
-    res = F.mul(res, F.pow(b.lc(), a.degree))
-    if sign < 0:
-        res = F.neg(res)
-    return res
 
 
 # ---------------------------------------------------------------------------

@@ -469,8 +469,10 @@ def singular_points(curve: TernaryQuarticForm, p: int) -> SingularFiberReport:
     gx = FqPoly.zero(F)
     if curve.coeff(0, 4, 0) % p:
         f = _affine(curve.coeffs, 1, 0)
-        elim = (f.resultant(_affine(m, 1, 0)) for m in maps[1:])
-        gx = _gcd_all(F, (FqPoly.from_ints(F, r.to_dense()[::-1]) for r in elim))
+        # dense coefficients, low degree first, as Python ints whatever
+        # sympy's ground types
+        elim = (f.resultant(_affine(m, 1, 0)).to_dense()[::-1] for m in maps[1:])
+        gx = _gcd_all(F, (FqPoly.from_ints(F, [int(c) for c in r]) for r in elim))
     if gx.is_zero():
         # the leading y-coefficient dies, or every eliminant vanishes:
         # scan the F_p-points and give up on completeness
@@ -483,7 +485,7 @@ def singular_points(curve: TernaryQuarticForm, p: int) -> SingularFiberReport:
         ]
     else:
         for factor, _mult in factor_fq(gx):
-            if factor.degree <= 2:
+            if factor.degree <= 2:  # splits over F_{p^2}
                 for x0 in _split_over_fp2(factor)[0]:
                     ygcd = _gcd_all(K2, (_at_x(m, K2, x0) for m in maps))
                     ys, split = _split_over_fp2(ygcd)

@@ -19,11 +19,15 @@ F_{p^3} needs p + (p^3 - p)/3 lanes and F_{p^2} needs p + (p^2 - p)/2.
 Block layout.  The indices 0..q-1 are cut into ranges of _BLOCK * m,
 and each range is filtered to its orbit representatives (about _BLOCK
 lanes) just before its kernel runs, so the whole field is never held
-at once.  Within a block, field elements are int64 coordinate vectors
+at once.  Within a block, field elements are integer coordinate vectors
 mod p in the canonical polynomial basis, stored structure-of-arrays as
 (m, slot, lanes): coordinate first, then polynomial slot, then lane,
-so every coordinate of every slot is one contiguous lane vector.  All
-arithmetic is exact.  With ``workers > 1`` the blocks are mapped over
+so every coordinate of every slot is one contiguous lane vector.  The
+lanes are int32 when the kernel's range bound for (p, m) fits in 31
+bits (every m = 3 field in the budget, m = 2 up to p = 401) and int64
+otherwise, and residues are taken by floor division, a - (a // p) * p,
+which numpy vectorizes where its ``%`` does not.  All arithmetic is
+exact.  With ``workers > 1`` the blocks are mapped over
 a thread pool instead of serially; the sum is the same.
 
 The public entry points are :func:`count_points` and
@@ -50,6 +54,7 @@ from .polys import FqPoly
 _FIELD_BUDGET = 10 ** 7
 _BRUTE_LIMIT = 512
 _BLOCK = 8192  # Frobenius-orbit representatives per kernel block
+_INT32_LIMIT = 2 ** 31  # lane range bounds below this run on int32
 
 
 class BadReductionError(ValueError):
@@ -61,19 +66,24 @@ class BudgetExceededError(ValueError):
 
 
 class _VecField:
-    """Vectorized F_{p^m} arithmetic on int64 arrays of shape (m, ...).
+    """Vectorized F_{p^m} arithmetic on integer arrays of shape (m, ...).
 
     Axis 0 holds the coordinates in the polynomial basis, so each
     coordinate is one contiguous array over the trailing (slot, lane)
     axes.  The reduction and Frobenius tables are built per (p, m) when
     the field is made, as sparse (row, column, constant) terms.
+    ``dtype`` is int32 when every value the kernel forms stays below
+    2^31, else int64; :meth:`mod` reduces to [0, p) by floor division,
+    negative inputs included.
     """
 
     def __init__(self, p: int, m: int):
         # the kernel sums at most 16m products of residues before one
         # reduction multiplies them by constants below p
-        if 16 * m * p * p * (1 + (m - 1) * p) >= 2 ** 63:
+        bound = 16 * m * p * p * (1 + (m - 1) * p)
+        if bound >= 2 ** 63:
             raise OverflowError("F_%d^%d overflows int64 lanes" % (p, m))
+        self.dtype = np.int32 if bound < _INT32_LIMIT else np.int64
         fd = make_field(p, m)
         self.p, self.m = p, m
         # rows[t] = x^(m+t) in the polynomial basis, t = 0..m-2
@@ -102,25 +112,31 @@ class _VecField:
             if c
         ]
 
+    def mod(self, a: np.ndarray) -> np.ndarray:
+        """a mod p in [0, p), as a - (a // p) * p in one new array."""
+        q = a // self.p
+        q *= self.p
+        return np.subtract(a, q, out=q)
+
     def reduce(self, acc: np.ndarray) -> np.ndarray:
         """Coordinates mod p of a product given by its 2m - 1 unreduced
         polynomial-basis coefficients along axis 0 (overwrites acc)."""
         out = acc[:self.m]
         for i, k, c in self.red:
             out[i] += c * acc[k]
-        return out % self.p
+        return self.mod(out)
 
     def frobenius(self, a: np.ndarray) -> np.ndarray:
         """a^p, coordinate vectors mapped by the F_p-linear Frobenius."""
         out = np.zeros_like(a)
         for i, k, c in self.frob:
             out[i] += c * a[k]
-        return out % self.p
+        return self.mod(out)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         m = self.m
         shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-        acc = np.zeros((2 * m - 1,) + shape, dtype=np.int64)
+        acc = np.zeros((2 * m - 1,) + shape, dtype=self.dtype)
         for i in range(m):
             acc[i:i + m] += a[i] * b
         return self.reduce(acc)
@@ -178,13 +194,13 @@ def _gcd_degrees(vf: _VecField, h4: np.ndarray, r: np.ndarray) -> np.ndarray:
     """deg gcd(h, r) per lane, h monic quartic ((m, 4, lanes) holds
     a0..a3), r of degree <= 3 ((m, 4, lanes))."""
     m, _, lanes = h4.shape
-    A = np.zeros((m, 5, lanes), dtype=np.int64)
+    A = np.zeros((m, 5, lanes), dtype=vf.dtype)
     A[:, :4] = h4
     A[0, 4] = 1
     B = np.zeros_like(A)
     B[:, :4] = r
     degA, degB = np.full(lanes, 4), _deg(B)
-    one = np.zeros((m, 1, lanes), dtype=np.int64)
+    one = np.zeros((m, 1, lanes), dtype=vf.dtype)
     one[0] = 1
     for _ in range(64):
         # a lane is done once B is zero (gcd A) or a unit (gcd 1)
@@ -197,7 +213,7 @@ def _gcd_degrees(vf: _VecField, h4: np.ndarray, r: np.ndarray) -> np.ndarray:
         lcB = np.take_along_axis(B, degB[None, None], axis=1)
         lcB = np.where(active, lcB, one)
         shifted = _shift(B, np.where(active, degA - degB, 5))
-        acc = np.zeros((2 * m - 1, 5, lanes), dtype=np.int64)
+        acc = np.zeros((2 * m - 1, 5, lanes), dtype=vf.dtype)
         for i in range(m):
             acc[i:i + m] += lcB[i] * A
             acc[i:i + m] -= lcA[i] * shifted
@@ -219,10 +235,10 @@ def _orbit_reps(
     index in their Frobenius orbit, as (m, lanes) digits, together with
     their orbit sizes."""
     p, m = vf.p, vf.m
-    n = np.arange(lo, hi, dtype=np.int64)
-    place = p ** np.arange(m, dtype=np.int64)
-    x = (n // place[:, None]) % p
-    size = np.full(n.shape, m, dtype=np.int64)
+    n = np.arange(lo, hi, dtype=vf.dtype)
+    place = p ** np.arange(m, dtype=vf.dtype)
+    x = vf.mod(n // place[:, None])
+    size = np.full(n.shape, m, dtype=vf.dtype)
     keep = np.ones(n.shape, dtype=bool)
     image = x
     for k in range(1, m):
@@ -243,29 +259,29 @@ def _root_counts(
     """
     p, m = vf.p, vf.m
     lanes = x.shape[1]
-    xpow = [np.zeros((m, lanes), dtype=np.int64)]
+    xpow = [np.zeros((m, lanes), dtype=vf.dtype)]
     xpow[0][0] = 1
     for _ in range(4):
         xpow.append(vf.mul(xpow[-1], x))
-    h4 = np.zeros((m, 4, lanes), dtype=np.int64)
+    h4 = np.zeros((m, 4, lanes), dtype=vf.dtype)
     for j, row in enumerate(coeff_rows):
         for c, d in row:
             h4[:, j] += c * xpow[d]
-    h4 %= p
+    h4 = vf.mod(h4)
 
     def times_y(u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
         out[:, 1:] = u[:, :3]
-        return (out + vf.mul(u[:, 3:], pow4)) % p
+        return vf.mod(out + vf.mul(u[:, 3:], pow4))
 
     # y^4, y^5, y^6 mod h, stacked as (m, 3, 4, lanes)
-    pow4 = (-h4) % p
+    pow4 = vf.mod(-h4)
     pow5 = times_y(pow4)
     high_pows = np.stack([pow4, pow5, times_y(pow5)], axis=1)
 
     def square(u: np.ndarray) -> np.ndarray:
         # u^2 as a polynomial in (x, y), each cross term taken once
-        acc = np.zeros((2 * m - 1, 7, lanes), dtype=np.int64)
+        acc = np.zeros((2 * m - 1, 7, lanes), dtype=vf.dtype)
         twice = 2 * u
         for i in range(m):
             for j in range(4):
@@ -284,7 +300,7 @@ def _root_counts(
 
     def combine(c: np.ndarray, polys: List[np.ndarray]) -> np.ndarray:
         # sum over j of c_j * polys[j], c of shape (m, 4, lanes)
-        acc = np.zeros((2 * m - 1, 4, lanes), dtype=np.int64)
+        acc = np.zeros((2 * m - 1, 4, lanes), dtype=vf.dtype)
         for i in range(m):
             for j, poly in enumerate(polys):
                 acc[i:i + m] += c[i, j] * poly
@@ -292,7 +308,7 @@ def _root_counts(
 
     # Y = y^p by square-and-multiply, then y^(p^k) = sum sigma(c_j) Y^j
     # where y^(p^(k-1)) = sum c_j y^j, since u -> u^p is a ring map
-    r = np.zeros((m, 4, lanes), dtype=np.int64)
+    r = np.zeros((m, 4, lanes), dtype=vf.dtype)
     r[0, 1] = 1
     for bit in bin(p)[3:]:
         r = square(r)
@@ -309,7 +325,7 @@ def _root_counts(
         for _ in range(m - 1):
             r = combine(vf.frobenius(r), ypows)
     r[0, 1] -= 1
-    return _gcd_degrees(vf, h4, r % p)
+    return _gcd_degrees(vf, h4, vf.mod(r))
 
 
 def count_points(

@@ -60,7 +60,7 @@ def computed_table():
 def test_criterion_01_lpolynomial_table(computed_table):
     lpolys, elapsed = computed_table
     assert {lp.p: (lp.a, lp.b, lp.c) for lp in lpolys} == TABLE
-    assert elapsed < 30.0, "single-threaded table took %.1f s" % elapsed
+    assert elapsed < 10.0, "single-threaded table took %.1f s" % elapsed
 
 
 def test_criterion_02_reduction_analysis():

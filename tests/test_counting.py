@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from quartic_galois import counting
 from quartic_galois.counting import (
     BadReductionError,
     BudgetExceededError,
@@ -12,6 +14,7 @@ from quartic_galois.counting import (
     l_polynomial,
 )
 from quartic_galois.curve import TernaryQuarticForm
+from quartic_galois.pipeline import DEFAULT_FROBENIUS_PRIMES
 
 CURVE = TernaryQuarticForm.bundled_curve()
 FERMAT = TernaryQuarticForm({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
@@ -108,3 +111,85 @@ def test_degenerate_chart_falls_back_to_enumeration():
     assert count_points(form, 3, 1) == _brute_count(form, 3, 1)
     with pytest.raises(BudgetExceededError):
         count_points(form, 101, 2)
+
+
+def test_lane_dtype_follows_the_range_bound():
+    for p, m in [(211, 3), (401, 2), (11579, 1)]:
+        assert _VecField(p, m).dtype == np.int32
+    for p, m in [(409, 2), (11587, 1)]:
+        assert _VecField(p, m).dtype == np.int64
+
+
+def test_int64_range_guard_precedes_the_field(monkeypatch):
+    def no_field(p, m):
+        raise AssertionError("field built before the range check")
+
+    monkeypatch.setattr(counting, "make_field", no_field)
+    with pytest.raises(OverflowError):
+        _VecField(2 ** 31 - 1, 2)
+
+
+def test_mod_is_the_least_residue():
+    vf = _VecField(73, 3)
+    a = np.arange(-3 * 73 * 73, 3 * 73 * 73, 7, dtype=vf.dtype)
+    r = vf.mod(a)
+    assert r.dtype == vf.dtype
+    assert np.array_equal(r, a % 73)
+
+
+@pytest.mark.parametrize("p, m", [(41, 3), (401, 2), (11579, 1)])
+def test_int32_lanes_match_int64_lanes(monkeypatch, p, m):
+    assert _VecField(p, m).dtype == np.int32
+    narrow = count_points(CURVE, p, m)
+    monkeypatch.setattr(counting, "_INT32_LIMIT", 0)
+    assert _VecField(p, m).dtype == np.int64
+    assert count_points(CURVE, p, m) == narrow
+
+
+# the degree-1 monomials x, y, z, which give the holomorphic differentials
+# of a plane quartic, shifted by (1, 1, 1): the exponents u of the
+# Cartier-Manin formula
+_HW_EXPONENTS = [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
+
+
+def _cartier_manin(curve, p):
+    """The Hasse-Witt matrix A_ij = [x^(p u_i - u_j)] f^(p-1) mod p.
+
+    f^(p-1) is built on z = 1 as a dense (x, y) array by p - 1 shifted-add
+    multiplications by f; the z exponent is fixed by the total degree.
+    """
+    d = 4 * (p - 1)
+    terms = [(i, j, c % p) for (i, j, _), c in curve.coeffs.items() if c % p]
+    power = np.zeros((d + 1, d + 1), dtype=np.int64)
+    power[0, 0] = 1
+    for _ in range(p - 1):
+        prod = np.zeros_like(power)
+        for i, j, c in terms:
+            prod[i:, j:] += c * power[:d + 1 - i, :d + 1 - j]
+        power = prod % p
+    return [
+        [int(power[p * ui[0] - uj[0], p * ui[1] - uj[1]]) for uj in _HW_EXPONENTS]
+        for ui in _HW_EXPONENTS
+    ]
+
+
+@pytest.mark.parametrize("p", DEFAULT_FROBENIUS_PRIMES)
+def test_l_polynomial_matches_hasse_witt(p):
+    # L(T) = 1 + aT + bT^2 + cT^3 + ... is det(1 - T Frob), and mod p it
+    # agrees with det(I - T A) for the Hasse-Witt matrix A (Manin 1961;
+    # Stohr-Voloch 1987), which is computed without any point count
+    A = _cartier_manin(CURVE, p)
+    trace = A[0][0] + A[1][1] + A[2][2]
+    minors = sum(
+        A[i][i] * A[j][j] - A[i][j] * A[j][i]
+        for i in range(3) for j in range(i + 1, 3)
+    )
+    det = (
+        A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
+        - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
+        + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0])
+    )
+    lp = l_polynomial(CURVE, p)
+    assert (lp.a - (-trace)) % p == 0
+    assert (lp.b - minors) % p == 0
+    assert (lp.c - (-det)) % p == 0

@@ -2,8 +2,9 @@
 
 JSON: {"level": N, "weight": 2, "operators": [{"p": 2, "charpoly":
 ["c0", "c1", ...]}]} with decimal-string coefficients, low degree
-first.  Loading validates that each p is a prime not dividing N,
-monicity, and that each degree equals the genus of X_0(N).
+first.  Loading validates the shape of the file, that each p is a
+prime not dividing N, monicity, and that each degree equals the genus
+of X_0(N); a malformed file raises ValueError.
 """
 
 from __future__ import annotations
@@ -40,24 +41,33 @@ def load_hecke_charpolys(path) -> Dict[int, HeckeCharPoly]:
         obj = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError("malformed Hecke file %s: %s" % (path, exc))
+    if not isinstance(obj, dict):
+        raise ValueError("Hecke file %s is not a JSON object" % path)
     for key in ("level", "weight", "operators"):
         if key not in obj:
             raise ValueError("Hecke file missing key %r" % key)
     level = obj["level"]
-    if not isinstance(level, int) or level < 1:
+    if isinstance(level, bool) or not isinstance(level, int) or level < 1:
         raise ValueError("bad level %r" % level)
     if obj["weight"] != 2:
         raise ValueError("only weight 2 is supported")
+    if not isinstance(obj["operators"], list):
+        raise ValueError("'operators' must be a list")
     genus = genus_x0(level)
     out: Dict[int, HeckeCharPoly] = {}
     for op in obj["operators"]:
-        if "p" not in op or "charpoly" not in op:
-            raise ValueError("operator entry missing 'p' or 'charpoly'")
+        if not isinstance(op, dict) or "p" not in op or "charpoly" not in op:
+            raise ValueError("operator entry is not an object with 'p' and 'charpoly'")
         p = op["p"]
         check_hecke_prime(level, p)
+        charpoly = op["charpoly"]
+        if not isinstance(charpoly, list) or not all(
+            isinstance(c, str) for c in charpoly
+        ):
+            raise ValueError("charpoly for p=%r is not a list of strings" % p)
         try:
-            coeffs = tuple(int(c) for c in op["charpoly"])
-        except (TypeError, ValueError):
+            coeffs = tuple(int(c) for c in charpoly)
+        except ValueError:
             raise ValueError("non-integer coefficient for p=%r" % p)
         if len(coeffs) != genus + 1:
             raise ValueError(

@@ -20,7 +20,9 @@ once and reused for every prime's integer matrix.
 The cuspidal matrix of each T_p is integral in the basis of free
 classes, so it is built once over Z: the relation solve and the
 cuspidal basis are row-reduced modulo one 26-bit prime, lifted to the
-symmetric range and proved exact over Z.
+symmetric range and proved exact over Z.  Every row reduction clears a
+pivot's column with one rank-1 update of the rows gathered where that
+column is nonzero.
 
 The Atkin-Lehner involutions W_Q (Q || N a prime power) are built the
 same way, each from the one matrix [[Q, y], [N, Q w]] of determinant Q,
@@ -28,7 +30,9 @@ and proved exactly to be commuting involutions that commute with every
 T_p.  So T_p preserves each joint sign space V_s of the W_Q, and its
 characteristic polynomial is the product of those on the V_s.  Each
 V_s, about g / 2^k wide, gets an integer basis B_s once: d_s pivot
-columns of the projector prod(I + s_i W_i), whose trace is 2^k d_s.
+columns of the projector P_s = prod(I + s_i W_i), whose trace is
+2^k d_s.  The pivots are read off a (d_s + 4) x g sketch S P_s, with S
+fixed-seed and {-1, 0, 1}-valued, instead of the g x g projector.
 Each CRT modulus q then row-reduces [B_s | T_p B_s] on d_s rows where
 B_s is invertible to read off T_p on V_s (a modulus where that block is
 singular is skipped) and computes the block charpolys.  Each block is
@@ -38,6 +42,7 @@ gives at its own size and re-verified against held-out moduli.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -431,11 +436,21 @@ _INT64_LIMIT = 1 << 63
 _FLOAT64_EXACT = 1 << 53
 # the one-time row reductions run modulo this prime and are lifted to Z
 _LIFT_PRIME = (1 << 26) - 5
+# _sign_blocks reads each projector's pivots off d_s + 4 sketch rows
+_SKETCH_SEED = 0x5EED_B10C
+_SKETCH_EXTRA_ROWS = 4
 
 
 def _rref_mod(M: np.ndarray, q: int):
     """(R, pivots): the reduced row-echelon form of M mod q, without its
-    zero rows, and its pivot columns.  Rows are updated in place."""
+    zero rows, and its pivot columns.
+
+    Each pivot clears its column with one rank-1 update of the rows
+    that are nonzero there, gathered into one block.  Its products are
+    below q^2, so (q - 1)^2 < 2^63 is required.  Each block is reduced
+    as a - (a // q) q, which numpy runs faster than its int64 %."""
+    if (q - 1) ** 2 >= _INT64_LIMIT:
+        raise OverflowError("row reduction mod %d may overflow int64" % q)
     M = M % q
     nrows, ncols = M.shape
     pivots = []
@@ -451,12 +466,13 @@ def _rref_mod(M: np.ndarray, q: int):
         row = M[r, c:]
         row *= pow(int(row[0]), -1, q)
         row %= q
-        factors = M[:, c].copy()
-        factors[r] = 0
-        for i in np.flatnonzero(factors):
-            other = M[i, c:]
-            other -= factors[i] * row
-            other %= q
+        rows = np.flatnonzero(M[:, c])
+        rows = rows[rows != r]
+        if rows.size:
+            block = M[rows, c:]
+            block -= np.outer(block[:, 0], row)
+            block -= block // q * q
+            M[rows, c:] = block
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -596,6 +612,13 @@ def _atkin_lehner_involutions(
     return list(involutions.values())
 
 
+def _sketch(rows: int, cols: int) -> np.ndarray:
+    """A rows x cols int8 matrix with entries in {-1, 0, 1}, drawn from
+    a fixed-seed stdlib stream."""
+    draw = np.frombuffer(random.Random(_SKETCH_SEED).randbytes(rows * cols), np.uint8)
+    return (draw % 3).astype(np.int8).reshape(rows, cols) - 1
+
+
 def _sign_blocks(N: int, involutions: List[np.ndarray], g: int):
     """(B_s, rows_s) for each nonzero joint sign space V_s of the
     involutions: the integer columns of B_s are a basis of V_s, and
@@ -603,16 +626,25 @@ def _sign_blocks(N: int, involutions: List[np.ndarray], g: int):
 
     B_s is a set of pivot columns of the integer projector
     P_s = prod(I + s_i W_i), whose image is V_s and whose trace is
-    2^k dim V_s.  (The reduced echelon bases of the V_s are not
-    integral, so the kernel lift does not apply.)"""
+    2^k d_s, d_s = dim V_s.  (The reduced echelon bases of the V_s are
+    not integral, so the kernel lift does not apply.)  The pivots are
+    read off S_s P_s, where S_s is the leading d_s + 4 rows of one
+    fixed-seed sketch with entries in {-1, 0, 1}: the row space of
+    S_s P_s lies in that of P_s, so when its rank mod q is d_s the two
+    row spaces, their echelon forms and their pivots are equal.  If the
+    rank comes out lower, P_s itself is reduced."""
     identity = np.eye(g, dtype=np.int64)
+    sketch = _sketch(g + _SKETCH_EXTRA_ROWS, g)
     blocks = []
     for signs in product((1, -1), repeat=len(involutions)):
         P = identity
         for s, W in zip(signs, involutions):
             P = _int_matmul(P, identity + s * W)
         d, rem = divmod(int(np.trace(P)), 1 << len(involutions))
-        _, cols = _rref_mod(P, _LIFT_PRIME)
+        S = sketch[: d + _SKETCH_EXTRA_ROWS]
+        _, cols = _rref_mod(_int_matmul(S, P), _LIFT_PRIME)
+        if len(cols) < d:
+            _, cols = _rref_mod(P, _LIFT_PRIME)
         if rem or len(cols) != d:
             raise ArithmeticError(
                 "sign space %s at level %d has trace %d and rank %d"

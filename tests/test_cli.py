@@ -142,4 +142,4 @@ def test_hecke_regenerates_bundled_file(tmp_path):
     elapsed = time.perf_counter() - start
     bundled = resources.files("quartic_galois").joinpath("data", "hecke_6391.json")
     assert out_path.read_bytes() == bundled.read_bytes()
-    assert elapsed < 30.0, elapsed
+    assert elapsed < 15.0, elapsed

@@ -76,8 +76,17 @@ def test_load_rejects_bad_entries(tmp_path):
         lambda o: o["operators"][0].update(p=1),
         lambda o: o["operators"][0].update(p="2"),
         lambda o: o["operators"][0].update(p=11),  # divides the level
+        lambda o: o.update(operators=7),
+        lambda o: o.update(operators=[5]),
+        lambda o: o["operators"][0].update(charpoly="21"),  # not (2, 1)
+        lambda o: o["operators"][0].update(charpoly=[2, 1]),
+        # not level 1, where the constant charpoly has the right degree
+        lambda o: o.update(level=True, operators=[{"p": 2, "charpoly": ["1"]}]),
     ):
         obj = json.loads(json.dumps(base))
         mutate(obj)
         with pytest.raises(ValueError):
             load_hecke_charpolys(_write(tmp_path, obj))
+    # a JSON document that is not an object
+    with pytest.raises(ValueError):
+        load_hecke_charpolys(_write(tmp_path, 5))

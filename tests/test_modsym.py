@@ -8,6 +8,7 @@ from math import comb, gcd, isqrt
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from quartic_galois import modsym
 from quartic_galois.etaproducts import ETA_NEWFORMS, newform_ap
@@ -190,6 +191,68 @@ def test_sign_block_dimensions_at_2233(monkeypatch):
         assert cps[p].coeffs == tuple(int(c) for c in reference[str(p)])
 
 
+def _projector_pivot_columns(N, primes):
+    # (involutions, g, [P_s[:, pivots of the fully reduced P_s] for each
+    # nonzero P_s]): the basis columns as chosen before the sketch
+    basis = modsym._cuspidal_basis(N)
+    matrices = modsym._hecke_matrices(N, basis, primes)
+    involutions = modsym._atkin_lehner_involutions(N, basis, matrices)
+    g = basis[2].shape[1]
+    identity = np.eye(g, dtype=np.int64)
+    columns = []
+    for signs in itertools.product((1, -1), repeat=len(involutions)):
+        P = identity
+        for s, W in zip(signs, involutions):
+            P = modsym._int_matmul(P, identity + s * W)
+        cols = modsym._rref_mod(P, modsym._LIFT_PRIME)[1]
+        if cols:
+            columns.append(P[:, cols])
+    return involutions, g, columns
+
+
+def _count_rref_calls(monkeypatch):
+    calls = []
+    real = modsym._rref_mod
+
+    def counting(M, q):
+        calls.append(M.shape)
+        return real(M, q)
+
+    monkeypatch.setattr(modsym, "_rref_mod", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "N, primes",
+    [(99, (2, 5)), (147, (2, 5)), (175, (2, 3)), (243, (2, 5)), (500, (3, 7)), (2233, (2, 5))],
+)
+def test_sketch_pivots_match_full_projector_pivots(monkeypatch, N, primes):
+    involutions, g, columns = _projector_pivot_columns(N, primes)
+    calls = _count_rref_calls(monkeypatch)
+    blocks = modsym._sign_blocks(N, involutions, g)
+    assert len(blocks) == len(columns)
+    for (B, _), expected in zip(blocks, columns):
+        assert np.array_equal(B, expected), N
+    # one sketch reduction per sign and one B_s^T reduction per block:
+    # no projector fell back to its own reduction
+    assert len(calls) == 2 ** len(involutions) + len(blocks), calls
+
+
+def test_rank_deficient_sketch_falls_back_to_the_projector(monkeypatch):
+    for N, primes in ((147, (2, 5)), (2233, (2, 5))):
+        involutions, g, _ = _projector_pivot_columns(N, primes)
+        expected = modsym._sign_blocks(N, involutions, g)
+        with monkeypatch.context() as m:
+            m.setattr(modsym, "_sketch", lambda rows, cols: np.zeros((rows, cols), np.int8))
+            calls = _count_rref_calls(m)
+            got = modsym._sign_blocks(N, involutions, g)
+        # every nonzero block reduced its sketch, its P_s and its B_s^T
+        assert len(calls) == 2 ** len(involutions) + 2 * len(expected), N
+        assert len(got) == len(expected)
+        for (B, rows), (B0, rows0) in zip(got, expected):
+            assert np.array_equal(B, B0) and rows == rows0, N
+
+
 def test_empty_sign_blocks_and_genus_zero(monkeypatch):
     sizes = _recorded_sign_blocks(monkeypatch)
     # level 11: W_11 has one sign space of dimension 1, the other is empty
@@ -339,6 +402,42 @@ def test_charpoly_int64_guard():
     assert modsym._charpoly_hessenberg_mod(A, q).tolist() == [q - 2, q - 5, 1]
     with pytest.raises(OverflowError):
         modsym._charpoly_hessenberg_mod(A, sympy.nextprime(isqrt(1 << 63)))
+
+
+def _sympy_rref_mod(M, q):
+    R, pivots = DomainMatrix.from_list(M.tolist(), sympy.GF(q)).rref()
+    return [[int(x) % q for x in row] for row in R.to_list()[: len(pivots)]], list(pivots)
+
+
+def _rref_oracle_cases():
+    rng = np.random.default_rng(12)
+    for rows, cols, rank in ((9, 4, 3), (4, 11, 3), (7, 7, 5), (6, 6, 6)):
+        M = rng.integers(-9, 10, (rows, rank)) @ rng.integers(-9, 10, (rank, cols))
+        yield M
+        Z = M.copy()
+        Z[:, [0, cols // 2]] = 0
+        yield Z
+    yield np.zeros((3, 5), dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", [7, 101, modsym._LIFT_PRIME])
+def test_rref_mod_matches_sympy_rref(q):
+    # tall, wide and square matrices of deficient rank and one of full
+    # rank, each with and without zero columns, and the zero matrix
+    for M in _rref_oracle_cases():
+        R, pivots = modsym._rref_mod(M, q)
+        assert (R.tolist(), pivots) == _sympy_rref_mod(M, q), (M.tolist(), q)
+
+
+def test_rref_int64_guard():
+    # (q - 1)^2 < 2^63 just below isqrt(2^63) + 1, and not above it
+    bound = isqrt(1 << 63) + 1
+    ok, bad = sympy.prevprime(bound), sympy.nextprime(bound)
+    M = np.array([[ok - 1, ok - 2, 3], [ok - 3, 5, ok - 1], [2, ok - 1, ok - 4]])
+    R, pivots = modsym._rref_mod(M, ok)
+    assert (R.tolist(), pivots) == _sympy_rref_mod(M, ok)
+    with pytest.raises(OverflowError):
+        modsym._rref_mod(M, bad)
 
 
 def test_crt_moduli_fit_int64():

@@ -214,3 +214,17 @@ def test_missing_hecke_file_fails_irreducibility(tmp_path):
     failing = cert.obligations[-1]
     assert failing["status"] == "failed"
     assert str(missing) in failing["evidence"]["error"]
+
+
+def test_malformed_hecke_file_fails_irreducibility(tmp_path):
+    # an operator entry that is not an object: a failed obligation, not
+    # a TypeError traceback
+    path = tmp_path / "hecke_bad.json"
+    path.write_text(json.dumps({"level": 6391, "weight": 2, "operators": [5]}))
+    cert = run_pipeline({"frobenius_primes": [23, 73], "hecke": {"path": str(path)}})
+    assert cert.final_verdict == (
+        "not certified (failing step: irreducibility)"
+    )
+    failing = cert.obligations[-1]
+    assert failing["status"] == "failed"
+    assert "'p' and 'charpoly'" in failing["evidence"]["error"]

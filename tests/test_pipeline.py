@@ -201,6 +201,24 @@ def test_empty_frobenius_primes_fail_mod2():
     assert "no L-polynomials" in failing["evidence"]["error"]
 
 
+def test_table_failure_names_the_smallest_failing_prime():
+    # 227^3 and 233^3 both exceed the field budget; the table fails at the
+    # smaller one, whatever the configured order
+    cert = run_pipeline(
+        {"frobenius_primes": [2, 3, 233, 227], "hecke": {"mode": "skip"}}
+    )
+    assert cert.final_verdict == (
+        "not certified (failing step: l-polynomial-table)"
+    )
+    failing = cert.obligations[-1]
+    assert failing["name"] == "l-polynomial-table"
+    assert failing["status"] == "failed"
+    assert failing["evidence"]["error"] == (
+        "L-polynomial at p=227 failed: field size 11697083 exceeds the "
+        "10000000 budget"
+    )
+
+
 def test_missing_hecke_file_fails_irreducibility(tmp_path):
     # p = 23 and p = 73 give Frobenius orders 7 and 15 mod 2, so the run
     # reaches the irreducibility step, which reads the Hecke file

@@ -46,10 +46,8 @@ def _cmd_lpoly(args) -> int:
     # a missing or malformed curve file, a non-prime p or a prime of bad
     # reduction raises OSError or ValueError
     try:
-        if args.workers < 1:
-            raise ValueError("--workers must be an integer >= 1, got %d" % args.workers)
         curve = TernaryQuarticForm.load(args.curve)
-        lp = l_polynomial(curve, args.p, workers=args.workers)
+        lp = l_polynomial(curve, args.p)
     except (ValueError, OSError) as exc:
         raise SystemExit("certify lpoly: %s" % exc)
     sys.stdout.write(json.dumps(lp.to_json_obj(), sort_keys=True) + "\n")
@@ -98,7 +96,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     lpoly = sub.add_parser("lpoly", help="one L-polynomial")
     lpoly.add_argument("--p", type=int, required=True)
     lpoly.add_argument("--curve", default=None)
-    lpoly.add_argument("--workers", type=int, default=1)
 
     hecke = sub.add_parser("hecke", help="precompute Hecke operators")
     hecke.add_argument("--level", type=int, required=True)

@@ -27,18 +27,26 @@ lanes are int32 when the kernel's range bound for (p, m) fits in 31
 bits (every m = 3 field in the budget, m = 2 up to p = 401) and int64
 otherwise, and residues are taken by floor division, a - (a // p) * p,
 which numpy vectorizes where its ``%`` does not.  All arithmetic is
-exact.  With ``workers > 1`` the blocks are mapped over
-a thread pool instead of serially; the sum is the same.
+exact.
 
-The public entry points are :func:`count_points` and
-:func:`l_polynomial`.
+Threads.  Numpy releases the interpreter lock inside the kernel, so
+blocks run in parallel on threads.  :func:`l_polynomial_table` plans
+every count of the table first; a count of one block then runs on the
+calling thread, and the blocks of all the other counts share one pool
+with one thread per usable CPU (``os.sched_getaffinity``, so ``taskset``
+limits it), largest field first.  The sums are exact, so the answer does
+not depend on the thread count or order.
+
+The public entry points are :func:`count_points`, :func:`l_polynomial`
+and :func:`l_polynomial_table`.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +61,11 @@ from .polys import FqPoly
 
 _FIELD_BUDGET = 10 ** 7
 _BRUTE_LIMIT = 512
-_BLOCK = 8192  # Frobenius-orbit representatives per kernel block
+_BLOCK = 4096  # Frobenius-orbit representatives per kernel block
+_THREADS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 _INT32_LIMIT = 2 ** 31  # lane range bounds below this run on int32
 
 
@@ -328,14 +340,19 @@ def _root_counts(
     return _gcd_degrees(vf, h4, vf.mod(r))
 
 
-def count_points(
-    curve: TernaryQuarticForm, p: int, m: int, workers: int = 1
-) -> int:
-    """Exact |C(F_{p^m})| as a set of projective points.
+class _Plan(NamedTuple):
+    """|C(F_q)| is ``known`` plus the sum of ``count_block`` over
+    ``blocks``, the index ranges of the affine chart."""
 
-    The caller is responsible for checking smoothness of the fiber (see
-    :func:`l_polynomial`); the count itself is well defined regardless.
-    """
+    q: int
+    known: int
+    count_block: Optional[Callable[[Tuple[int, int]], int]]
+    blocks: List[Tuple[int, int]]
+
+
+def _plan_count(curve: TernaryQuarticForm, p: int, m: int) -> _Plan:
+    """Checks (p, m) against the budget and the chart, and counts what
+    needs no kernel: the brute fallback or the line at infinity."""
     if m < 1:
         raise ValueError("extension degree must be >= 1")
     q = p ** m
@@ -346,7 +363,7 @@ def count_points(
     chart = _choose_chart(curve, p)
     if chart is None:
         if q <= _BRUTE_LIMIT:
-            return _brute_count(curve, p, m)
+            return _Plan(q, _brute_count(curve, p, m), None, [])
         raise BudgetExceededError(
             "no coordinate has a unit pure fourth power mod %d and the "
             "field is too large for brute enumeration" % p
@@ -372,11 +389,6 @@ def count_points(
 
     step = _BLOCK * m
     blocks = [(lo, min(lo + step, q)) for lo in range(0, q, step)]
-    if workers <= 1:
-        affine = sum(map(count_block, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            affine = sum(pool.map(count_block, blocks))
 
     # the line chart_var = 0: points (u : 1 : 0) plus (1 : 0 : 0).  The
     # line polynomial g has F_p coefficients, so its number of roots in
@@ -392,21 +404,90 @@ def count_points(
         exps[iter_var] = 4
         if curve.coeff(*exps) % p == 0:
             line += 1
-    return affine + line
+    return _Plan(q, line, count_block, blocks)
 
 
-def l_polynomial(
-    curve: TernaryQuarticForm, p: int, workers: int = 1
-) -> LPolynomial:
-    """The L-polynomial at a prime of good reduction, from counts over
-    F_p, F_{p^2}, F_{p^3} via Newton's identities, with the Weil root
-    bounds verified before returning."""
-    report = singular_points(curve, p)
-    if not report.is_good:
-        raise BadReductionError(
-            "curve has bad (or unresolved) reduction at %d" % p
-        )
-    counts = [count_points(curve, p, m, workers=workers) for m in (1, 2, 3)]
-    lp = LPolynomial.from_counts(p, counts)
-    lp.verify_weil()
-    return lp
+def _run_plans(plans: List[_Plan]) -> List[int]:
+    """The counts of ``plans``, in order.  A count of one block runs on
+    the calling thread, where a hand-off would cost more than the
+    kernel; the blocks of the others share one pool of _THREADS threads,
+    largest field first.  The sums are exact, so the thread order cannot
+    change a count."""
+    def inline(plan: _Plan) -> int:
+        return plan.known + sum(map(plan.count_block, plan.blocks))
+
+    pooled = sorted(
+        (i for i, plan in enumerate(plans) if len(plan.blocks) > 1),
+        key=lambda i: -plans[i].q,
+    )
+    if not pooled:
+        return list(map(inline, plans))
+    with ThreadPoolExecutor(max_workers=_THREADS) as pool:
+        futures = {
+            i: [pool.submit(plans[i].count_block, b) for b in plans[i].blocks]
+            for i in pooled
+        }
+        counts = [
+            None if i in futures else inline(plan)
+            for i, plan in enumerate(plans)
+        ]
+        for i, blocks in futures.items():
+            counts[i] = plans[i].known + sum(f.result() for f in blocks)
+    return counts
+
+
+def count_points(curve: TernaryQuarticForm, p: int, m: int) -> int:
+    """Exact |C(F_{p^m})| as a set of projective points.
+
+    The caller is responsible for checking smoothness of the fiber (see
+    :func:`l_polynomial`); the count itself is well defined regardless.
+    """
+    return _run_plans([_plan_count(curve, p, m)])[0]
+
+
+def l_polynomial_table(
+    curve: TernaryQuarticForm, primes: Sequence[int]
+) -> List[LPolynomial]:
+    """The L-polynomials at ``primes``, in ascending order, each from
+    counts over F_p, F_{p^2}, F_{p^3} via Newton's identities, with the
+    Weil root bounds verified.
+
+    Each prime is checked for good reduction and its three counts are
+    planned, in ascending order, before any block is counted.  The first
+    ValueError or ArithmeticError stops the planning; the primes below
+    it are still counted and verified, so the error raised is that of
+    the smallest failing prime, which it carries as ``exc.prime``.
+    """
+    primes = sorted(primes)
+    plans: List[_Plan] = []
+    failure = None
+    for p in primes:
+        try:
+            if not singular_points(curve, p).is_good:
+                raise BadReductionError(
+                    "curve has bad (or unresolved) reduction at %d" % p
+                )
+            row = [_plan_count(curve, p, m) for m in (1, 2, 3)]
+        except (ValueError, ArithmeticError) as exc:
+            exc.prime, failure = p, exc
+            break
+        plans.extend(row)
+    counts = _run_plans(plans)
+    lpolys = []
+    for i, p in enumerate(primes[:len(plans) // 3]):
+        try:
+            lp = LPolynomial.from_counts(p, counts[3 * i:3 * i + 3])
+            lp.verify_weil()
+        except (ValueError, ArithmeticError) as exc:
+            exc.prime = p
+            raise
+        lpolys.append(lp)
+    if failure is not None:
+        raise failure
+    return lpolys
+
+
+def l_polynomial(curve: TernaryQuarticForm, p: int) -> LPolynomial:
+    """The L-polynomial at a prime of good reduction (see
+    :func:`l_polynomial_table`)."""
+    return l_polynomial_table(curve, [p])[0]

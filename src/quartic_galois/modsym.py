@@ -45,7 +45,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import product
 from math import comb, gcd, isqrt, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -634,12 +633,21 @@ def _sign_blocks(N: int, involutions: List[np.ndarray], g: int):
     row spaces, their echelon forms and their pivots are equal.  If the
     rank comes out lower, P_s itself is reduced."""
     identity = np.eye(g, dtype=np.int64)
+
+    def projectors(signs, P, rest):
+        # depth first, s = +1 before -1 at each level, so sign vectors
+        # share their prefix products and at most k of them are held
+        if not rest:
+            yield signs, P
+            return
+        for s in (1, -1):
+            step = identity + s * rest[0]
+            P_next = _int_matmul(P, step) if signs else step
+            yield from projectors(signs + (s,), P_next, rest[1:])
+
     sketch = _sketch(g + _SKETCH_EXTRA_ROWS, g)
     blocks = []
-    for signs in product((1, -1), repeat=len(involutions)):
-        P = identity
-        for s, W in zip(signs, involutions):
-            P = _int_matmul(P, identity + s * W)
+    for signs, P in projectors((), identity, involutions):
         d, rem = divmod(int(np.trace(P)), 1 << len(involutions))
         S = sketch[: d + _SKETCH_EXTRA_ROWS]
         _, cols = _rref_mod(_int_matmul(S, P), _LIFT_PRIME)
@@ -671,7 +679,9 @@ class HeckeCharPoly:
 def _charpoly_hessenberg_mod(A: np.ndarray, q: int) -> np.ndarray:
     """Characteristic polynomial coefficients (low degree first) of A
     mod q via Hessenberg reduction.  Every int64 dot product here has at
-    most n terms below q^2, so n (q - 1)^2 < 2^63 is required."""
+    most n terms below q^2, so n (q - 1)^2 < 2^63 is required.  The
+    similarity updates are reduced as a - (a // q) q, which numpy runs
+    faster than its int64 %."""
     n = A.shape[0]
     if n * (q - 1) ** 2 >= _INT64_LIMIT:
         raise OverflowError(
@@ -694,8 +704,9 @@ def _charpoly_hessenberg_mod(A: np.ndarray, q: int) -> np.ndarray:
             # rows j + 1 and below vanish left of column j
             block = H[j + 2 :, j:]
             block -= np.outer(f, H[j + 1, j:])
-            block %= q
-            H[:, j + 1] = (H[:, j + 1] + H[:, j + 2 :] @ f) % q
+            block -= block // q * q
+            col = H[:, j + 1] + H[:, j + 2 :] @ f
+            H[:, j + 1] = col - col // q * q
     # p_0 = 1; p_m = (x - H[m-1,m-1]) p_(m-1)
     #             - sum_i H[i-1,m-1] (prod_(k=i-1..m-2) H[k+1,k]) p_(i-1)
     # p_m has degree m, so only its first m + 1 entries are touched

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import sympy
 
-from .counting import l_polynomial
+from .counting import l_polynomial_table
 from .curve import TernaryQuarticForm, find_bad_prime_candidates, singular_points
 from .facts import REGISTRY_VERSION, all_facts, get_fact
 from .hecke_io import load_hecke_charpolys
@@ -63,7 +63,6 @@ _DEFAULTS = {
     "frobenius_primes": list(DEFAULT_FROBENIUS_PRIMES),
     "hecke": {"mode": "file", "path": None, "primes": [2, 5]},
     "extended_checks": False,
-    "workers": 1,
 }
 
 
@@ -76,7 +75,6 @@ _VALID = {
     dict: (lambda v: isinstance(v, dict), "an object"),
     str: (lambda v: isinstance(v, str), "a string"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
-    int: (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
 }
 
 
@@ -180,18 +178,21 @@ def _reduction_analysis(cfg, curve, run):
 
 
 def _l_polynomial_table(cfg, curve, run):
-    lpolys = []
-    for p in sorted(cfg["frobenius_primes"]):
-        if p in run["bad_primes"]:
-            raise PipelineFailure(
-                "configured Frobenius prime %d is a bad prime" % p
-            )
-        try:
-            lpolys.append(l_polynomial(curve, p, workers=cfg["workers"]))
-        except (ValueError, ArithmeticError) as exc:
-            raise PipelineFailure(
-                "L-polynomial at p=%d failed: %s" % (p, exc)
-            ) from exc
+    primes = sorted(cfg["frobenius_primes"])
+    bad = [p for p in primes if p in run["bad_primes"]]
+    # primes are taken in ascending order: a failure below the first bad
+    # prime is reported before it
+    below = primes[:primes.index(bad[0])] if bad else primes
+    try:
+        lpolys = l_polynomial_table(curve, below)
+    except (ValueError, ArithmeticError) as exc:
+        raise PipelineFailure(
+            "L-polynomial at p=%d failed: %s" % (exc.prime, exc)
+        ) from exc
+    if bad:
+        raise PipelineFailure(
+            "configured Frobenius prime %d is a bad prime" % bad[0]
+        )
     run["lpolys"] = lpolys
     return {"table": [lp.to_json_obj() for lp in lpolys]}, []
 

@@ -10,6 +10,7 @@ import time
 import pytest
 import sympy
 
+from quartic_galois import counting
 from quartic_galois.counting import l_polynomial
 from quartic_galois.curve import TernaryQuarticForm, singular_points
 from quartic_galois.etaproducts import ETA_NEWFORMS, newform_ap
@@ -51,9 +52,12 @@ TABLE = {
 @pytest.fixture(scope="module")
 def computed_table():
     curve = TernaryQuarticForm.bundled_curve()
-    start = time.monotonic()
-    lpolys = [l_polynomial(curve, p, workers=1) for p in sorted(TABLE)]
-    elapsed = time.monotonic() - start
+    # one pool thread, so the budget below still guards the serial kernel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_THREADS", 1)
+        start = time.monotonic()
+        lpolys = [l_polynomial(curve, p) for p in sorted(TABLE)]
+        elapsed = time.monotonic() - start
     return lpolys, elapsed
 
 

@@ -21,8 +21,6 @@ def test_lpoly_subcommand(capsys):
         (["--p", "3", "--curve", "curve.json"], "malformed curve JSON"),
         (["--p", "4"], "prime"),
         (["--p", "7"], "bad (or unresolved) reduction at 7"),
-        (["--p", "3", "--workers", "0"], "--workers must be an integer >= 1, got 0"),
-        (["--p", "3", "--workers", "-5"], "--workers must be an integer >= 1, got -5"),
     ],
 )
 def test_lpoly_errors_are_one_line(tmp_path, monkeypatch, args, needle):

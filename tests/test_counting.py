@@ -12,6 +12,7 @@ from quartic_galois.counting import (
     _orbit_reps,
     count_points,
     l_polynomial,
+    l_polynomial_table,
 )
 from quartic_galois.curve import TernaryQuarticForm
 from quartic_galois.pipeline import DEFAULT_FROBENIUS_PRIMES
@@ -96,12 +97,28 @@ def test_budget_enforced():
         count_points(CURVE, 101, 4)
 
 
-def test_worker_count_does_not_change_answer():
+def test_thread_count_does_not_change_answer(monkeypatch):
     # F_{41^3} has about 23,000 orbit representatives, several blocks
-    for p, m in [(17, 2), (41, 3)]:
-        serial = count_points(CURVE, p, m)
-        for workers in (2, 4):
-            assert count_points(CURVE, p, m, workers=workers) == serial
+    answers = []
+    for threads in (1, 4):
+        monkeypatch.setattr(counting, "_THREADS", threads)
+        answers.append((
+            [count_points(CURVE, p, m) for p, m in [(17, 2), (41, 3), (73, 3)]],
+            l_polynomial_table(CURVE, DEFAULT_FROBENIUS_PRIMES),
+        ))
+    assert answers[0] == answers[1]
+
+
+def test_single_block_counts_stay_on_the_calling_thread(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(counting, "ThreadPoolExecutor", NoPool)
+    assert l_polynomial(CURVE, 3).triple() == (1, 2, 3)
+    assert l_polynomial(CURVE, 13).p == 13
+    with pytest.raises(AssertionError):
+        count_points(CURVE, 41, 3)
 
 
 def test_degenerate_chart_falls_back_to_enumeration():

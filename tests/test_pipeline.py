@@ -168,6 +168,7 @@ def test_certificate_serialization(skip_cert):
         ({"frobenius_primes": [4]}, "'frobenius_primes'"),
         ({"frobenius_primes": [[2]]}, "'frobenius_primes'"),
         ({"hecke": {"primes": [2, 2]}}, "'hecke.primes'"),
+        ({"workers": 2}, "unknown config key 'workers'"),
     ],
 )
 def test_bad_config_rejected(config, needle):
@@ -180,8 +181,8 @@ def test_bad_config_rejected(config, needle):
 def test_config_merge_keeps_given_values_and_defaults():
     from quartic_galois.pipeline import _default_config
 
-    cfg = _default_config({"workers": 2, "hecke": {"mode": "skip"}})
-    assert cfg["workers"] == 2
+    cfg = _default_config({"extended_checks": True, "hecke": {"mode": "skip"}})
+    assert cfg["extended_checks"] is True
     assert cfg["hecke"] == {"mode": "skip", "path": None, "primes": [2, 5]}
     assert cfg["frobenius_primes"] == list(DEFAULT_FROBENIUS_PRIMES)
     # the defaults are copied, not shared between configs
@@ -216,6 +217,17 @@ def test_table_failure_names_the_smallest_failing_prime():
     assert failing["evidence"]["error"] == (
         "L-polynomial at p=227 failed: field size 11697083 exceeds the "
         "10000000 budget"
+    )
+
+
+def test_bad_frobenius_prime_fails_before_a_larger_failing_prime():
+    cert = run_pipeline(
+        {"frobenius_primes": [3, 227, 83], "hecke": {"mode": "skip"}}
+    )
+    failing = cert.obligations[-1]
+    assert failing["name"] == "l-polynomial-table"
+    assert failing["evidence"]["error"] == (
+        "configured Frobenius prime 83 is a bad prime"
     )
 
 

@@ -9,10 +9,16 @@ explicit witness primes dispatch the stragglers.  This script walks
 through each exclusion mechanism on the bundled table.
 """
 
+from math import prod
+
 import sympy
 
 from quartic_galois.counting import l_polynomial
-from quartic_galois.curve import TernaryQuarticForm
+from quartic_galois.curve import (
+    TernaryQuarticForm,
+    find_bad_prime_candidates,
+    singular_points,
+)
 from quartic_galois.irreducibility import (
     dim1_exclusion,
     dim2_qpoly,
@@ -28,6 +34,14 @@ from quartic_galois.primitivity import primitivity_witnesses
 curve = TernaryQuarticForm.bundled_curve()
 lpolys = [l_polynomial(curve, p) for p in (2, 3, 5, 17, 19, 23, 41, 43, 73)]
 by_p = {lp.p: lp for lp in lpolys}
+# the bad primes are the candidates whose fiber really is singular
+bad_primes = tuple(
+    p for p in sympy.primefactors(find_bad_prime_candidates(curve))
+    if singular_points(curve, p).points
+)
+level = prod(bad_primes)
+print("bad primes:", bad_primes, " level (their product):", level)
+print()
 
 # --- the case split ---------------------------------------------------------
 # a putative invariant subspace gives a factorization of P_p whose
@@ -56,7 +70,7 @@ for p in (2, 5):
     q = dim2_qpoly(by_p[p])
     print("Q_%d(x) = %s" % (p, q.pretty("x")))
 print("(comparing the roots of these cubics with Hecke eigenvalues at")
-print(" level 6391 is what the bundled Hecke data is for)")
+print(" level %d is what the bundled Hecke data is for)" % level)
 print()
 
 # --- dimension 3 ------------------------------------------------------------
@@ -77,7 +91,7 @@ for ell in (3, 5, 7, 11, 17, 41, 83):
 print()
 
 # --- the assembled ledger ---------------------------------------------------
-ledger = irreducibility_certify(lpolys)
+ledger = irreducibility_certify(lpolys, bad_primes=bad_primes)
 print("finite sets per mechanism:")
 for name, s in ledger.finite_sets.items():
     print("  %-5s %s" % (name, sorted(s) if s is not None else "(needs Hecke data)"))
@@ -85,6 +99,6 @@ print("ledger complete without Hecke data:", ledger.complete)
 print()
 
 # --- primitivity ------------------------------------------------------------
-wit = primitivity_witnesses(lpolys, [3, 5, 7, 11, 83])
+wit = primitivity_witnesses(lpolys, sorted({3, 5} | set(bad_primes)))
 print("primitivity witnesses:",
       {ell: w.p for ell, w in wit.items()})

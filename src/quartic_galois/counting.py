@@ -261,13 +261,16 @@ def _orbit_reps(
     return x[:, keep], size[keep]
 
 
-def _root_counts(
+def _frobenius_residues(
     vf: _VecField, coeff_rows: List[List[Tuple[int, int]]], x: np.ndarray
-) -> np.ndarray:
-    """Number of distinct roots in F_q of h_x(y) for each lane x.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(h4, r) per lane x: the low coefficients of the monic quartic
+    h_x(y) and r = y^q - y mod h_x, so that deg gcd(h_x, r) is the
+    number of distinct roots of h_x in F_q.
 
     ``coeff_rows[j]`` lists (coefficient, power-of-iterate) pairs making
-    up the (already monic-normalized) y^j coefficient, j = 0..3.
+    up the (already monic-normalized) y^j coefficient, j = 0..3.  The
+    y-power temporaries die with this frame, before the gcd runs.
     """
     p, m = vf.p, vf.m
     lanes = x.shape[1]
@@ -337,7 +340,7 @@ def _root_counts(
         for _ in range(m - 1):
             r = combine(vf.frobenius(r), ypows)
     r[0, 1] -= 1
-    return _gcd_degrees(vf, h4, vf.mod(r))
+    return h4, vf.mod(r)
 
 
 class _Plan(NamedTuple):
@@ -385,7 +388,8 @@ def _plan_count(curve: TernaryQuarticForm, p: int, m: int) -> _Plan:
 
     def count_block(block: Tuple[int, int]) -> int:
         x, orbit_size = _orbit_reps(vf, *block)
-        return int(orbit_size @ _root_counts(vf, coeff_rows, x))
+        roots = _gcd_degrees(vf, *_frobenius_residues(vf, coeff_rows, x))
+        return int(orbit_size @ roots)
 
     step = _BLOCK * m
     blocks = [(lo, min(lo + step, q)) for lo in range(0, q, step)]

@@ -53,8 +53,8 @@ _FACTS = [
     TrustedFact(
         id="TF-SP6F2",
         statement=(
-            "A subgroup of Sp_6(F_2) containing an element of order 7 and "
-            "an element of order 15 is the whole of Sp_6(F_2)."
+            "A subgroup of Sp_6(F_2) containing elements of orders 7, 9 "
+            "and 15 is the whole of Sp_6(F_2)."
         ),
         citation=(
             "J. H. Conway, R. T. Curtis, S. P. Norton, R. A. Parker, "
@@ -62,13 +62,10 @@ _FACTS = [
             "p. 46 (S6(2), maximal subgroups and element orders)."
         ),
         notes=(
-            "A justification sometimes offered for this fact argues that "
-            "the maximal subgroup isomorphic to the symmetric group S_8 "
-            "has no element of order 15; the abstract group S_8 does "
-            "contain elements of order 15 (cycle type (3,5)).  The "
-            "registry therefore cites the Atlas data for the conclusion "
-            "itself and surfaces this discrepancy rather than repairing "
-            "the argument.",
+            "Order 9 is needed: of the eight maximal subgroups of S6(2) "
+            "in the Atlas, only S_8 has order divisible by 315 = 7 * 9 * 5, "
+            "and S_8 has elements of orders 7 and 15 (cycle types (7) and "
+            "(3,5)) but none of order 9, which would need a 9-cycle.",
         ),
     ),
     TrustedFact(
@@ -136,8 +133,8 @@ _FACTS = [
             "Wintenberger): an odd, irreducible, two-dimensional mod-ell "
             "representation of Gal(Q-bar/Q) arises from a newform of the "
             "predicted weight and level; in the situation certified here "
-            "the predicted type is weight 2, level dividing 6391, trivial "
-            "nebentypus."
+            "the predicted type is weight 2, level dividing the product of "
+            "the bad primes, trivial nebentypus."
         ),
         citation=(
             "C. Khare, J.-P. Wintenberger, Serre's modularity conjecture "
@@ -193,7 +190,7 @@ _FACTS = [
 
 REGISTRY: Dict[str, TrustedFact] = {f.id: f for f in _FACTS}
 
-REGISTRY_VERSION = "1"
+REGISTRY_VERSION = "2"
 
 
 def get_fact(fact_id: str) -> TrustedFact:

@@ -151,7 +151,8 @@ def make_field(p: int, m: int) -> FieldDescriptor:
     """Construct F_{p^m} with the canonical modulus (see module docstring).
 
     A candidate with a root in F_p is reducible; for m <= 3 having no
-    root is also sufficient, and for m >= 4 Rabin's test decides.
+    root is also sufficient, and for m >= 4 distinct-degree splitting
+    decides.
     """
     if not sympy.isprime(p):
         raise ValueError("p = %d is not prime" % p)

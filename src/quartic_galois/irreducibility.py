@@ -37,7 +37,6 @@ import sympy
 from .curve import LPolynomial
 from .polys import IntPoly, int_resultant, is_irreducible_mod
 
-_DEFAULT_BAD_PRIMES = (7, 11, 83)
 _ORACLE_BOUND = 50
 
 
@@ -332,7 +331,8 @@ class ExclusionLedger:
 def irreducibility_certify(
     lpolys: Sequence[LPolynomial],
     hecke_polys: Optional[Dict[int, IntPoly]] = None,
-    bad_primes: Tuple[int, ...] = _DEFAULT_BAD_PRIMES,
+    *,
+    bad_primes: Tuple[int, ...],
 ) -> ExclusionLedger:
     """Assemble the exclusion ledger for every odd prime ell.
 
@@ -340,6 +340,8 @@ def irreducibility_certify(
     prime set; every prime in any finite set (plus the base set, where
     the generic hypotheses of good reduction and trivial nebentypus are
     unavailable) is then finished by a direct irreducibility witness.
+    ``bad_primes`` are the curve's bad primes; their product is the
+    level of ``hecke_polys``.
     """
     if len(lpolys) < 2:
         raise ValueError("need an L-polynomial table")

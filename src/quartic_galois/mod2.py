@@ -4,8 +4,8 @@ For an odd good prime p, the image of Frobenius in GSp_6(F_2) =
 Sp_6(F_2) satisfies its own characteristic polynomial f_p = P_p mod 2.
 When f_p is separable the order n_p of the Frobenius image equals the
 multiplicative order of x in F_2[x]/(f_p).  Exhibiting elements of
-orders 7 and 15 pins the image down to all of Sp_6(F_2) via the trusted
-fact TF-SP6F2.
+orders 7, 9 and 15 pins the image down to all of Sp_6(F_2) via the
+trusted fact TF-SP6F2.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import FrozenSet, Sequence, Tuple
 from .curve import LPolynomial
 from .polys import factor_fq, multiplicative_order
 
-_REQUIRED_ORDERS = frozenset({7, 15})
+_REQUIRED_ORDERS = frozenset({7, 9, 15})
 _FACT_REFS = ("TF-SP6F2",)
 
 
@@ -76,11 +76,12 @@ def mod2_orders(lpolys: Sequence[LPolynomial]) -> Mod2Evidence:
 
 
 def mod2_verdict(ev: Mod2Evidence) -> dict:
-    """"surjective" iff orders 7 and 15 are both attained.
+    """"surjective" iff orders 7, 9 and 15 are all attained.
 
     The group-theoretic step (no proper subgroup of Sp_6(F_2) contains
-    elements of both orders) is the trusted fact TF-SP6F2; its registry
-    entry carries a caveat note that is surfaced here verbatim.
+    elements of all three orders) is the trusted fact TF-SP6F2; its
+    registry note, which says why order 9 is needed, is surfaced here
+    verbatim.
     """
     from .facts import get_fact
 

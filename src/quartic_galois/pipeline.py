@@ -2,15 +2,15 @@
 
 The proof is a fixed list of obligation steps, run in order:
 ``reduction-analysis``, ``l-polynomial-table``, ``mod-2-maximality``,
-``transvection-availability``, ``irreducibility``, ``primitivity`` and,
-with ``extended_checks``, ``extended-dim2-gcd``; the trusted ``assembly``
-obligation closes the list.  A step takes ``(cfg, curve, run)``, leaves
-what later steps need in ``run`` and returns ``(evidence, fact_refs)``.
-It fails by raising :class:`PipelineFailure`, or a ValueError,
-ArithmeticError or OSError from a library call; :func:`run_pipeline`
-then records it as failed and stops.  The certificate is deterministic,
-and its verdict is "maximal adelic image" exactly when every obligation
-is proved or rests on a registry fact.
+``transvection-availability``, ``irreducibility`` and ``primitivity``;
+the trusted ``assembly`` obligation closes the list.  A step takes
+``(cfg, curve, run)``, leaves what later steps need in ``run`` and
+returns ``(evidence, fact_refs)``.  It fails by raising
+:class:`PipelineFailure`, or a ValueError, ArithmeticError or OSError
+from a library call; :func:`run_pipeline` then records it as failed and
+stops.  The certificate is deterministic, and its verdict is "maximal
+adelic image" exactly when every obligation is proved or rests on a
+registry fact.
 """
 
 from __future__ import annotations
@@ -33,11 +33,7 @@ from .mod2 import mod2_orders, mod2_verdict
 from .modsym import hecke_charpolys_multimodular
 from .primitivity import FACT_REFS as PRIMITIVITY_FACTS
 from .primitivity import primitivity_witnesses
-from .reduction import (
-    TRANSVECTION_RULE,
-    inertia_certificate,
-    select_transvection_prime,
-)
+from .reduction import inertia_certificate
 
 DEFAULT_FROBENIUS_PRIMES = (2, 3, 5, 17, 19, 23, 41, 43, 73)
 _BUNDLED_HECKE = "hecke_6391.json"
@@ -62,7 +58,6 @@ _DEFAULTS = {
     "curve_path": None,
     "frobenius_primes": list(DEFAULT_FROBENIUS_PRIMES),
     "hecke": {"mode": "file", "path": None, "primes": [2, 5]},
-    "extended_checks": False,
 }
 
 
@@ -74,7 +69,6 @@ _VALID = {
            and len(set(v)) == len(v), "a list of distinct primes"),
     dict: (lambda v: isinstance(v, dict), "an object"),
     str: (lambda v: isinstance(v, str), "a string"),
-    bool: (lambda v: isinstance(v, bool), "true or false"),
 }
 
 
@@ -218,20 +212,10 @@ def _transvection_availability(cfg, curve, run):
             "need transvections at two distinct bad primes so every odd "
             "ell has one with p != ell; found %s" % trans_primes
         )
-    try:
-        selection = {
-            "rule": TRANSVECTION_RULE,
-            "examples": {
-                str(ell): select_transvection_prime(certs, ell)
-                for ell in (3, 5, 7, 11, 83)
-            },
-        }
-    except ValueError:
-        selection = {
-            "rule": "first transvection prime different from ell",
-            "transvection_primes": trans_primes,
-        }
-    evidence = {"transvection_primes": trans_primes, "selection": selection}
+    evidence = {
+        "rule": "first transvection prime different from ell",
+        "transvection_primes": trans_primes,
+    }
     return evidence, ["TF-PICLEF", "TF-HALL"]
 
 
@@ -250,7 +234,6 @@ def _irreducibility(cfg, curve, run):
         raise PipelineFailure(
             "no witness found for ell in %s" % list(ledger.open_primes)
         )
-    run["ledger"] = ledger
     evidence = ledger.to_json_obj()
     evidence["hecke_source"] = hecke_src
     return evidence, ["TF-RAYNAUD", "TF-SERRE", "TF-LEM52"]
@@ -271,27 +254,6 @@ def _primitivity(cfg, curve, run):
     return evidence, list(PRIMITIVITY_FACTS)
 
 
-def _extended_dim2_gcd(cfg, curve, run):
-    details = run["ledger"].details
-    g = details["dim2_gcd"]
-    odd = g // 2 ** sympy.multiplicity(2, g)
-    support = sympy.primefactors(odd)
-    if support != [3]:
-        raise PipelineFailure(
-            "odd support of gcd of Hecke resultants is %s, expected [3]"
-            % support
-        )
-    evidence = {
-        "resultants": {
-            str(p): str(r) for p, r in details["dim2_resultants"].items()
-        },
-        "gcd": str(g),
-        "odd_part": str(odd),
-        "odd_part_is_3_pow": sympy.multiplicity(3, odd),
-    }
-    return evidence, []
-
-
 _STEPS = (
     ("reduction-analysis", _reduction_analysis),
     ("l-polynomial-table", _l_polynomial_table),
@@ -300,7 +262,6 @@ _STEPS = (
     ("irreducibility", _irreducibility),
     ("primitivity", _primitivity),
 )
-_EXTENDED_STEPS = (("extended-dim2-gcd", _extended_dim2_gcd),)
 
 _ASSEMBLY = {
     "name": "assembly",
@@ -331,11 +292,10 @@ def run_pipeline(config: Optional[dict] = None) -> Certificate:
     """
     cfg = _default_config(config)
     curve = TernaryQuarticForm.load(cfg["curve_path"])
-    steps = _STEPS + (_EXTENDED_STEPS if cfg["extended_checks"] else ())
     run: dict = {}
     obligations: List[dict] = []
     verdict = "maximal adelic image"
-    for name, step in steps:
+    for name, step in _STEPS:
         try:
             evidence, fact_refs = step(cfg, curve, run)
             status = "proved"

@@ -512,23 +512,11 @@ def factor_fq(f: FqPoly) -> List[Tuple[FqPoly, int]]:
 
 
 def is_irreducible_fq(f: FqPoly) -> bool:
-    """Rabin's irreducibility test."""
-    F = f.field
+    """True iff f has positive degree n and no irreducible factor of
+    degree <= n/2, that is iff distinct-degree splitting finds nothing
+    before its leftover of degree n."""
     n = f.degree
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    f = f.monic()
-    x = FqPoly.x(F)
-    h = x.pow_mod(F.order ** n, f)
-    if h != x % f:
-        return False
-    for q in sympy.primefactors(n):
-        h = x.pow_mod(F.order ** (n // q), f)
-        if f.gcd(h - x).degree != 0:
-            return False
-    return True
+    return n > 0 and _distinct_degree(f.monic())[0][1] == n
 
 
 def is_irreducible_mod(f: IntPoly, ell: int) -> bool:

@@ -12,14 +12,11 @@ conclusion cites the trusted fact TF-PICLEF.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .curve import SingularFiberReport
 
 _FACT_REFS = ("TF-PICLEF",)
-
-# the rule of select_transvection_prime, as quoted in certificates
-TRANSVECTION_RULE = "p=11 when ell=7, otherwise p=7"
 
 
 @dataclass(frozen=True)
@@ -73,24 +70,3 @@ def inertia_certificate(report: SingularFiberReport) -> InertiaCertificate:
         transvection=(n == 1),
         trusted_fact_refs=_FACT_REFS,
     )
-
-
-def select_transvection_prime(
-    certs: Dict[int, InertiaCertificate], ell: int
-) -> int:
-    """The bad prime whose inertia supplies a transvection mod ell.
-
-    The fixed selection rule (:data:`TRANSVECTION_RULE`) uses p=11 when
-    ell=7, and p=7 otherwise (in particular p=7 when ell=11), so the
-    requirement p != ell always holds on the certified curve.
-    """
-    p = 11 if ell == 7 else 7
-    cert = certs.get(p)
-    if cert is None or not cert.transvection:
-        raise ValueError(
-            "no transvection certificate available at p=%d (needed for "
-            "ell=%d)" % (p, ell)
-        )
-    if p == ell:
-        raise ValueError("transvection prime %d collides with ell" % p)
-    return p

@@ -98,6 +98,7 @@ def test_criterion_03_mod2(computed_table):
     by_p = {e.p: e for e in ev.entries}
     # note: P_23 mod 2 is the 7th cyclotomic polynomial, which splits
     # into two cubics over F_2; its Frobenius order is 7 regardless
+    assert by_p[5].n_p == by_p[19].n_p == 9
     assert by_p[23].n_p == 7
     assert by_p[73].n_p == 15
     degrees73 = sorted(len(f) - 1 for f in by_p[73].factorization)
@@ -198,7 +199,7 @@ def test_criterion_10_extended_gcd_support():
 
     from quartic_galois.irreducibility import dim2_resultants
 
-    hecke, src = _load_hecke(_default_config({"extended_checks": True}), 6391)
+    hecke, src = _load_hecke(_default_config(None), 6391)
     assert src.startswith("bundled")
     curve = TernaryQuarticForm.bundled_curve()
     qpolys = {p: dim2_qpoly(l_polynomial(curve, p)) for p in (2, 5)}
@@ -209,19 +210,13 @@ def test_criterion_10_extended_gcd_support():
         odd //= 2
     assert sympy.primefactors(odd) == [3]
     assert odd == 3 ** 16
-    # the pipeline's own extended obligation reports the same odd part
-    cert = run_pipeline({"extended_checks": True})
-    assert cert.final_verdict == "maximal adelic image"
-    (ext,) = [
-        ob for ob in cert.obligations if ob["name"] == "extended-dim2-gcd"
-    ]
-    assert ext["status"] == "proved"
-    assert ext["evidence"]["gcd"] == str(g)
-    assert ext["evidence"]["odd_part"] == str(3 ** 16)
-    assert ext["evidence"]["odd_part_is_3_pow"] == 16
-    assert report_sha256(cert) == (
-        "2e08522ed3681467b37a3ee9c54e2a5347660c21dca8ff835ef189157c9d19a0"
-    )
+    # the default certificate's irreducibility evidence has the same gcd
+    cert = run_pipeline({})
+    (irr,) = [ob for ob in cert.obligations if ob["name"] == "irreducibility"]
+    assert irr["status"] == "proved"
+    details = irr["evidence"]["details"]
+    assert details["dim2_resultants"] == {str(p): r for p, r in rps.items()}
+    assert details["dim2_gcd"] == g
 
 
 def test_criterion_11_end_to_end():
@@ -232,10 +227,10 @@ def test_criterion_11_end_to_end():
     )
     # the certificate bytes are pinned, JSON and text
     assert report_sha256(cert) == (
-        "34530f2f9cc65b312d71283af1d6d1460a6b749bcb540e4dfd4fe17400e1e099"
+        "5003634e0b1e1c33a1b71744095dc2c60426956ca4b06f4af078cc00df3b4959"
     )
     assert report_sha256(cert, "text") == (
-        "6d380c0a9f2d5f86dfb381e51d2a1ac260ae0c0b5376cb51511e212f7a346e79"
+        "a4eb99612c6db97a66fd63f66d6a5dca3ac989a0783fba7dab43793f99e71263"
     )
     degraded = run_pipeline({"hecke": {"mode": "skip"}})
     assert degraded.final_verdict == (
@@ -245,5 +240,5 @@ def test_criterion_11_end_to_end():
     assert failing["status"] == "failed"
     assert "dim-2" in failing["evidence"]["error"]
     assert report_sha256(degraded) == (
-        "f4a5868876ddbc214f6cf676b9465032761bf94708c75969b650350d45972b95"
+        "e05f97699950daee5968cfe74dc9510574d3fc4d54b53b1764cbbc3d66af6f8c"
     )

@@ -16,6 +16,9 @@ from quartic_galois.irreducibility import (
 )
 from quartic_galois.polys import IntPoly
 
+# the bundled curve's bad primes; their product 6391 is the Hecke level
+BAD_PRIMES = (7, 11, 83)
+
 
 # ---------------------------------------------------------------------------
 # the case split
@@ -188,7 +191,7 @@ def test_dim3_oracle_equivalence(lpoly_map):
 
 
 def test_certify_without_hecke(lpolys):
-    ledger = irreducibility_certify(lpolys)
+    ledger = irreducibility_certify(lpolys, bad_primes=BAD_PRIMES)
     assert not ledger.complete
     assert ledger.finite_sets["base"] == {3, 5, 7, 11, 41, 83}
     assert ledger.finite_sets["dim1"] == {3, 17}
@@ -204,7 +207,9 @@ def test_certify_with_hecke(lpolys, lpoly_map):
     # resultants exercise the dim-2 plumbing
     h2 = IntPoly([5, 1])
     h5 = IntPoly([7, 2, 1])
-    ledger = irreducibility_certify(lpolys, {2: h2, 5: h5})
+    ledger = irreducibility_certify(
+        lpolys, {2: h2, 5: h5}, bad_primes=BAD_PRIMES
+    )
     assert ledger.complete
     assert ledger.finite_sets["dim2"] is not None
     assert ledger.details["dim2_gcd"] > 0
@@ -212,8 +217,8 @@ def test_certify_with_hecke(lpolys, lpoly_map):
 
 
 def test_certify_monotone_in_lpolys(lpolys):
-    small = irreducibility_certify(lpolys[:4])
-    full = irreducibility_certify(lpolys)
+    small = irreducibility_certify(lpolys[:4], bad_primes=BAD_PRIMES)
+    full = irreducibility_certify(lpolys, bad_primes=BAD_PRIMES)
     open_small = set(small.open_primes)
     open_full = set(full.open_primes)
     assert open_full <= open_small | {e.ell for e in full.entries}
@@ -221,12 +226,12 @@ def test_certify_monotone_in_lpolys(lpolys):
 
 def test_certify_needs_table():
     with pytest.raises(ValueError):
-        irreducibility_certify([])
+        irreducibility_certify([], bad_primes=BAD_PRIMES)
 
 
 def test_ledger_serialization_roundtrip(lpolys):
     import json
 
-    ledger = irreducibility_certify(lpolys)
+    ledger = irreducibility_certify(lpolys, bad_primes=BAD_PRIMES)
     obj = ledger.to_json_obj()
     assert json.loads(json.dumps(obj)) == obj

@@ -1,15 +1,19 @@
 import pytest
+import sympy
 
-from quartic_galois.curve import LPolynomial
+from quartic_galois.counting import l_polynomial
+from quartic_galois.curve import LPolynomial, TernaryQuarticForm
 from quartic_galois.mod2 import Mod2Evidence, mod2_orders, mod2_verdict
 
 
 def test_orders_on_full_table(lpolys):
     ev = mod2_orders(lpolys)
     by_p = {e.p: e for e in ev.entries}
+    assert by_p[5].n_p == 9
+    assert by_p[19].n_p == 9
     assert by_p[23].n_p == 7
     assert by_p[73].n_p == 15
-    assert {7, 15} <= ev.orders_attained
+    assert {7, 9, 15} <= ev.orders_attained
 
 
 def test_p23_splits_into_two_cubics(lpoly_map):
@@ -61,6 +65,9 @@ def test_verdict_surjective(lpolys):
 def test_verdict_inconclusive():
     ev = Mod2Evidence(entries=(), orders_attained=frozenset({7}))
     assert mod2_verdict(ev)["verdict"] == "inconclusive"
+    # 7 and 15 without 9 fit inside S_8 = O_6^+(2)
+    ev = Mod2Evidence(entries=(), orders_attained=frozenset({7, 15}))
+    assert mod2_verdict(ev)["verdict"] == "inconclusive"
     ev = Mod2Evidence(entries=(), orders_attained=frozenset())
     assert mod2_verdict(ev)["verdict"] == "inconclusive"
 
@@ -69,3 +76,19 @@ def test_verdict_monotone(lpolys):
     small = mod2_orders(lpolys[:4])
     full = mod2_orders(lpolys)
     assert small.orders_attained <= full.orders_attained
+
+
+def test_determinantal_quartic_is_inconclusive():
+    # det(xA + yB + zC) with symmetric A, B, C has a rational even theta
+    # characteristic, so its mod-2 image lies in a conjugate of
+    # O_6^+(2) = S_8: Frobenius orders 15 and 7 must not suffice
+    x, y, z = sympy.symbols("x y z")
+    A = [[-1, 2, -2, 0], [2, -2, 1, 1], [-2, 1, 1, 1], [0, 1, 1, -1]]
+    B = [[-2, 1, -2, 1], [1, 1, 2, -2], [-2, 2, 1, 0], [1, -2, 0, -1]]
+    C = [[2, -2, 0, -2], [-2, -2, -2, 2], [0, -2, -2, 1], [-2, 2, 1, -1]]
+    M = x * sympy.Matrix(A) + y * sympy.Matrix(B) + z * sympy.Matrix(C)
+    det = sympy.Poly(M.det(), x, y, z)
+    curve = TernaryQuarticForm({m: int(c) for m, c in det.terms()})
+    ev = mod2_orders([l_polynomial(curve, p) for p in (19, 31)])
+    assert [(e.p, e.n_p) for e in ev.entries] == [(19, 15), (31, 7)]
+    assert mod2_verdict(ev)["verdict"] == "inconclusive"

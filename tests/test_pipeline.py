@@ -181,8 +181,8 @@ def test_bad_config_rejected(config, needle):
 def test_config_merge_keeps_given_values_and_defaults():
     from quartic_galois.pipeline import _default_config
 
-    cfg = _default_config({"extended_checks": True, "hecke": {"mode": "skip"}})
-    assert cfg["extended_checks"] is True
+    cfg = _default_config({"curve_path": "c.json", "hecke": {"mode": "skip"}})
+    assert cfg["curve_path"] == "c.json"
     assert cfg["hecke"] == {"mode": "skip", "path": None, "primes": [2, 5]}
     assert cfg["frobenius_primes"] == list(DEFAULT_FROBENIUS_PRIMES)
     # the defaults are copied, not shared between configs
@@ -190,6 +190,42 @@ def test_config_merge_keeps_given_values_and_defaults():
     assert _default_config(None)["frobenius_primes"] == list(
         DEFAULT_FROBENIUS_PRIMES
     )
+
+
+def _inertia(p, transvection):
+    from quartic_galois.reduction import InertiaCertificate
+
+    return InertiaCertificate(
+        p=p,
+        node_count=1 if transvection else 2,
+        inertia_order_statement="cyclic of order ell for every ell != %d" % p,
+        transvection=transvection,
+        trusted_fact_refs=("TF-PICLEF",),
+    )
+
+
+def test_transvection_primes_come_from_the_certificates():
+    from quartic_galois.pipeline import _transvection_availability
+
+    run = {"certs": {13: _inertia(13, True), 29: _inertia(29, True),
+                     83: _inertia(83, False)}}
+    evidence, fact_refs = _transvection_availability(None, None, run)
+    assert evidence == {
+        "rule": "first transvection prime different from ell",
+        "transvection_primes": [13, 29],
+    }
+    assert fact_refs == ["TF-PICLEF", "TF-HALL"]
+
+
+def test_one_transvection_prime_is_not_enough():
+    from quartic_galois.pipeline import (
+        PipelineFailure,
+        _transvection_availability,
+    )
+
+    run = {"certs": {13: _inertia(13, True), 83: _inertia(83, False)}}
+    with pytest.raises(PipelineFailure, match=r"found \[13\]$"):
+        _transvection_availability(None, None, run)
 
 
 def test_empty_frobenius_primes_fail_mod2():
@@ -232,11 +268,11 @@ def test_bad_frobenius_prime_fails_before_a_larger_failing_prime():
 
 
 def test_missing_hecke_file_fails_irreducibility(tmp_path):
-    # p = 23 and p = 73 give Frobenius orders 7 and 15 mod 2, so the run
-    # reaches the irreducibility step, which reads the Hecke file
+    # p = 5, 23 and 73 give Frobenius orders 9, 7 and 15 mod 2, so the
+    # run reaches the irreducibility step, which reads the Hecke file
     missing = tmp_path / "absent.json"
     cert = run_pipeline(
-        {"frobenius_primes": [23, 73], "hecke": {"path": str(missing)}}
+        {"frobenius_primes": [5, 23, 73], "hecke": {"path": str(missing)}}
     )
     assert cert.final_verdict == (
         "not certified (failing step: irreducibility)"
@@ -251,7 +287,9 @@ def test_malformed_hecke_file_fails_irreducibility(tmp_path):
     # a TypeError traceback
     path = tmp_path / "hecke_bad.json"
     path.write_text(json.dumps({"level": 6391, "weight": 2, "operators": [5]}))
-    cert = run_pipeline({"frobenius_primes": [23, 73], "hecke": {"path": str(path)}})
+    cert = run_pipeline(
+        {"frobenius_primes": [5, 23, 73], "hecke": {"path": str(path)}}
+    )
     assert cert.final_verdict == (
         "not certified (failing step: irreducibility)"
     )

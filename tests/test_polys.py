@@ -223,6 +223,28 @@ def test_is_irreducible_mod_agrees_with_factor_count():
             )
 
 
+def test_is_irreducible_fq_agrees_with_sympy():
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    rng = random.Random(15)
+    seen = {True: 0, False: 0}
+    for ell in (2, 3, 5, 7, 11, 13):
+        field = make_field(ell, 1)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            coeffs = [rng.randrange(ell) for _ in range(n)] + [1]
+            f = FqPoly.from_ints(field, coeffs)
+            if rng.random() < 0.25:  # a square, so a repeated factor
+                half = FqPoly.from_ints(field, coeffs[n - n // 2 - 1:])
+                f = half * half
+                coeffs = f.to_ints()
+            expected = gf_irreducible_p(coeffs[::-1], ell, ZZ)
+            assert is_irreducible_fq(f) == expected, (ell, coeffs)
+            seen[expected] += 1
+    assert min(seen.values()) > 30
+
+
 def test_is_irreducible_mod_lc_vanishes():
     with pytest.raises(ValueError):
         is_irreducible_mod(IntPoly([1, 3]), 3)

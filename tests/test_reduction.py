@@ -1,7 +1,7 @@
 import pytest
 
 from quartic_galois.curve import SingularFiberReport, SingularPoint, singular_points
-from quartic_galois.reduction import inertia_certificate, select_transvection_prime
+from quartic_galois.reduction import inertia_certificate
 
 
 @pytest.fixture(scope="module")
@@ -59,16 +59,3 @@ def test_rejects_unclassified_point():
     )
     with pytest.raises(ValueError):
         inertia_certificate(SingularFiberReport(p=5, points=(pt,), complete=True))
-
-
-def test_selection_rule(certs):
-    assert select_transvection_prime(certs, 7) == 11
-    assert select_transvection_prime(certs, 11) == 7
-    for ell in (3, 5, 13, 83):
-        assert select_transvection_prime(certs, ell) == 7
-
-
-def test_selection_requires_certificate(certs):
-    only83 = {83: certs[83]}
-    with pytest.raises(ValueError):
-        select_transvection_prime(only83, 3)

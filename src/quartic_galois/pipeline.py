@@ -205,8 +205,7 @@ def _mod2_maximality(cfg, curve, run):
 
 
 def _transvection_availability(cfg, curve, run):
-    certs = run["certs"]
-    trans_primes = sorted(p for p, c in certs.items() if c.transvection)
+    trans_primes = sorted(p for p, c in run["certs"].items() if c.transvection)
     if len(trans_primes) < 2:
         raise PipelineFailure(
             "need transvections at two distinct bad primes so every odd "

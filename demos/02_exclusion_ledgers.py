@@ -9,7 +9,9 @@ explicit witness primes dispatch the stragglers.  This script walks
 through each exclusion mechanism on the bundled table.
 """
 
+import sys
 from math import prod
+from pathlib import Path
 
 import sympy
 
@@ -23,13 +25,16 @@ from quartic_galois.irreducibility import (
     dim1_exclusion,
     dim2_qpoly,
     dim3_obstruction,
-    dim3_solutions,
     enumerate_case_profiles,
     irreducibility_certify,
     witness_search,
 )
 from quartic_galois.mod2 import mod2_orders, mod2_verdict
 from quartic_galois.primitivity import primitivity_witnesses
+
+# the exhaustive dim-3 search is a test oracle, kept in tests/
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import dim3_solutions  # noqa: E402
 
 curve = TernaryQuarticForm.bundled_curve()
 lpolys = [l_polynomial(curve, p) for p in (2, 3, 5, 17, 19, 23, 41, 43, 73)]

@@ -9,9 +9,15 @@ q-expansions, and then runs the full certification pipeline with the
 bundled level-6391 Hecke data.
 """
 
-from quartic_galois.etaproducts import ETA_NEWFORMS, newform_ap
+import sys
+from pathlib import Path
+
 from quartic_galois.modsym import genus_x0, hecke_charpolys_multimodular
 from quartic_galois.pipeline import render_report, run_pipeline
+
+# the eta-product q-expansions are a test oracle, kept in tests/
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import ETA_NEWFORMS, newform_ap  # noqa: E402
 
 # --- genus sanity -----------------------------------------------------------
 print("genus of X_0(N):", {N: genus_x0(N) for N in (11, 37, 389, 6391)})

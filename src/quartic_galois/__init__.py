@@ -11,9 +11,8 @@ The package is organized bottom-up:
   :mod:`~quartic_galois.irreducibility`,
   :mod:`~quartic_galois.primitivity` — the individual certification
   obligations;
-* :mod:`~quartic_galois.modsym`, :mod:`~quartic_galois.etaproducts`,
-  :mod:`~quartic_galois.hecke_io` — modular symbols, Hecke operators and
-  their serialization;
+* :mod:`~quartic_galois.modsym`, :mod:`~quartic_galois.hecke_io` —
+  modular symbols, Hecke operators and their serialization;
 * :mod:`~quartic_galois.facts`, :mod:`~quartic_galois.pipeline`,
   :mod:`~quartic_galois.cli` — trusted-fact registry, orchestration and
   the ``certify`` command-line entry point.

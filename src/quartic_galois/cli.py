@@ -25,20 +25,20 @@ from .pipeline import render_report, run_pipeline
 
 def _cmd_run(args) -> int:
     # every error inside an obligation step becomes a failed obligation,
-    # so a ValueError or OSError here comes from the config or the curve
+    # so a ValueError or OSError here comes from the config, the curve or
+    # the report path
     try:
         config = None
         if args.config is not None:
             with open(args.config) as fh:
                 config = json.load(fh)
         cert = run_pipeline(config)
+        if args.report is not None:
+            with open(args.report, "w") as fh:
+                fh.write(render_report(cert, "json"))
     except (ValueError, OSError) as exc:
         raise SystemExit("certify: %s" % exc)
-    doc = render_report(cert, args.format)
-    sys.stdout.write(doc)
-    if args.report is not None:
-        with open(args.report, "w") as fh:
-            fh.write(render_report(cert, "json"))
+    sys.stdout.write(render_report(cert, args.format))
     return 0 if cert.final_verdict == "maximal adelic image" else 1
 
 
@@ -67,7 +67,10 @@ def _cmd_hecke(args) -> int:
         raise SystemExit("certify hecke: %s" % exc)
     by_p = hecke_charpolys_multimodular(args.level, primes)
     cps = [by_p[p] for p in primes]
-    store_hecke_charpolys(args.out, cps)
+    try:
+        store_hecke_charpolys(args.out, cps)
+    except OSError as exc:
+        raise SystemExit("certify hecke: %s" % exc)
     sys.stdout.write(
         "stored %d operator(s) at level %d in %s\n"
         % (len(cps), args.level, args.out)

@@ -236,7 +236,7 @@ def _gcd_degrees(vf: _VecField, h4: np.ndarray, r: np.ndarray) -> np.ndarray:
             A, B = np.where(swap, B, A), np.where(swap, A, B)
             degA, degB = np.maximum(degA, degB), np.minimum(degA, degB)
     else:
-        raise AssertionError("polynomial remainder sequence did not terminate")
+        raise ArithmeticError("polynomial remainder sequence did not terminate")
     return np.where(degB == 0, 0, degA)
 
 
@@ -388,7 +388,11 @@ def _plan_count(curve: TernaryQuarticForm, p: int, m: int) -> _Plan:
 
     def count_block(block: Tuple[int, int]) -> int:
         x, orbit_size = _orbit_reps(vf, *block)
-        roots = _gcd_degrees(vf, *_frobenius_residues(vf, coeff_rows, x))
+        try:
+            roots = _gcd_degrees(vf, *_frobenius_residues(vf, coeff_rows, x))
+        except ArithmeticError as exc:
+            exc.prime = p
+            raise
         return int(orbit_size @ roots)
 
     step = _BLOCK * m

@@ -88,11 +88,6 @@ class TernaryQuarticForm:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json_obj(json.load(fh))
 
-    def store(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_obj(), fh, indent=2)
-            fh.write("\n")
-
     @classmethod
     def bundled_curve(cls) -> "TernaryQuarticForm":
         """The curve shipped with the package (the certified quartic)."""
@@ -105,9 +100,6 @@ class TernaryQuarticForm:
 
     def coeff(self, i: int, j: int, k: int) -> int:
         return self.coeffs.get((i, j, k), 0)
-
-    def content(self) -> int:
-        return gcd(*self.coeffs.values())
 
     def partial(self, var: int) -> Dict[Monomial, int]:
         """Partial derivative as a (degree-3) sparse exponent map."""
@@ -215,9 +207,6 @@ class LPolynomial:
     def __call__(self, t: int) -> int:
         return self.to_int_poly()(t)
 
-    def reduce_mod(self, ell: int) -> FqPoly:
-        return self.to_int_poly().reduce_mod(ell)
-
     def power_sums(self, m_max: int) -> List[int]:
         """s_m = sum of m-th powers of the Frobenius eigenvalues, for
         m = 1..m_max, via Newton's identities."""
@@ -247,9 +236,6 @@ class LPolynomial:
     def point_count(self, m: int) -> int:
         """|C(F_{p^m})| predicted by this L-polynomial."""
         return self.p ** m + 1 - self.power_sums(m)[m - 1]
-
-    def triple(self) -> Tuple[int, int, int]:
-        return (self.a, self.b, self.c)
 
 
 def _exact_div(n: int, k: int) -> int:
@@ -391,7 +377,10 @@ def classify_node(
         shift[affine_vars[1]] = p * al2
         moved = [pt[t] + shift[t] for t in range(3)]
         b = curve.evaluate_int(*moved) % p2
-        assert b % p == 0
+        if b % p:
+            raise ArithmeticError(
+                "the shifted node at p=%d is not a zero mod p" % p
+            )
         regular = b != 0
     else:
         # the constant term mod p^2 is independent of the integer lift at

@@ -20,16 +20,6 @@ class TrustedFact:
     citation: str
     notes: Tuple[str, ...] = ()
 
-    def to_json_obj(self) -> dict:
-        obj = {
-            "id": self.id,
-            "statement": self.statement,
-            "citation": self.citation,
-        }
-        if self.notes:
-            obj["notes"] = list(self.notes)
-        return obj
-
 
 _FACTS = [
     TrustedFact(

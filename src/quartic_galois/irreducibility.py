@@ -30,14 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 import sympy
 
 from .curve import LPolynomial
 from .polys import IntPoly, int_resultant, is_irreducible_mod
-
-_ORACLE_BOUND = 50
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +153,10 @@ def dim1_exclusion(lpolys: Sequence[LPolynomial]) -> FrozenSet[int]:
     if not lpolys:
         raise ValueError("no L-polynomials supplied")
     g = gcd(*(lp(1) * lp(lp.p) for lp in lpolys))
-    assert g != 0, "Weil bounds forbid P_p(1) = 0 or P_p(p) = 0 at good p"
+    if g == 0:
+        raise ArithmeticError(
+            "P_p(1) * P_p(p) = 0, which the Weil bounds forbid at good p"
+        )
     return frozenset(q for q in sympy.primefactors(g) if q % 2 == 1)
 
 
@@ -200,57 +201,14 @@ def dim2_exclusion(rps: Dict[int, int]) -> FrozenSet[int]:
 # the dimension-3 family
 
 
-@dataclass(frozen=True)
-class Dim3Solution:
-    ell: int
-    e: int
-    solutions: FrozenSet[Tuple[int, int]]
-
-
-def _dim3_equations(lp: LPolynomial, e: int) -> Tuple[int, int, int, int, int, int]:
-    """Integer data (p1, p2, p3, pe, a, b, c) with p_k = p^(k-e)."""
-    p = lp.p
-    return (
-        p ** (1 - e),
-        p ** (2 - e),
-        p ** (3 - e),
-        p ** e,
-        lp.a,
-        lp.b,
-        lp.c,
-    )
-
-
-def dim3_solutions(lp: LPolynomial, e: int, ell: int) -> Dim3Solution:
-    """Exhaustive solutions over F_ell^2 of the coefficient-matching
-    system for P_p = (T^3 - uT^2 + vT - p^e)(T^3 - p^(1-e)vT^2 +
-    p^(2-e)uT - p^(3-e)):
+def dim3_obstruction(lp: LPolynomial, e: int) -> int:
+    """A nonzero integer N(e) divisible by every odd prime ell != p at
+    which the coefficient-matching system for P_p = (T^3 - uT^2 + vT -
+    p^e)(T^3 - p^(1-e)vT^2 + p^(2-e)uT - p^(3-e)) has a solution:
 
         p^(1-e) v + u = -a
         p^(2-e) u + p^(1-e) u v + v = b
         p^(3-e) + p^(2-e) u^2 + p^(1-e) v^2 + p^e = -c
-    """
-    if e not in (0, 1):
-        raise ValueError("determinant exponent e must be 0 or 1")
-    if ell == lp.p or ell % 2 == 0 or not sympy.isprime(ell):
-        raise ValueError("ell must be an odd prime different from p")
-    p1, p2, p3, pe, a, b, c = _dim3_equations(lp, e)
-    sols = set()
-    for u in range(ell):
-        for v in range(ell):
-            if (p1 * v + u + a) % ell:
-                continue
-            if (p2 * u + p1 * u * v + v - b) % ell:
-                continue
-            if (p3 + p2 * u * u + p1 * v * v + pe + c) % ell:
-                continue
-            sols.add((u, v))
-    return Dim3Solution(ell=ell, e=e, solutions=frozenset(sols))
-
-
-def dim3_obstruction(lp: LPolynomial, e: int, validate: bool = True) -> int:
-    """A nonzero integer N(e) divisible by every odd prime ell != p at
-    which the dimension-3 system has a solution.
 
     The first equation is monic linear in u; substituting
     u = -a - p^(1-e) v into the other two leaves two univariate
@@ -261,7 +219,8 @@ def dim3_obstruction(lp: LPolynomial, e: int, validate: bool = True) -> int:
     """
     if e not in (0, 1):
         raise ValueError("determinant exponent e must be 0 or 1")
-    p1, p2, p3, pe, a, b, c = _dim3_equations(lp, e)
+    p, a, b, c = lp.p, lp.a, lp.b, lp.c
+    p1, p2, p3, pe = p ** (1 - e), p ** (2 - e), p ** (3 - e), p ** e
     u = IntPoly([-a, -p1])  # u as a polynomial in v
     v = IntPoly([0, 1])
     r12 = u.scale(p2) + u * v.scale(p1) + v - IntPoly([b])
@@ -271,14 +230,6 @@ def dim3_obstruction(lp: LPolynomial, e: int, validate: bool = True) -> int:
     n = abs(int_resultant(r12, r13))
     if n == 0:
         raise ValueError("degenerate L-polynomial: resultant vanishes")
-    if validate:
-        for ell in range(3, _ORACLE_BOUND + 1, 2):
-            if not sympy.isprime(ell) or ell == lp.p:
-                continue
-            if n % ell and dim3_solutions(lp, e, ell).solutions:
-                raise AssertionError(
-                    "obstruction %d misses solutions at ell=%d" % (n, ell)
-                )
     return n
 
 

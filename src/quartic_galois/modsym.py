@@ -147,7 +147,11 @@ def _lift_to_sl2z(N: int, c: int, d: int) -> Tuple[int, int, int, int]:
     if d == 0:
         return (0, -1, 1, 0) if c == 1 else (0, -1, c, 0)
     g, x, y = _xgcd(c, d)
-    assert g == 1, "canonical representative should be a coprime pair"
+    if g != 1:
+        raise ArithmeticError(
+            "P^1 representative (%d:%d) at level %d is not a coprime pair"
+            % (c, d, N)
+        )
     # x*c + y*d = 1 -> det [[y, -x], [c, d]] = y*d + x*c = 1
     return (y, -x, c, d)
 
@@ -204,7 +208,6 @@ def _reduce_cusp(num: int, den: int) -> Tuple[int, int]:
 
 @dataclass
 class _Skeleton:
-    N: int
     symbols: List[Tuple[int, int]]
     index: Dict[Tuple[int, int], int]
     cls: List[int]  # symbol -> class id, or -1 if forced zero
@@ -214,14 +217,6 @@ class _Skeleton:
     rows: List[Tuple[Tuple[int, int], ...]]  # 3-term relations, (class, coeff)
     cusp_reps: List[Tuple[int, int]]  # star-merged cusp classes
     boundary: List[Tuple[Tuple[int, int], ...]]  # class id -> (cusp, coeff)
-
-    def sym_class(self, c: int, d: int) -> Tuple[int, int]:
-        """(class id, sign) of the symbol (c:d); class -1 means zero."""
-        key = p1_normalize(self.N, c, d)
-        if key is None:
-            return (-1, 0)
-        i = self.index[key]
-        return (self.cls[i], self.sgn[i])
 
 
 def _build_sign_classes(symbols, index, N):
@@ -329,7 +324,6 @@ def skeleton(N: int) -> _Skeleton:
         boundary.append(tuple(sorted((k, v) for k, v in acc.items() if v)))
 
     return _Skeleton(
-        N=N,
         symbols=symbols,
         index=index,
         cls=cls,
@@ -540,7 +534,7 @@ def _cuspidal_basis(N: int):
             B[k, j] += v
     K, free_b = _integer_kernel(B, N, "cuspidal basis")
     if len(free_b) != g:
-        raise AssertionError(
+        raise ArithmeticError(
             "cuspidal dimension %d at level %d does not match the genus "
             "formula value %d" % (len(free_b), N, g)
         )
@@ -566,7 +560,7 @@ def _cuspidal_matrix(N: int, basis, paths, name: str) -> np.ndarray:
     M = _int_matmul(_int_matmul(expr.T, C), K)
     A = M[free_b]
     if not np.array_equal(_int_matmul(K, A), M):
-        raise AssertionError(
+        raise ArithmeticError(
             "cuspidal subspace is not %s-stable at level %d" % (name, N)
         )
     return A
@@ -577,15 +571,6 @@ def _hecke_matrices(N: int, basis, primes: Sequence[int]) -> Dict[int, np.ndarra
         p: _cuspidal_matrix(N, basis, partial(_hecke_paths, N, p), "T_%d" % p)
         for p in primes
     }
-
-
-def integer_hecke_matrices(N: int, primes: Sequence[int]) -> Dict[int, np.ndarray]:
-    """T_p on the cuspidal plus-space at level N, for each given good
-    prime p, as an integer g x g matrix (int64) in the cuspidal basis K
-    with K[free_b] = I; field-independent, so built once per level."""
-    for p in primes:
-        check_hecke_prime(N, p)
-    return _hecke_matrices(N, _cuspidal_basis(N), primes)
 
 
 def _atkin_lehner_involutions(
@@ -828,12 +813,12 @@ def hecke_charpolys_multimodular(
             lifted = _crt_lift(got[:n], moduli[:n])
             for check, q in zip(got[n:], moduli[n:]):
                 if any(c % q != int(r) for c, r in zip(lifted, check)):
-                    raise AssertionError(
+                    raise ArithmeticError(
                         "CRT lift of a T_%d block charpoly fails verification "
                         "mod %d" % (p, q)
                     )
             if lifted[-1] != 1:
-                raise AssertionError("lifted characteristic polynomial not monic")
+                raise ArithmeticError("lifted characteristic polynomial not monic")
             charpoly = charpoly * IntPoly(lifted)
         out[p] = HeckeCharPoly(N=N, p=p, coeffs=charpoly.coeffs)
     return out

@@ -22,7 +22,7 @@ determinant of the Sylvester matrix.  No floating point anywhere.
 from __future__ import annotations
 
 import random
-from math import gcd, lcm
+from math import lcm
 from typing import List, Sequence, Tuple
 
 import sympy
@@ -92,9 +92,6 @@ class IntPoly:
                     out[i + j] += ai * bj
         return IntPoly(out)
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
-
     def __call__(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -103,12 +100,6 @@ class IntPoly:
 
     def scale(self, c: int) -> "IntPoly":
         return IntPoly([c * a for a in self.coeffs])
-
-    def derivative(self) -> "IntPoly":
-        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def content(self) -> int:
-        return gcd(*self.coeffs)
 
     def monic_rem(self, other: "IntPoly") -> "IntPoly":
         """Remainder of self by a *monic* other, exactly over Z."""
@@ -124,9 +115,8 @@ class IntPoly:
             rem[k] = 0
         return IntPoly(rem[:d])
 
-    def reduce_mod(self, ell: int, field: FieldDescriptor | None = None) -> "FqPoly":
-        field = field or make_field(ell, 1)
-        return FqPoly(field, [field.from_int(c) for c in self.coeffs])
+    def reduce_mod(self, ell: int) -> "FqPoly":
+        return FqPoly.from_ints(make_field(ell, 1), self.coeffs)
 
     def __repr__(self):
         return "IntPoly(%r)" % (list(self.coeffs),)
@@ -388,11 +378,6 @@ class FqPoly:
             raise ValueError("not a prime-field polynomial")
         return [c[0] for c in self.coeffs]
 
-    def pretty(self, var: str = "x") -> str:
-        if self.field.m == 1:
-            return IntPoly(self.to_ints()).pretty(var)
-        return "FqPoly(%r)" % (self.coeffs,)
-
     def __repr__(self):
         return "FqPoly(F_%d^%d, %r)" % (self.field.p, self.field.m, list(self.coeffs))
 
@@ -506,7 +491,10 @@ def factor_fq(f: FqPoly) -> List[Tuple[FqPoly, int]]:
             work = quot
             e += 1
         factors.append((g, e))
-    assert work.degree == 0
+    if work.degree != 0:
+        raise ArithmeticError(
+            "trial division left a factor of degree %d" % work.degree
+        )
     factors.sort(key=lambda t: (t[0].degree, t[0].coeff_key()))
     return factors
 

@@ -10,19 +10,24 @@ import time
 import pytest
 import sympy
 
+from oracles import (
+    ETA_NEWFORMS,
+    ORACLE_BOUND,
+    dim3_solutions,
+    integer_hecke_matrices,
+    newform_ap,
+)
 from quartic_galois import counting
 from quartic_galois.counting import l_polynomial
 from quartic_galois.curve import TernaryQuarticForm, singular_points
-from quartic_galois.etaproducts import ETA_NEWFORMS, newform_ap
 from quartic_galois.irreducibility import (
     dim1_exclusion,
     dim2_qpoly,
     dim3_obstruction,
-    dim3_solutions,
     witness_search,
 )
 from quartic_galois.mod2 import mod2_orders, mod2_verdict
-from quartic_galois.modsym import genus_x0, integer_hecke_matrices
+from quartic_galois.modsym import genus_x0
 from quartic_galois.pipeline import (
     _default_config,
     _load_hecke,
@@ -130,10 +135,10 @@ def test_criterion_06_dim3(computed_table):
     p2 = next(lp for lp in lpolys if lp.p == 2)
     start = time.monotonic()
     for e in (0, 1):
-        n = dim3_obstruction(p2, e, validate=False)
+        n = dim3_obstruction(p2, e)
         support = set(sympy.primefactors(n)) - {2}
         assert support <= {3, 5, 7}, (e, support)
-        for ell in range(3, 51, 2):
+        for ell in range(3, ORACLE_BOUND + 1, 2):
             if not sympy.isprime(ell):
                 continue
             sols = dim3_solutions(p2, e, ell).solutions

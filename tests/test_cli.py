@@ -130,6 +130,27 @@ def test_run_config_errors_are_one_line(tmp_path, monkeypatch, config, needle):
     assert needle in message
 
 
+@pytest.mark.parametrize(
+    "args, prefix",
+    [
+        (["hecke", "--level", "11", "--primes", "2", "--out"], "certify hecke: "),
+        (["run", "--config", "cfg.json", "--report"], "certify: "),
+    ],
+)
+def test_output_path_errors_are_one_line(tmp_path, monkeypatch, args, prefix):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(
+        json.dumps({"frobenius_primes": [2, 3, 5], "hecke": {"mode": "skip"}})
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["absent_dir/out.json"])
+    message = exc.value.code
+    # a one-line message (exit status 1), not a traceback
+    assert isinstance(message, str) and message.startswith(prefix)
+    assert "\n" not in message
+    assert "absent_dir/out.json" in message
+
+
 def test_hecke_regenerates_bundled_file(tmp_path):
     # the bundled level-6391 T_2 and T_5 charpolys, recomputed byte for
     # byte; the budget is a floor to beat, not a target

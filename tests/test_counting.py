@@ -26,6 +26,10 @@ KLEIN_Y4 = TernaryQuarticForm(
 )
 
 
+def _abc(lp):
+    return (lp.a, lp.b, lp.c)
+
+
 def test_counts_match_brute_enumeration():
     cases = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (5, 2)]
     # extensions of degree 3, 4 and 6 mix Frobenius orbits of sizes
@@ -66,10 +70,10 @@ def test_small_counts_exact():
 
 
 def test_l_polynomial_small_primes():
-    assert l_polynomial(CURVE, 2).triple() == (3, 6, 9)
-    assert l_polynomial(CURVE, 3).triple() == (1, 2, 3)
-    assert l_polynomial(CURVE, 5).triple() == (4, 10, 17)
-    assert l_polynomial(CURVE, 17).triple() == (2, 9, 120)
+    assert _abc(l_polynomial(CURVE, 2)) == (3, 6, 9)
+    assert _abc(l_polynomial(CURVE, 3)) == (1, 2, 3)
+    assert _abc(l_polynomial(CURVE, 5)) == (4, 10, 17)
+    assert _abc(l_polynomial(CURVE, 17)) == (2, 9, 120)
 
 
 def test_l_polynomial_counts_round_trip():
@@ -115,7 +119,7 @@ def test_single_block_counts_stay_on_the_calling_thread(monkeypatch):
             raise AssertionError("a thread pool was started")
 
     monkeypatch.setattr(counting, "ThreadPoolExecutor", NoPool)
-    assert l_polynomial(CURVE, 3).triple() == (1, 2, 3)
+    assert _abc(l_polynomial(CURVE, 3)) == (1, 2, 3)
     assert l_polynomial(CURVE, 13).p == 13
     with pytest.raises(AssertionError):
         count_points(CURVE, 41, 3)

@@ -1,6 +1,6 @@
 import pytest
 
-from quartic_galois.etaproducts import (
+from oracles import (
     ETA_NEWFORMS,
     EtaProductSpec,
     eta_product_qexp,

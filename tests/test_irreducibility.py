@@ -1,6 +1,7 @@
 import sympy
 import pytest
 
+from oracles import ORACLE_BOUND, dim3_solutions
 from quartic_galois.curve import LPolynomial
 from quartic_galois.irreducibility import (
     CaseProfile,
@@ -9,7 +10,6 @@ from quartic_galois.irreducibility import (
     dim2_qpoly,
     dim2_resultants,
     dim3_obstruction,
-    dim3_solutions,
     enumerate_case_profiles,
     irreducibility_certify,
     witness_search,
@@ -88,6 +88,9 @@ def test_dim1_skips_zero_contribution(lpoly_map):
     synthetic = LPolynomial(p=2, a=0, b=0, c=-9)  # P(1) = 0
     assert synthetic.to_int_poly()(1) == 0
     assert dim1_exclusion([synthetic, lpoly_map[2]]) == {3, 17}
+    # alone it leaves a zero gcd, which the Weil bounds forbid at good p
+    with pytest.raises(ArithmeticError, match="Weil"):
+        dim1_exclusion([synthetic])
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +173,12 @@ def test_dim3_obstruction_supports(lpoly_map):
 
 
 def test_dim3_oracle_equivalence(lpoly_map):
-    # for every odd ell <= 50 not dividing N(e) * 14 * p, no solutions
+    # for every odd ell <= ORACLE_BOUND (50) not dividing N(e) * 14 * p, no solutions
     for p in (2, 3, 5):
         lp = lpoly_map[p]
         for e in (0, 1):
-            n = dim3_obstruction(lp, e, validate=False)
-            for ell in range(3, 51, 2):
+            n = dim3_obstruction(lp, e)
+            for ell in range(3, ORACLE_BOUND + 1, 2):
                 if not sympy.isprime(ell) or ell == p:
                     continue
                 sols = dim3_solutions(lp, e, ell).solutions

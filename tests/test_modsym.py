@@ -10,12 +10,11 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from oracles import ETA_NEWFORMS, integer_hecke_matrices, newform_ap
 from quartic_galois import modsym
-from quartic_galois.etaproducts import ETA_NEWFORMS, newform_ap
 from quartic_galois.modsym import (
     genus_x0,
     hecke_charpolys_multimodular,
-    integer_hecke_matrices,
     p1_list,
     p1_normalize,
 )
@@ -382,6 +381,16 @@ def test_corrupted_lift_raises(monkeypatch):
     monkeypatch.setattr(modsym, "_rref_mod", corrupted)
     with pytest.raises(ArithmeticError, match="level 37"):
         integer_hecke_matrices(37, [2])
+
+
+def test_failed_crt_verification_raises(monkeypatch):
+    # an ArithmeticError, which run_pipeline records as a failed step
+    real = modsym._crt_lift
+    monkeypatch.setattr(
+        modsym, "_crt_lift", lambda res, moduli: [c + 1 for c in real(res, moduli)]
+    )
+    with pytest.raises(ArithmeticError, match="fails verification"):
+        hecke_charpolys_multimodular(37, (2,))
 
 
 def test_non_prime_p_rejected():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quartic_galois import counting
 from quartic_galois.pipeline import (
     Certificate,
     DEFAULT_FROBENIUS_PRIMES,
@@ -264,6 +265,26 @@ def test_bad_frobenius_prime_fails_before_a_larger_failing_prime():
     assert failing["name"] == "l-polynomial-table"
     assert failing["evidence"]["error"] == (
         "configured Frobenius prime 83 is a bad prime"
+    )
+
+
+def test_count_block_error_fails_the_table(monkeypatch):
+    # a kernel self-check that fails inside a count block names a prime
+    # of that count, so the table step fails instead of the whole run
+    def failing(*args):
+        raise ArithmeticError("polynomial remainder sequence did not terminate")
+
+    monkeypatch.setattr(counting, "_gcd_degrees", failing)
+    cert = run_pipeline(
+        {"frobenius_primes": [2, 3, 41], "hecke": {"mode": "skip"}}
+    )
+    assert cert.final_verdict == (
+        "not certified (failing step: l-polynomial-table)"
+    )
+    error = cert.obligations[-1]["evidence"]["error"]
+    assert error.startswith("L-polynomial at p=")
+    assert error.endswith(
+        " failed: polynomial remainder sequence did not terminate"
     )
 
 

@@ -65,7 +65,7 @@ def _splitting_field_resultant_mod(f: IntPoly, g: IntPoly, ell: int) -> int:
     """Oracle: Res(f, g) mod ell by evaluating g at the roots of f in
     splitting extensions of F_ell (conjugates via Frobenius)."""
     Fl = make_field(ell, 1)
-    fl = f.reduce_mod(ell, Fl)
+    fl = f.reduce_mod(ell)
     gl_int = [c % ell for c in g.coeffs]
     res = pow(f.lc(), g.degree, ell)
     for factor, mult in factor_fq(fl):
@@ -138,7 +138,7 @@ def test_resultant_zero_poly_rejected():
 
 
 def test_factor_p23_mod_2():
-    f23 = P23.reduce_mod(2, F2)
+    f23 = P23.reduce_mod(2)
     assert f23.to_ints() == [1, 1, 1, 1, 1, 1, 1]
     factors = factor_fq(f23)
     # x^6+...+1 = (x^3+x^2+1)(x^3+x+1) over F_2, in coefficient-sort order
@@ -149,7 +149,7 @@ def test_factor_p23_mod_2():
 
 
 def test_factor_p73_mod_2():
-    f73 = P73.reduce_mod(2, F2)
+    f73 = P73.reduce_mod(2)
     factors = factor_fq(f73)
     assert [(g.to_ints(), e) for g, e in factors] == [
         ([1, 1, 1], 1),
@@ -158,7 +158,7 @@ def test_factor_p73_mod_2():
 
 
 def test_factor_x2_minus_1_mod_3():
-    f = IntPoly([-1, 0, 1]).reduce_mod(3, F3)
+    f = IntPoly([-1, 0, 1]).reduce_mod(3)
     factors = factor_fq(f)
     assert [(g.to_ints(), e) for g, e in factors] == [([1, 1], 1), ([2, 1], 1)]
 
@@ -255,11 +255,11 @@ def test_is_irreducible_mod_lc_vanishes():
 
 
 def test_order_f23_is_7():
-    assert multiplicative_order(P23.reduce_mod(2, F2)) == 7
+    assert multiplicative_order(P23.reduce_mod(2)) == 7
 
 
 def test_order_f73_is_15():
-    assert multiplicative_order(P73.reduce_mod(2, F2)) == 15
+    assert multiplicative_order(P73.reduce_mod(2)) == 15
 
 
 def test_order_trivial():
@@ -268,8 +268,8 @@ def test_order_trivial():
 
 def test_order_divides_and_is_minimal():
     for f, n in [
-        (P23.reduce_mod(2, F2), 7),
-        (P73.reduce_mod(2, F2), 15),
+        (P23.reduce_mod(2), 7),
+        (P73.reduce_mod(2), 15),
         (FqPoly.from_ints(F3, [1, 1]), 2),  # x + 1 divides x^2 - 1, not x - 1
     ]:
         F = f.field

@@ -26,12 +26,14 @@ from .pipeline import render_report, run_pipeline
 def _cmd_run(args) -> int:
     # every error inside an obligation step becomes a failed obligation,
     # so a ValueError or OSError here comes from the config, the curve or
-    # the report path
+    # the report path, which is opened (not truncated) before the run
     try:
         config = None
         if args.config is not None:
             with open(args.config) as fh:
                 config = json.load(fh)
+        if args.report is not None:
+            open(args.report, "a").close()
         cert = run_pipeline(config)
         if args.report is not None:
             with open(args.report, "w") as fh:
@@ -63,13 +65,12 @@ def _cmd_hecke(args) -> int:
             raise ValueError("no primes given")
         for p in primes:
             check_hecke_prime(args.level, p)
-    except ValueError as exc:
-        raise SystemExit("certify hecke: %s" % exc)
-    by_p = hecke_charpolys_multimodular(args.level, primes)
-    cps = [by_p[p] for p in primes]
-    try:
+        # an unwritable path fails before the charpolys are computed
+        open(args.out, "a").close()
+        by_p = hecke_charpolys_multimodular(args.level, primes)
+        cps = [by_p[p] for p in primes]
         store_hecke_charpolys(args.out, cps)
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         raise SystemExit("certify hecke: %s" % exc)
     sys.stdout.write(
         "stored %d operator(s) at level %d in %s\n"

@@ -4,9 +4,10 @@ The affine count over a field of q = p^m elements runs one coordinate x
 over F_q as numpy "lanes".  For each lane the curve restricts to a monic
 quartic h_x(y), and the number of its distinct roots in F_q is
 deg gcd(y^q - y, h_x).  That degree comes from y^p mod h_x by
-square-and-multiply, then y^(p^k) = sum sigma(c_j) (y^p)^j for
-y^(p^(k-1)) = sum c_j y^j, and a masked, inversion-free polynomial
-remainder sequence, all run simultaneously on every lane.
+square-and-multiply from y^t, t the top three bits of p, then
+y^(p^k) = sum sigma(c_j) (y^p)^j for y^(p^(k-1)) = sum c_j y^j, and
+eight branch-free, inversion-free divsteps (Bernstein-Yang), all run
+simultaneously on every lane.
 
 Frobenius orbits.  The curve has coefficients in F_p, so the Frobenius
 sigma(x) = x^p maps h_x to h_{sigma(x)} = sigma(h_x), and the two have
@@ -17,9 +18,11 @@ F_p-linear on coordinate vectors, so it is one sparse m x m map mod p.
 F_{p^3} needs p + (p^3 - p)/3 lanes and F_{p^2} needs p + (p^2 - p)/2.
 
 Block layout.  The indices 0..q-1 are cut into ranges of _BLOCK * m,
-and each range is filtered to its orbit representatives (about _BLOCK
-lanes) just before its kernel runs, so the whole field is never held
-at once.  Within a block, field elements are integer coordinate vectors
+and each range is filtered to its orbit representatives just before
+its kernel runs, so the whole field is never held at once.  A range
+holds from 0 to _BLOCK * m representatives (14 of the 32 ranges of
+F_{73^3} hold none, and one holds 12,288); an empty one skips the
+kernel.  Within a block, field elements are integer coordinate vectors
 mod p in the canonical polynomial basis, stored structure-of-arrays as
 (m, slot, lanes): coordinate first, then polynomial slot, then lane,
 so every coordinate of every slot is one contiguous lane vector.  The
@@ -61,7 +64,7 @@ from .polys import FqPoly
 
 _FIELD_BUDGET = 10 ** 7
 _BRUTE_LIMIT = 512
-_BLOCK = 4096  # Frobenius-orbit representatives per kernel block
+_BLOCK = 4096  # a kernel block is a range of _BLOCK * m field indices
 _THREADS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1
@@ -188,56 +191,42 @@ def _brute_count(curve: TernaryQuarticForm, p: int, m: int) -> int:
 # vectorized root counting
 
 
-def _deg(parr: np.ndarray) -> np.ndarray:
-    """Degree per lane of polynomials stored (m, slot, lanes); -1 for 0."""
-    nz = np.any(parr != 0, axis=0)
-    top = parr.shape[1] - 1 - np.argmax(nz[::-1], axis=0)
-    return np.where(nz.any(axis=0), top, -1)
-
-
-def _shift(parr: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Each lane's polynomial times y^s, dropping slots that overflow."""
-    idx = np.arange(parr.shape[1])[:, None] - s
-    out = np.take_along_axis(parr, np.maximum(idx, 0)[None], axis=1)
-    return out * (idx >= 0)
-
-
 def _gcd_degrees(vf: _VecField, h4: np.ndarray, r: np.ndarray) -> np.ndarray:
     """deg gcd(h, r) per lane, h monic quartic ((m, 4, lanes) holds
-    a0..a3), r of degree <= 3 ((m, 4, lanes))."""
+    a0..a3), r of degree <= 3 ((m, 4, lanes)).
+
+    Polynomial divsteps (Bernstein-Yang, "Fast constant-time gcd
+    computation and modular inversion", TCHES 2019, Theorem 6.2) on
+    f = y^4 h(1/y) and g = y^3 r(1/y) from delta = 1: a step swaps f
+    and g where delta > 0 and g(0) != 0, negating delta, then sets
+    g <- (f(0) g - g(0) f) / y and adds 1 to delta.  After 7 steps
+    delta = 2 deg gcd(h, r).  Each step lowers the sum of the formal
+    degrees of f and g (4 + 3 at the start) by one and f(0) never
+    vanishes, so an 8th step leaves g = 0 on every lane, which is
+    checked, and delta // 2 the degree.  Every lane takes the same
+    fixed slices; g is formed from the pair before the swap, which on
+    swapped lanes only negates it.
+    """
     m, _, lanes = h4.shape
-    A = np.zeros((m, 5, lanes), dtype=vf.dtype)
-    A[:, :4] = h4
-    A[0, 4] = 1
-    B = np.zeros_like(A)
-    B[:, :4] = r
-    degA, degB = np.full(lanes, 4), _deg(B)
-    one = np.zeros((m, 1, lanes), dtype=vf.dtype)
-    one[0] = 1
-    for _ in range(64):
-        # a lane is done once B is zero (gcd A) or a unit (gcd 1)
-        active = degB >= 1
-        if not active.any():
-            break
-        # A <- lc(B) A - lc(A) y^(degA - degB) B on the active lanes;
-        # elsewhere lc(B) is taken as 1 and B is shifted out of range
-        lcA = np.take_along_axis(A, degA[None, None], axis=1)
-        lcB = np.take_along_axis(B, degB[None, None], axis=1)
-        lcB = np.where(active, lcB, one)
-        shifted = _shift(B, np.where(active, degA - degB, 5))
-        acc = np.zeros((2 * m - 1, 5, lanes), dtype=vf.dtype)
+    f = np.zeros((m, 5, lanes), dtype=vf.dtype)
+    f[0, 0] = 1
+    f[:, 1:] = h4[:, ::-1]
+    g = r[:, ::-1]
+    delta = np.ones(lanes, dtype=np.int64)
+    for _ in range(8):
+        swap = (delta > 0) & g[:, 0].any(axis=0)
+        # slots 1.. of f(0) g - g(0) f; slot 0 is zero
+        acc = np.zeros((2 * m - 1, 4, lanes), dtype=vf.dtype)
         for i in range(m):
-            acc[i:i + m] += lcB[i] * A
-            acc[i:i + m] -= lcA[i] * shifted
-        A = vf.reduce(acc)
-        degA = _deg(A)
-        swap = degA < degB
-        if swap.any():
-            A, B = np.where(swap, B, A), np.where(swap, A, B)
-            degA, degB = np.maximum(degA, degB), np.minimum(degA, degB)
-    else:
-        raise ArithmeticError("polynomial remainder sequence did not terminate")
-    return np.where(degB == 0, 0, degA)
+            acc[i:i + m, :3] += f[i, 0] * g[:, 1:]
+            acc[i:i + m] -= g[i, 0] * f[:, 1:]
+        np.copyto(f[:, :4], g, where=swap)
+        np.copyto(f[:, 4], 0, where=swap)
+        g = vf.reduce(acc)
+        delta = np.where(swap, -delta, delta) + 1
+    if g.any():
+        raise ArithmeticError("gcd divsteps did not reach g = 0")
+    return delta // 2
 
 
 def _orbit_reps(
@@ -321,11 +310,17 @@ def _frobenius_residues(
                 acc[i:i + m] += c[i, j] * poly
         return vf.reduce(acc)
 
-    # Y = y^p by square-and-multiply, then y^(p^k) = sum sigma(c_j) Y^j
-    # where y^(p^(k-1)) = sum c_j y^j, since u -> u^p is a ring map
-    r = np.zeros((m, 4, lanes), dtype=vf.dtype)
-    r[0, 1] = 1
-    for bit in bin(p)[3:]:
+    # Y = y^p by square-and-multiply from y^t, t the top three bits of p
+    # (or t = p < 4), then y^(p^k) = sum sigma(c_j) Y^j where
+    # y^(p^(k-1)) = sum c_j y^j, since u -> u^p is a ring map
+    bits = bin(p)[2:]
+    if p < 4:
+        r = np.zeros((m, 4, lanes), dtype=vf.dtype)
+        r[0, p] = 1
+    else:
+        t = int(bits[:3], 2)
+        r = times_y(high_pows[:, 2]) if t == 7 else high_pows[:, t - 4].copy()
+    for bit in bits[3:]:
         r = square(r)
         if bit == "1":
             r = times_y(r)
@@ -388,6 +383,8 @@ def _plan_count(curve: TernaryQuarticForm, p: int, m: int) -> _Plan:
 
     def count_block(block: Tuple[int, int]) -> int:
         x, orbit_size = _orbit_reps(vf, *block)
+        if not orbit_size.size:
+            return 0
         try:
             roots = _gcd_degrees(vf, *_frobenius_residues(vf, coeff_rows, x))
         except ArithmeticError as exc:

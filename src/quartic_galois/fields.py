@@ -177,4 +177,4 @@ def make_field(p: int, m: int) -> FieldDescriptor:
             FqPoly.from_ints(prime_field, candidate)
         ):
             return FieldDescriptor(p, m, candidate)
-    raise AssertionError("no irreducible polynomial found (unreachable)")
+    raise ArithmeticError("no irreducible degree-%d modulus mod %d" % (m, p))

@@ -10,7 +10,10 @@ library against; none of them is on a ``certify`` path.
 * the dimension-3 system of the irreducibility ledger, solved by
   exhaustive search over F_ell^2;
 * the integer Hecke matrices T_p on the cuspidal plus-space, which
-  the library only uses inside its multimodular charpoly engine.
+  the library only uses inside its multimodular charpoly engine;
+* deg gcd(h, r) per counting lane by a masked, inversion-free
+  polynomial remainder sequence, which the counting kernel's divsteps
+  replaced.
 """
 
 from __future__ import annotations
@@ -148,3 +151,60 @@ def integer_hecke_matrices(N: int, primes: Sequence[int]) -> Dict[int, np.ndarra
     for p in primes:
         check_hecke_prime(N, p)
     return _hecke_matrices(N, _cuspidal_basis(N), primes)
+
+
+# ---------------------------------------------------------------------------
+# gcd degrees by a remainder sequence
+
+
+def _deg(parr: np.ndarray) -> np.ndarray:
+    """Degree per lane of polynomials stored (m, slot, lanes); -1 for 0."""
+    nz = np.any(parr != 0, axis=0)
+    top = parr.shape[1] - 1 - np.argmax(nz[::-1], axis=0)
+    return np.where(nz.any(axis=0), top, -1)
+
+
+def _shift(parr: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Each lane's polynomial times y^s, dropping slots that overflow."""
+    idx = np.arange(parr.shape[1])[:, None] - s
+    out = np.take_along_axis(parr, np.maximum(idx, 0)[None], axis=1)
+    return out * (idx >= 0)
+
+
+def remainder_sequence_degrees(vf, h4: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """deg gcd(h, r) per lane, h monic quartic ((m, 4, lanes) holds
+    a0..a3), r of degree <= 3 ((m, 4, lanes)), on the lanes of the
+    counting kernel's ``_VecField`` ``vf``."""
+    m, _, lanes = h4.shape
+    A = np.zeros((m, 5, lanes), dtype=vf.dtype)
+    A[:, :4] = h4
+    A[0, 4] = 1
+    B = np.zeros_like(A)
+    B[:, :4] = r
+    degA, degB = np.full(lanes, 4), _deg(B)
+    one = np.zeros((m, 1, lanes), dtype=vf.dtype)
+    one[0] = 1
+    for _ in range(64):
+        # a lane is done once B is zero (gcd A) or a unit (gcd 1)
+        active = degB >= 1
+        if not active.any():
+            break
+        # A <- lc(B) A - lc(A) y^(degA - degB) B on the active lanes;
+        # elsewhere lc(B) is taken as 1 and B is shifted out of range
+        lcA = np.take_along_axis(A, degA[None, None], axis=1)
+        lcB = np.take_along_axis(B, degB[None, None], axis=1)
+        lcB = np.where(active, lcB, one)
+        shifted = _shift(B, np.where(active, degA - degB, 5))
+        acc = np.zeros((2 * m - 1, 5, lanes), dtype=vf.dtype)
+        for i in range(m):
+            acc[i:i + m] += lcB[i] * A
+            acc[i:i + m] -= lcA[i] * shifted
+        A = vf.reduce(acc)
+        degA = _deg(A)
+        swap = degA < degB
+        if swap.any():
+            A, B = np.where(swap, B, A), np.where(swap, A, B)
+            degA, degB = np.maximum(degA, degB), np.minimum(degA, degB)
+    else:
+        raise ArithmeticError("polynomial remainder sequence did not terminate")
+    return np.where(degB == 0, 0, degA)

@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+from quartic_galois import cli
 from quartic_galois.cli import main
 
 
@@ -138,6 +139,12 @@ def test_run_config_errors_are_one_line(tmp_path, monkeypatch, config, needle):
     ],
 )
 def test_output_path_errors_are_one_line(tmp_path, monkeypatch, args, prefix):
+    def no_work(*_):
+        raise AssertionError("computed before the output path was checked")
+
+    # the unwritable path is reported before any work is done
+    work = {"hecke": "hecke_charpolys_multimodular", "run": "run_pipeline"}
+    monkeypatch.setattr(cli, work[args[0]], no_work)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(
         json.dumps({"frobenius_primes": [2, 3, 5], "hecke": {"mode": "skip"}})

@@ -9,13 +9,19 @@ from quartic_galois.counting import (
     _VecField,
     _brute_count,
     _choose_chart,
+    _frobenius_residues,
+    _gcd_degrees,
     _orbit_reps,
     count_points,
     l_polynomial,
     l_polynomial_table,
 )
 from quartic_galois.curve import TernaryQuarticForm
+from quartic_galois.fields import make_field
 from quartic_galois.pipeline import DEFAULT_FROBENIUS_PRIMES
+from quartic_galois.polys import FqPoly
+
+from oracles import remainder_sequence_degrees
 
 CURVE = TernaryQuarticForm.bundled_curve()
 FERMAT = TernaryQuarticForm({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
@@ -31,7 +37,9 @@ def _abc(lp):
 
 
 def test_counts_match_brute_enumeration():
-    cases = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (5, 2)]
+    # (7, 2) starts the y^p ladder at y^7 on an extension field
+    cases = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (5, 2),
+             (7, 2)]
     # extensions of degree 3, 4 and 6 mix Frobenius orbits of sizes
     # 1, 2, 3, 4 and 6
     cases += [(3, 3), (2, 4), (3, 4), (2, 6)]
@@ -61,6 +69,110 @@ def test_orbit_representatives_cover_the_field():
         assert weight == q
         if m in (2, 3):
             assert reps == p + (q - p) // m
+
+
+def _from_roots(vf, roots, lanes):
+    """The product of y - root over ``roots``, (m, lanes) each, as an
+    (m, slot, lanes) array, low degree first."""
+    poly = np.zeros((vf.m, 1, lanes), dtype=vf.dtype)
+    poly[0] = 1
+    for root in roots:
+        out = np.zeros((vf.m, poly.shape[1] + 1, lanes), dtype=vf.dtype)
+        out[:, 1:] += poly
+        out[:, :-1] -= vf.mul(root[:, None], poly)
+        poly = vf.mod(out)
+    return poly
+
+
+def _gcd_lanes(vf, rng, lanes):
+    """(h4, r) over five kinds of lanes, ``lanes`` of each: random h and r;
+    r = 0; h with a repeated root; r a nonzero constant; r sharing the
+    factor y - a with h.  Returns the kind of each lane too."""
+    m, p = vf.m, vf.p
+
+    def elements(k):
+        return [rng.integers(0, p, (m, lanes)).astype(vf.dtype)
+                for _ in range(k)]
+
+    def monic(roots):
+        return _from_roots(vf, roots, lanes)[:, :4]
+
+    a, b, c, d, e, f = elements(6)
+    random_r = rng.integers(0, p, (m, 4, lanes)).astype(vf.dtype)
+    constant = np.zeros_like(random_r)
+    constant[:, 0] = elements(1)[0]
+    constant[0, 0, ~constant[:, 0].any(axis=0)] = 1
+    kinds = [
+        (rng.integers(0, p, (m, 4, lanes)).astype(vf.dtype), random_r),
+        (monic([a, b, c, d]), np.zeros_like(random_r)),
+        (monic([a, a, b, c]), random_r),
+        (monic([a, b, c, d]), constant),
+        (monic([a, b, c, d]), _from_roots(vf, [a, e, f], lanes)),
+    ]
+    h4 = np.concatenate([h for h, _ in kinds], axis=2)
+    r = np.concatenate([r for _, r in kinds], axis=2)
+    return h4, r, np.repeat(np.arange(len(kinds)), lanes)
+
+
+@pytest.mark.parametrize(
+    "p, m", [(73, 1), (11587, 1), (11, 2), (401, 2), (43, 3), (73, 3), (2, 4)]
+)
+def test_divsteps_match_the_remainder_sequence(monkeypatch, p, m):
+    rng = np.random.default_rng(p * 10 + m)
+    dtypes = []
+    for limit in (counting._INT32_LIMIT, 0):
+        monkeypatch.setattr(counting, "_INT32_LIMIT", limit)
+        vf = _VecField(p, m)
+        dtypes.append(vf.dtype)
+        h4, r, kind = _gcd_lanes(vf, rng, 200)
+        got = _gcd_degrees(vf, h4, r)
+        assert np.array_equal(got, remainder_sequence_degrees(vf, h4, r))
+        assert (got[kind == 1] == 4).all()
+        assert (got[kind == 3] == 0).all()
+        assert (got[kind == 4] >= 1).all()
+        if p > 40:
+            # the random roots are nearly always distinct, and then the
+            # shared factor is the whole gcd
+            assert (got[kind == 4] == 1).mean() > 0.9
+    assert dtypes[-1] == np.int64
+    assert (dtypes[0] == np.int64) == (p == 11587)
+
+
+@pytest.mark.parametrize("p, m", [(11, 2), (73, 2), (43, 3), (73, 3)])
+def test_divsteps_match_the_remainder_sequence_on_the_curve(monkeypatch, p, m):
+    # every lane the kernel counts for the bundled curve
+    lanes = []
+
+    def checked(vf, h4, r):
+        got = _gcd_degrees(vf, h4, r)
+        assert np.array_equal(got, remainder_sequence_degrees(vf, h4, r))
+        lanes.append(got.size)
+        return got
+
+    monkeypatch.setattr(counting, "_gcd_degrees", checked)
+    count_points(CURVE, p, m)
+    assert sum(lanes) == p + (p ** m - p) // m
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 17, 5, 13, 7, 29])
+def test_frobenius_residues_match_a_slow_power(p, m):
+    # p = 2, 3 start the y^p ladder at a monomial, 17, 5, 13 and 7 at
+    # y^4 .. y^7, and 29 = 0b11101 at y^7 with two more bits
+    rng = np.random.default_rng(p * 10 + m)
+    vf, F = _VecField(p, m), make_field(p, m)
+    x = rng.integers(0, p, (m, 6)).astype(vf.dtype)
+    coeff_rows = [
+        [(int(rng.integers(0, p)), int(rng.integers(0, 5))) for _ in range(3)]
+        for _ in range(4)
+    ]
+    h4, r = _frobenius_residues(vf, coeff_rows, x)
+    y = FqPoly.x(F)
+    for lane in range(x.shape[1]):
+        def coeffs(arr):
+            return [tuple(int(v) for v in arr[:, j, lane]) for j in range(4)]
+        h = FqPoly(F, coeffs(h4) + [F.one()])
+        assert FqPoly(F, coeffs(r)) == y.pow_mod(p ** m, h) - y
 
 
 def test_small_counts_exact():

@@ -1,5 +1,6 @@
 import pytest
 
+from quartic_galois import fields
 from quartic_galois.fields import FieldDescriptor, make_field
 
 TABLE_PRIMES = (2, 3, 5, 17, 19, 23, 41, 43, 73)
@@ -134,3 +135,11 @@ def test_gen_is_root_of_modulus():
 def test_make_field_is_cached():
     assert make_field(11, 2) is make_field(11, 2)
     assert isinstance(make_field(11, 2), FieldDescriptor)
+
+
+def test_modulus_search_failure_is_an_arithmetic_error(monkeypatch):
+    # a modulus search that finds nothing is a failed self-check, which
+    # survives python -O, not an assertion
+    monkeypatch.setattr(fields, "_poly_has_root", lambda coeffs, p: True)
+    with pytest.raises(ArithmeticError, match="degree-2 modulus mod 13"):
+        make_field.__wrapped__(13, 2)

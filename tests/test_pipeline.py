@@ -272,7 +272,7 @@ def test_count_block_error_fails_the_table(monkeypatch):
     # a kernel self-check that fails inside a count block names a prime
     # of that count, so the table step fails instead of the whole run
     def failing(*args):
-        raise ArithmeticError("polynomial remainder sequence did not terminate")
+        raise ArithmeticError("gcd divsteps did not reach g = 0")
 
     monkeypatch.setattr(counting, "_gcd_degrees", failing)
     cert = run_pipeline(
@@ -284,7 +284,7 @@ def test_count_block_error_fails_the_table(monkeypatch):
     error = cert.obligations[-1]["evidence"]["error"]
     assert error.startswith("L-polynomial at p=")
     assert error.endswith(
-        " failed: polynomial remainder sequence did not terminate"
+        " failed: gcd divsteps did not reach g = 0"
     )
 
 

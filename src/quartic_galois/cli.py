@@ -46,11 +46,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_lpoly(args) -> int:
     # a missing or malformed curve file, a non-prime p or a prime of bad
-    # reduction raises OSError or ValueError
+    # reduction raises OSError or ValueError; a failed kernel self-check,
+    # an inexact Newton division or a Weil bound raises ArithmeticError
     try:
         curve = TernaryQuarticForm.load(args.curve)
         lp = l_polynomial(curve, args.p)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         raise SystemExit("certify lpoly: %s" % exc)
     sys.stdout.write(json.dumps(lp.to_json_obj(), sort_keys=True) + "\n")
     return 0

@@ -1,17 +1,33 @@
 """Exact point counting on plane quartics over F_{p^m}, vectorized.
 
-The affine count over a field of q = p^m elements runs one coordinate x
-over F_q as numpy "lanes".  For each lane the curve restricts to a monic
-quartic h_x(y), and the number of its distinct roots in F_q is
-deg gcd(y^q - y, h_x).  That degree comes from y^p mod h_x by
-square-and-multiply from y^t, t the top three bits of p, then
-y^(p^k) = sum sigma(c_j) (y^p)^j for y^(p^(k-1)) = sum c_j y^j, and
-eight branch-free, inversion-free divsteps (Bernstein-Yang), all run
+Projection.  Once per prime, the count projects the curve C: F = 0 from
+an F_p-point.  It searches the first lines of P^2(F_p) for the smooth
+point P of C of smallest index and changes coordinates so that P is
+(0 : 0 : 1) and its tangent line is X = 0.  The quartic G in the new
+coordinates then has no Z^4 term and a Z^3 coefficient cX with c != 0
+(Taylor's expansion at P, in any characteristic).  The chart X = 1 runs
+one coordinate t over F_q, q = p^m, as numpy "lanes", and each lane
+counts the distinct roots in F_q of the monic cubic
+h_t(z) = G(1, t, z) / c.  The tangent line adds P and the roots in F_q
+of G(0, 1, z), of degree <= 2 over F_p, found by an ``FqPoly`` gcd
+(q + 1 points if the line lies on C).  A curve with no smooth F_p-point
+found (degenerate mod p, or with no F_p-point at all) is projected
+instead from the vertex of a coordinate chart, a point off the curve:
+there each lane's h_x(y) is a monic quartic, and the line at infinity
+is counted the same way.  With neither, fields of at most 512 elements
+are enumerated and larger ones raise ``BudgetExceededError``.
+
+Roots.  The number of distinct roots of a monic h of degree d in {3, 4}
+in F_q is deg gcd(y^q - y, h), and the kernel reads d from the shape of
+h.  That degree comes from y^p mod h by square-and-multiply from y^t,
+t the top three bits of p, using the d - 1 powers y^d .. y^(2d-2) mod h,
+then y^(p^k) = sum sigma(c_j) (y^p)^j for y^(p^(k-1)) = sum c_j y^j,
+and 2d branch-free, inversion-free divsteps (Bernstein-Yang), all run
 simultaneously on every lane.
 
 Frobenius orbits.  The curve has coefficients in F_p, so the Frobenius
 sigma(x) = x^p maps h_x to h_{sigma(x)} = sigma(h_x), and the two have
-the same number of distinct roots.  Only one x per orbit is counted:
+the same number of distinct roots.  Only one lane x per orbit is counted:
 the one whose base-p index is smallest in its orbit, weighted by the
 orbit size (the least k >= 1 with sigma^k(x) = x).  Frobenius is
 F_p-linear on coordinate vectors, so it is one sparse m x m map mod p.
@@ -53,12 +69,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .curve import (
-    LPolynomial,
-    TernaryQuarticForm,
-    coordinate_line_poly,
-    singular_points,
-)
+from .curve import LPolynomial, TernaryQuarticForm, singular_points
 from .fields import make_field
 from .polys import FqPoly
 
@@ -70,6 +81,9 @@ _THREADS = (
     else os.cpu_count() or 1
 )
 _INT32_LIMIT = 2 ** 31  # lane range bounds below this run on int32
+_SEARCH_LINES = 16  # the smooth-point search covers this many lines
+
+Point = Tuple[int, int, int]
 
 
 class BadReductionError(ValueError):
@@ -94,7 +108,8 @@ class _VecField:
 
     def __init__(self, p: int, m: int):
         # the kernel sums at most 16m products of residues before one
-        # reduction multiplies them by constants below p
+        # reduction multiplies them by constants below p; the count was
+        # made for quartic lanes (d = 4), and cubic lanes sum fewer
         bound = 16 * m * p * p * (1 + (m - 1) * p)
         if bound >= 2 ** 63:
             raise OverflowError("F_%d^%d overflows int64 lanes" % (p, m))
@@ -170,6 +185,138 @@ def _choose_chart(
     return None
 
 
+class _Projection(NamedTuple):
+    """C seen from one F_p-point: |C(F_q)| is ``extra`` (the centre, if
+    it lies on C) plus the roots in F_q of the F_p polynomial ``line``
+    (q + 1 points when it is zero) plus, for every lane t in F_q, the
+    distinct roots in F_q of the monic h_t(y) of degree
+    d = len(coeff_rows) whose y^j coefficient is the sum of c t^e over the
+    (c, e) in ``coeff_rows[j]``."""
+
+    coeff_rows: List[List[Tuple[int, int]]]
+    line: FqPoly
+    extra: int
+
+
+def _smooth_point(curve: TernaryQuarticForm, p: int) -> Optional[Point]:
+    """The smooth point of C(F_p) of smallest index among the first
+    _SEARCH_LINES lines of P^2(F_p), or None.
+
+    Index 0 is (0 : 0 : 1), 1 + z is (0 : 1 : z) and p + 1 + yp + z is
+    (1 : y : z).  Blocks of indices are tested at once on int64 lanes,
+    every product of two residues reduced mod p.  A curve with an
+    F_p-point has one on the first lines unless it is degenerate mod p,
+    so the cap keeps the search O(p) without changing any count.
+    """
+    forms = [
+        [(e, c % p) for e, c in coeffs.items() if c % p]
+        for coeffs in [curve.coeffs] + [curve.partial(v) for v in range(3)]
+    ]
+    total = min(p * p + p + 1, _SEARCH_LINES * p + 1)
+    for lo in range(0, total, _BLOCK):
+        n = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
+        y, z = np.divmod(n - p - 1, p)
+        affine = n > p
+        pt = np.stack([
+            affine.astype(np.int64),
+            np.where(affine, y, n > 0),
+            np.where(affine, z, np.where(n > 0, n - 1, 1)),
+        ])
+        pw = [[np.ones_like(n), c] for c in pt]
+        for v in range(3):
+            for _ in range(3):
+                pw[v].append(pw[v][-1] * pt[v] % p)
+        vals = []
+        for terms in forms:
+            acc = np.zeros_like(n)
+            for (i, j, k), c in terms:
+                acc += c * (pw[0][i] * pw[1][j] % p * pw[2][k] % p)
+            vals.append(acc % p)
+        hit = np.flatnonzero(
+            (vals[0] == 0) & ((vals[1] != 0) | (vals[2] != 0) | (vals[3] != 0))
+        )
+        if hit.size:
+            return tuple(int(c) for c in pt[:, hit[0]])
+    return None
+
+
+def _project(
+    curve: TernaryQuarticForm, p: int, a: Point, b: Point, c: Point
+) -> _Projection:
+    """The projection of C from the F_p-point c, in the coordinates
+    (X : Y : Z) -> X a + Y b + Z c.
+
+    G = F(Xa + Yb + Zc) restricts on the chart X = 1 to G(1, t, z).  If
+    c is off C, its z^4 coefficient F(c) is a unit and each lane t
+    counts the roots of a quartic.  If c is a smooth point whose tangent
+    line is spanned by b and c, and a is off that line, then by Taylor's
+    expansion at c (valid in any characteristic) G has no Z^4 term and
+    the Z^3 coefficient g . a X, g the gradient at c, so each lane counts
+    the roots of a cubic.  The line X = 0 holds the roots of G(0, 1, z),
+    of degree <= 2 for a smooth c, and c itself if it is on C.
+    """
+    G = {e: k % p for e, k in curve.in_coordinates(a, b, c).items() if k % p}
+    d = 4 if (0, 0, 4) in G else 3
+    if (4 - d, 0, d) not in G or d == 3 and (0, 1, 3) in G:
+        raise ArithmeticError("the projection has no constant leading term")
+    lead_inv = pow(G[4 - d, 0, d], -1, p)
+    coeff_rows: List[List[Tuple[int, int]]] = [[] for _ in range(d)]
+    for (_, e, j), k in G.items():
+        if j < d:
+            coeff_rows[j].append((k * lead_inv % p, e))
+    line = FqPoly.from_ints(
+        make_field(p, 1), [G.get((0, 4 - j, j), 0) for j in range(5)]
+    )
+    return _Projection(coeff_rows, line, int(d == 3))
+
+
+def _project_from(
+    curve: TernaryQuarticForm, p: int, point: Point
+) -> _Projection:
+    """The projection of C from its smooth F_p-point P.
+
+    a = e_i for the first i with g_i = dF/dx_i(P) nonzero, and
+    b = g_i e_j - g_j e_i for the first j != i that keeps b off P, so b
+    and P span the tangent line g . v = 0 (P is on it by Euler's
+    relation 4F = sum x_i dF/dx_i) and a is off it.
+    """
+    grad = [
+        sum(c * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2]
+            for e, c in curve.partial(v).items()) % p
+        for v in range(3)
+    ]
+    i = next(v for v in range(3) if grad[v])
+    for j in (v for v in range(3) if v != i):
+        b = [0, 0, 0]
+        b[i], b[j] = -grad[j] % p, grad[i]
+        if any((b[u] * point[v] - b[v] * point[u]) % p
+               for u, v in ((0, 1), (0, 2), (1, 2))):
+            break
+    return _project(curve, p, _unit(i), tuple(b), point)
+
+
+def _unit(v: int) -> Point:
+    return tuple(int(u == v) for u in range(3))
+
+
+def _projection(
+    curve: TernaryQuarticForm, p: int
+) -> Optional[_Projection]:
+    """The projection from the smooth F_p-point of smallest index (cubic
+    lanes); else from the vertex of a chart, a point off the curve
+    (quartic lanes); else None, and only brute enumeration is left."""
+    point = _smooth_point(curve, p)
+    if point is not None:
+        return _project_from(curve, p, point)
+    chart = _choose_chart(curve, p)
+    if chart is None:
+        return None
+    iter_var, root_var, chart_var = chart
+    return _project(
+        curve, p, _unit(chart_var), _unit(iter_var), _unit(root_var)
+    )
+
+
 def _brute_count(curve: TernaryQuarticForm, p: int, m: int) -> int:
     F = make_field(p, m)
     els = list(F.elements())
@@ -191,37 +338,37 @@ def _brute_count(curve: TernaryQuarticForm, p: int, m: int) -> int:
 # vectorized root counting
 
 
-def _gcd_degrees(vf: _VecField, h4: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """deg gcd(h, r) per lane, h monic quartic ((m, 4, lanes) holds
-    a0..a3), r of degree <= 3 ((m, 4, lanes)).
+def _gcd_degrees(vf: _VecField, h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """deg gcd(h, r) per lane, h monic of degree d ((m, d, lanes) holds
+    a0..a_{d-1}), r of degree < d ((m, d, lanes)).
 
     Polynomial divsteps (Bernstein-Yang, "Fast constant-time gcd
     computation and modular inversion", TCHES 2019, Theorem 6.2) on
-    f = y^4 h(1/y) and g = y^3 r(1/y) from delta = 1: a step swaps f
+    f = y^d h(1/y) and g = y^(d-1) r(1/y) from delta = 1: a step swaps f
     and g where delta > 0 and g(0) != 0, negating delta, then sets
-    g <- (f(0) g - g(0) f) / y and adds 1 to delta.  After 7 steps
+    g <- (f(0) g - g(0) f) / y and adds 1 to delta.  After 2d - 1 steps
     delta = 2 deg gcd(h, r).  Each step lowers the sum of the formal
-    degrees of f and g (4 + 3 at the start) by one and f(0) never
-    vanishes, so an 8th step leaves g = 0 on every lane, which is
+    degrees of f and g (d + d - 1 at the start) by one and f(0) never
+    vanishes, so a last step leaves g = 0 on every lane, which is
     checked, and delta // 2 the degree.  Every lane takes the same
     fixed slices; g is formed from the pair before the swap, which on
     swapped lanes only negates it.
     """
-    m, _, lanes = h4.shape
-    f = np.zeros((m, 5, lanes), dtype=vf.dtype)
+    m, d, lanes = h.shape
+    f = np.zeros((m, d + 1, lanes), dtype=vf.dtype)
     f[0, 0] = 1
-    f[:, 1:] = h4[:, ::-1]
+    f[:, 1:] = h[:, ::-1]
     g = r[:, ::-1]
     delta = np.ones(lanes, dtype=np.int64)
-    for _ in range(8):
+    for _ in range(2 * d):
         swap = (delta > 0) & g[:, 0].any(axis=0)
         # slots 1.. of f(0) g - g(0) f; slot 0 is zero
-        acc = np.zeros((2 * m - 1, 4, lanes), dtype=vf.dtype)
+        acc = np.zeros((2 * m - 1, d, lanes), dtype=vf.dtype)
         for i in range(m):
-            acc[i:i + m, :3] += f[i, 0] * g[:, 1:]
+            acc[i:i + m, :d - 1] += f[i, 0] * g[:, 1:]
             acc[i:i + m] -= g[i, 0] * f[:, 1:]
-        np.copyto(f[:, :4], g, where=swap)
-        np.copyto(f[:, 4], 0, where=swap)
+        np.copyto(f[:, :d], g, where=swap)
+        np.copyto(f[:, d], 0, where=swap)
         g = vf.reduce(acc)
         delta = np.where(swap, -delta, delta) + 1
     if g.any():
@@ -253,73 +400,77 @@ def _orbit_reps(
 def _frobenius_residues(
     vf: _VecField, coeff_rows: List[List[Tuple[int, int]]], x: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(h4, r) per lane x: the low coefficients of the monic quartic
-    h_x(y) and r = y^q - y mod h_x, so that deg gcd(h_x, r) is the
-    number of distinct roots of h_x in F_q.
+    """(h, r) per lane x: the low coefficients of the monic h_x(y) of
+    degree d = len(coeff_rows) and r = y^q - y mod h_x, so that
+    deg gcd(h_x, r) is the number of distinct roots of h_x in F_q.
 
     ``coeff_rows[j]`` lists (coefficient, power-of-iterate) pairs making
-    up the (already monic-normalized) y^j coefficient, j = 0..3.  The
+    up the (already monic-normalized) y^j coefficient, j = 0..d-1.  The
     y-power temporaries die with this frame, before the gcd runs.
     """
-    p, m = vf.p, vf.m
+    p, m, d = vf.p, vf.m, len(coeff_rows)
     lanes = x.shape[1]
     xpow = [np.zeros((m, lanes), dtype=vf.dtype)]
     xpow[0][0] = 1
     for _ in range(4):
         xpow.append(vf.mul(xpow[-1], x))
-    h4 = np.zeros((m, 4, lanes), dtype=vf.dtype)
+    h = np.zeros((m, d, lanes), dtype=vf.dtype)
     for j, row in enumerate(coeff_rows):
-        for c, d in row:
-            h4[:, j] += c * xpow[d]
-    h4 = vf.mod(h4)
+        for c, e in row:
+            h[:, j] += c * xpow[e]
+    h = vf.mod(h)
 
     def times_y(u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
-        out[:, 1:] = u[:, :3]
-        return vf.mod(out + vf.mul(u[:, 3:], pow4))
+        out[:, 1:] = u[:, :d - 1]
+        return vf.mod(out + vf.mul(u[:, d - 1:], high_pows[:, 0]))
 
-    # y^4, y^5, y^6 mod h, stacked as (m, 3, 4, lanes)
-    pow4 = vf.mod(-h4)
-    pow5 = times_y(pow4)
-    high_pows = np.stack([pow4, pow5, times_y(pow5)], axis=1)
+    # y^d .. y^(2d-2) mod h, stacked as (m, d - 1, d, lanes)
+    high_pows = np.empty((m, d - 1, d, lanes), dtype=vf.dtype)
+    high_pows[:, 0] = vf.mod(-h)
+    for k in range(1, d - 1):
+        high_pows[:, k] = times_y(high_pows[:, k - 1])
 
     def square(u: np.ndarray) -> np.ndarray:
         # u^2 as a polynomial in (x, y), each cross term taken once
-        acc = np.zeros((2 * m - 1, 7, lanes), dtype=vf.dtype)
+        acc = np.zeros((2 * m - 1, 2 * d - 1, lanes), dtype=vf.dtype)
         twice = 2 * u
         for i in range(m):
-            for j in range(4):
+            for j in range(d):
                 acc[2 * i, 2 * j] += u[i, j] * u[i, j]
-                if j < 3:
-                    acc[2 * i, 2 * j + 1:j + 4] += twice[i, j] * u[i, j + 1:]
+                if j < d - 1:
+                    acc[2 * i, 2 * j + 1:j + d] += twice[i, j] * u[i, j + 1:]
                 if i < m - 1:
-                    acc[2 * i + 1:i + m, j:j + 4] += twice[i, j] * u[i + 1:]
-        # fold y^4..y^6 back with the lane's own powers, then reduce x
-        high = vf.reduce(acc[:, 4:])
-        low = acc[:, :4]
+                    acc[2 * i + 1:i + m, j:j + d] += twice[i, j] * u[i + 1:]
+        # fold y^d..y^(2d-2) back with the lane's own powers, then reduce x
+        high = vf.reduce(acc[:, d:])
+        low = acc[:, :d]
         for i in range(m):
-            for k in range(3):
+            for k in range(d - 1):
                 low[i:i + m] += high[i, k] * high_pows[:, k]
         return vf.reduce(low)
 
     def combine(c: np.ndarray, polys: List[np.ndarray]) -> np.ndarray:
-        # sum over j of c_j * polys[j], c of shape (m, 4, lanes)
-        acc = np.zeros((2 * m - 1, 4, lanes), dtype=vf.dtype)
+        # sum over j of c_j * polys[j], c of shape (m, d, lanes)
+        acc = np.zeros((2 * m - 1, d, lanes), dtype=vf.dtype)
         for i in range(m):
             for j, poly in enumerate(polys):
                 acc[i:i + m] += c[i, j] * poly
         return vf.reduce(acc)
 
     # Y = y^p by square-and-multiply from y^t, t the top three bits of p
-    # (or t = p < 4), then y^(p^k) = sum sigma(c_j) Y^j where
+    # (or t = p < 8): a monomial for t < d, a held power up to y^(2d-2),
+    # else times y from there; then y^(p^k) = sum sigma(c_j) Y^j where
     # y^(p^(k-1)) = sum c_j y^j, since u -> u^p is a ring map
     bits = bin(p)[2:]
-    if p < 4:
-        r = np.zeros((m, 4, lanes), dtype=vf.dtype)
-        r[0, p] = 1
+    t = int(bits[:3], 2)
+    if t < d:
+        r = np.zeros((m, d, lanes), dtype=vf.dtype)
+        r[0, t] = 1
     else:
-        t = int(bits[:3], 2)
-        r = times_y(high_pows[:, 2]) if t == 7 else high_pows[:, t - 4].copy()
+        r = high_pows[:, min(t, 2 * d - 2) - d].copy()
+        for _ in range(t - (2 * d - 2)):
+            r = times_y(r)
     for bit in bits[3:]:
         r = square(r)
         if bit == "1":
@@ -327,20 +478,21 @@ def _frobenius_residues(
     if m > 1:
         one = np.zeros_like(r)
         one[0, 0] = 1
-        ys = [r]
-        for _ in range(3):
-            ys.append(times_y(ys[-1]))
-        r2 = square(r)
-        ypows = [one, r, r2, combine(r2, ys)]
+        ypows = [one, r, square(r)]
+        if d == 4:
+            ys = [r]
+            for _ in range(3):
+                ys.append(times_y(ys[-1]))
+            ypows.append(combine(ypows[2], ys))
         for _ in range(m - 1):
             r = combine(vf.frobenius(r), ypows)
     r[0, 1] -= 1
-    return h4, vf.mod(r)
+    return h, vf.mod(r)
 
 
 class _Plan(NamedTuple):
     """|C(F_q)| is ``known`` plus the sum of ``count_block`` over
-    ``blocks``, the index ranges of the affine chart."""
+    ``blocks``, the index ranges of the lanes."""
 
     q: int
     known: int
@@ -348,38 +500,41 @@ class _Plan(NamedTuple):
     blocks: List[Tuple[int, int]]
 
 
-def _plan_count(curve: TernaryQuarticForm, p: int, m: int) -> _Plan:
-    """Checks (p, m) against the budget and the chart, and counts what
-    needs no kernel: the brute fallback or the line at infinity."""
-    if m < 1:
-        raise ValueError("extension degree must be >= 1")
+def _plan_counts(
+    curve: TernaryQuarticForm, p: int, degrees: Sequence[int]
+) -> List[_Plan]:
+    """The plans of |C(F_{p^m})| for m in ``degrees``.  Every field is
+    checked against the budget before the projection is found, once for
+    the prime and shared by its counts."""
+    for m in degrees:
+        if m < 1:
+            raise ValueError("extension degree must be >= 1")
+        if p ** m > _FIELD_BUDGET:
+            raise BudgetExceededError(
+                "field size %d exceeds the %d budget" % (p ** m, _FIELD_BUDGET)
+            )
+    projection = _projection(curve, p)
+    return [_plan_count(curve, p, m, projection) for m in degrees]
+
+
+def _plan_count(
+    curve: TernaryQuarticForm, p: int, m: int,
+    projection: Optional[_Projection],
+) -> _Plan:
+    """Counts what needs no kernel, the brute fallback when there is no
+    projection or the line it leaves out, and cuts the lanes into
+    blocks."""
     q = p ** m
-    if q > _FIELD_BUDGET:
-        raise BudgetExceededError(
-            "field size %d exceeds the %d budget" % (q, _FIELD_BUDGET)
-        )
-    chart = _choose_chart(curve, p)
-    if chart is None:
+    if projection is None:
         if q <= _BRUTE_LIMIT:
             return _Plan(q, _brute_count(curve, p, m), None, [])
         raise BudgetExceededError(
-            "no coordinate has a unit pure fourth power mod %d and the "
-            "field is too large for brute enumeration" % p
+            "no smooth F_%d-point found, no coordinate has a unit pure "
+            "fourth power mod %d, and the field is too large for brute "
+            "enumeration" % (p, p)
         )
-    iter_var, root_var, chart_var = chart
     vf = _VecField(p, m)
-    # monic normalization: divide by the pure root^4 coefficient
-    exps = [0, 0, 0]
-    exps[root_var] = 4
-    lead = curve.coeff(*exps) % p
-    lead_inv = pow(lead, -1, p)
-    coeff_rows: List[List[Tuple[int, int]]] = [[] for _ in range(4)]
-    for (i, j, k), c in curve.coeffs.items():
-        e = (i, j, k)
-        jr = e[root_var]
-        if jr == 4:
-            continue
-        coeff_rows[jr].append((c * lead_inv % p, e[iter_var]))
+    coeff_rows = projection.coeff_rows
 
     def count_block(block: Tuple[int, int]) -> int:
         x, orbit_size = _orbit_reps(vf, *block)
@@ -395,20 +550,14 @@ def _plan_count(curve: TernaryQuarticForm, p: int, m: int) -> _Plan:
     step = _BLOCK * m
     blocks = [(lo, min(lo + step, q)) for lo in range(0, q, step)]
 
-    # the line chart_var = 0: points (u : 1 : 0) plus (1 : 0 : 0).  The
-    # line polynomial g has F_p coefficients, so its number of roots in
-    # F_q, deg gcd(g, x^q - x), is computed over F_p.
-    F = make_field(p, 1)
-    g = coordinate_line_poly(curve.coeffs, F, iter_var, chart_var)
+    # the line polynomial g has F_p coefficients, so its number of roots
+    # in F_q, deg gcd(g, x^q - x), is computed over F_p
+    g = projection.line
     if g.is_zero():
         line = q + 1  # the whole line lies on the curve
     else:
-        x = FqPoly.x(F)
-        line = g.gcd(x.pow_mod(q, g) - x).degree
-        exps = [0, 0, 0]
-        exps[iter_var] = 4
-        if curve.coeff(*exps) % p == 0:
-            line += 1
+        x = FqPoly.x(g.field)
+        line = g.gcd(x.pow_mod(q, g) - x).degree + projection.extra
     return _Plan(q, line, count_block, blocks)
 
 
@@ -447,7 +596,7 @@ def count_points(curve: TernaryQuarticForm, p: int, m: int) -> int:
     The caller is responsible for checking smoothness of the fiber (see
     :func:`l_polynomial`); the count itself is well defined regardless.
     """
-    return _run_plans([_plan_count(curve, p, m)])[0]
+    return _run_plans(_plan_counts(curve, p, [m]))[0]
 
 
 def l_polynomial_table(
@@ -472,7 +621,7 @@ def l_polynomial_table(
                 raise BadReductionError(
                     "curve has bad (or unresolved) reduction at %d" % p
                 )
-            row = [_plan_count(curve, p, m) for m in (1, 2, 3)]
+            row = _plan_counts(curve, p, (1, 2, 3))
         except (ValueError, ArithmeticError) as exc:
             exc.prime, failure = p, exc
             break

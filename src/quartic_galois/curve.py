@@ -116,6 +116,16 @@ class TernaryQuarticForm:
     def evaluate_int(self, x: int, y: int, z: int) -> int:
         return _eval_map(self.coeffs, x, y, z)
 
+    def in_coordinates(
+        self, a: Sequence[int], b: Sequence[int], c: Sequence[int]
+    ) -> Dict[Monomial, int]:
+        """The coefficient map of F(Xa + Yb + Zc) for integer vectors
+        a, b, c, in the exponents of (X, Y, Z)."""
+        X, Y, Z = _XYZ.gens
+        images = [a[v] * X + b[v] * Y + c[v] * Z for v in range(3)]
+        f = _XYZ.from_dict(self.coeffs)
+        return dict(f.compose(list(zip(_XYZ.gens, images))).items())
+
     def evaluate(self, F: FieldDescriptor, pt) -> tuple:
         """Evaluate over a finite field at a triple of field elements."""
         x, y, z = pt

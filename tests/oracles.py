@@ -171,17 +171,17 @@ def _shift(parr: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out * (idx >= 0)
 
 
-def remainder_sequence_degrees(vf, h4: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """deg gcd(h, r) per lane, h monic quartic ((m, 4, lanes) holds
-    a0..a3), r of degree <= 3 ((m, 4, lanes)), on the lanes of the
+def remainder_sequence_degrees(vf, h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """deg gcd(h, r) per lane, h monic of degree d ((m, d, lanes) holds
+    a0..a_{d-1}), r of degree < d ((m, d, lanes)), on the lanes of the
     counting kernel's ``_VecField`` ``vf``."""
-    m, _, lanes = h4.shape
-    A = np.zeros((m, 5, lanes), dtype=vf.dtype)
-    A[:, :4] = h4
-    A[0, 4] = 1
+    m, d, lanes = h.shape
+    A = np.zeros((m, d + 1, lanes), dtype=vf.dtype)
+    A[:, :d] = h
+    A[0, d] = 1
     B = np.zeros_like(A)
-    B[:, :4] = r
-    degA, degB = np.full(lanes, 4), _deg(B)
+    B[:, :d] = r
+    degA, degB = np.full(lanes, d), _deg(B)
     one = np.zeros((m, 1, lanes), dtype=vf.dtype)
     one[0] = 1
     for _ in range(64):
@@ -194,8 +194,8 @@ def remainder_sequence_degrees(vf, h4: np.ndarray, r: np.ndarray) -> np.ndarray:
         lcA = np.take_along_axis(A, degA[None, None], axis=1)
         lcB = np.take_along_axis(B, degB[None, None], axis=1)
         lcB = np.where(active, lcB, one)
-        shifted = _shift(B, np.where(active, degA - degB, 5))
-        acc = np.zeros((2 * m - 1, 5, lanes), dtype=vf.dtype)
+        shifted = _shift(B, np.where(active, degA - degB, d + 1))
+        acc = np.zeros((2 * m - 1, d + 1, lanes), dtype=vf.dtype)
         for i in range(m):
             acc[i:i + m] += lcB[i] * A
             acc[i:i + m] -= lcA[i] * shifted

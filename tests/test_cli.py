@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from quartic_galois import cli
+from quartic_galois import cli, counting
 from quartic_galois.cli import main
 
 
@@ -34,6 +34,17 @@ def test_lpoly_errors_are_one_line(tmp_path, monkeypatch, args, needle):
     assert isinstance(message, str) and message.startswith("certify lpoly: ")
     assert "\n" not in message
     assert needle in message
+
+
+def test_lpoly_arithmetic_errors_are_one_line(monkeypatch):
+    # a failed kernel self-check names the prime and exits with one line
+    def failing(*args):
+        raise ArithmeticError("gcd divsteps did not reach g = 0")
+
+    monkeypatch.setattr(counting, "_gcd_degrees", failing)
+    with pytest.raises(SystemExit) as exc:
+        main(["lpoly", "--p", "5"])
+    assert exc.value.code == "certify lpoly: gcd divsteps did not reach g = 0"
 
 
 def test_facts_subcommand(capsys):

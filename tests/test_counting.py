@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,10 @@ from quartic_galois.counting import (
     _frobenius_residues,
     _gcd_degrees,
     _orbit_reps,
+    _plan_count,
+    _project_from,
+    _projection,
+    _run_plans,
     count_points,
     l_polynomial,
     l_polynomial_table,
@@ -30,6 +36,9 @@ FERMAT = TernaryQuarticForm({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
 KLEIN_Y4 = TernaryQuarticForm(
     {(3, 1, 0): 1, (0, 3, 1): 1, (1, 0, 3): 1, (0, 4, 0): 1}
 )
+# y (x^3 + x y^2 + y z^2): no pure fourth power, but the smooth point
+# (1 : 0 : 0) mod every p, where the tangent line y = 0 lies on the curve
+LINE_AND_CUBIC = TernaryQuarticForm({(3, 1, 0): 1, (1, 3, 0): 1, (0, 2, 2): 1})
 
 
 def _abc(lp):
@@ -84,10 +93,11 @@ def _from_roots(vf, roots, lanes):
     return poly
 
 
-def _gcd_lanes(vf, rng, lanes):
-    """(h4, r) over five kinds of lanes, ``lanes`` of each: random h and r;
-    r = 0; h with a repeated root; r a nonzero constant; r sharing the
-    factor y - a with h.  Returns the kind of each lane too."""
+def _gcd_lanes(vf, rng, lanes, d):
+    """(h, r) for a monic h of degree d over five kinds of lanes,
+    ``lanes`` of each: random h and r; r = 0; h with a repeated root; r a
+    nonzero constant; r sharing the factor y - a with h.  Returns the
+    kind of each lane too."""
     m, p = vf.m, vf.p
 
     def elements(k):
@@ -95,39 +105,42 @@ def _gcd_lanes(vf, rng, lanes):
                 for _ in range(k)]
 
     def monic(roots):
-        return _from_roots(vf, roots, lanes)[:, :4]
+        return _from_roots(vf, roots, lanes)[:, :d]
 
-    a, b, c, d, e, f = elements(6)
-    random_r = rng.integers(0, p, (m, 4, lanes)).astype(vf.dtype)
+    a, b, c, e, f, g = elements(6)
+    random_r = rng.integers(0, p, (m, d, lanes)).astype(vf.dtype)
     constant = np.zeros_like(random_r)
     constant[:, 0] = elements(1)[0]
     constant[0, 0, ~constant[:, 0].any(axis=0)] = 1
+    distinct = [a, b, c, e][:d]
     kinds = [
-        (rng.integers(0, p, (m, 4, lanes)).astype(vf.dtype), random_r),
-        (monic([a, b, c, d]), np.zeros_like(random_r)),
-        (monic([a, a, b, c]), random_r),
-        (monic([a, b, c, d]), constant),
-        (monic([a, b, c, d]), _from_roots(vf, [a, e, f], lanes)),
+        (rng.integers(0, p, (m, d, lanes)).astype(vf.dtype), random_r),
+        (monic(distinct), np.zeros_like(random_r)),
+        (monic([a, a, b, c][:d]), random_r),
+        (monic(distinct), constant),
+        (monic(distinct), _from_roots(vf, [a, f, g][:d - 1], lanes)),
     ]
-    h4 = np.concatenate([h for h, _ in kinds], axis=2)
+    h = np.concatenate([h for h, _ in kinds], axis=2)
     r = np.concatenate([r for _, r in kinds], axis=2)
-    return h4, r, np.repeat(np.arange(len(kinds)), lanes)
+    return h, r, np.repeat(np.arange(len(kinds)), lanes)
 
 
 @pytest.mark.parametrize(
     "p, m", [(73, 1), (11587, 1), (11, 2), (401, 2), (43, 3), (73, 3), (2, 4)]
 )
 def test_divsteps_match_the_remainder_sequence(monkeypatch, p, m):
+    # on int32 and int64 lanes, for the cubics and the quartics the
+    # kernel counts roots of
     rng = np.random.default_rng(p * 10 + m)
     dtypes = []
-    for limit in (counting._INT32_LIMIT, 0):
+    for limit, d in itertools.product((counting._INT32_LIMIT, 0), (3, 4)):
         monkeypatch.setattr(counting, "_INT32_LIMIT", limit)
         vf = _VecField(p, m)
         dtypes.append(vf.dtype)
-        h4, r, kind = _gcd_lanes(vf, rng, 200)
-        got = _gcd_degrees(vf, h4, r)
-        assert np.array_equal(got, remainder_sequence_degrees(vf, h4, r))
-        assert (got[kind == 1] == 4).all()
+        h, r, kind = _gcd_lanes(vf, rng, 200, d)
+        got = _gcd_degrees(vf, h, r)
+        assert np.array_equal(got, remainder_sequence_degrees(vf, h, r))
+        assert (got[kind == 1] == d).all()
         assert (got[kind == 3] == 0).all()
         assert (got[kind == 4] >= 1).all()
         if p > 40:
@@ -157,22 +170,109 @@ def test_divsteps_match_the_remainder_sequence_on_the_curve(monkeypatch, p, m):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("p", [2, 3, 17, 5, 13, 7, 29])
 def test_frobenius_residues_match_a_slow_power(p, m):
-    # p = 2, 3 start the y^p ladder at a monomial, 17, 5, 13 and 7 at
-    # y^4 .. y^7, and 29 = 0b11101 at y^7 with two more bits
+    # the y^p ladder starts at y^t, t the top three bits of p: for the
+    # quartic (d = 4), p = 2, 3 start at a monomial, 17, 5, 13 at the held
+    # y^4 .. y^6 and 7 one step above; for the cubic (d = 3), p = 2 at a
+    # monomial, 3, 17 at the held y^3, y^4 and 5, 13, 7 one to three steps
+    # above; 29 = 0b11101 starts at y^7 with two more bits
     rng = np.random.default_rng(p * 10 + m)
     vf, F = _VecField(p, m), make_field(p, m)
-    x = rng.integers(0, p, (m, 6)).astype(vf.dtype)
-    coeff_rows = [
-        [(int(rng.integers(0, p)), int(rng.integers(0, 5))) for _ in range(3)]
-        for _ in range(4)
-    ]
-    h4, r = _frobenius_residues(vf, coeff_rows, x)
     y = FqPoly.x(F)
-    for lane in range(x.shape[1]):
-        def coeffs(arr):
-            return [tuple(int(v) for v in arr[:, j, lane]) for j in range(4)]
-        h = FqPoly(F, coeffs(h4) + [F.one()])
-        assert FqPoly(F, coeffs(r)) == y.pow_mod(p ** m, h) - y
+    for d in (3, 4):
+        x = rng.integers(0, p, (m, 6)).astype(vf.dtype)
+        coeff_rows = [
+            [(int(rng.integers(0, p)), int(rng.integers(0, 5)))
+             for _ in range(3)]
+            for _ in range(d)
+        ]
+        h, r = _frobenius_residues(vf, coeff_rows, x)
+        assert h.shape == r.shape == (m, d, 6)
+        for lane in range(x.shape[1]):
+            def coeffs(arr):
+                return [tuple(int(v) for v in arr[:, j, lane])
+                        for j in range(d)]
+            monic = FqPoly(F, coeffs(h) + [F.one()])
+            assert FqPoly(F, coeffs(r)) == y.pow_mod(p ** m, monic) - y
+
+
+def _smooth_points(form, p):
+    """Every smooth point of the form's curve over F_p, by enumeration."""
+    points = [(0, 0, 1)] + [(0, 1, z) for z in range(p)]
+    points += [(1, y, z) for y in range(p) for z in range(p)]
+    maps = [form.coeffs] + [form.partial(v) for v in range(3)]
+
+    def value(coeffs, pt):
+        return sum(
+            c * pt[0] ** i * pt[1] ** j * pt[2] ** k
+            for (i, j, k), c in coeffs.items()
+        ) % p
+
+    return [
+        pt for pt in points
+        if value(maps[0], pt) == 0 and any(value(g, pt) for g in maps[1:])
+    ]
+
+
+@pytest.mark.parametrize("form, p, degrees", [
+    (FERMAT, 3, (1, 2, 3)),
+    (FERMAT, 17, (1,)),
+    (KLEIN_Y4, 2, (1, 2, 3)),
+    (KLEIN_Y4, 3, (1, 2)),
+    (CURVE, 2, (1, 2, 3)),
+    (LINE_AND_CUBIC, 2, (1, 2, 3)),
+    (LINE_AND_CUBIC, 3, (1, 2)),
+])
+def test_every_projection_centre_gives_the_brute_count(form, p, degrees):
+    # the count must not depend on the smooth point projected from; the
+    # centres include hyperflexes, whose tangent line meets the curve only
+    # there (every centre of FERMAT at 3 and 17, one of KLEIN_Y4 at 3),
+    # ordinary flexes and tangent lines that lie on the curve
+    centres = _smooth_points(form, p)
+    assert centres
+    projections = [_project_from(form, p, pt) for pt in centres]
+    assert all(len(proj.coeff_rows) == 3 for proj in projections)
+    if form is FERMAT or form is KLEIN_Y4 and p == 3:
+        assert any(proj.line.degree == 0 for proj in projections)
+    if form is LINE_AND_CUBIC:
+        assert any(proj.line.is_zero() for proj in projections)
+    for m in degrees:
+        brute = _brute_count(form, p, m)
+        for proj in projections:
+            assert _run_plans([_plan_count(form, p, m, proj)]) == [brute]
+
+
+def _spy_degrees(monkeypatch):
+    """Patches the kernel's gcd to record (p, d) for every block."""
+    seen = []
+
+    def spy(vf, h, r):
+        seen.append((vf.p, h.shape[1]))
+        return _gcd_degrees(vf, h, r)
+
+    monkeypatch.setattr(counting, "_gcd_degrees", spy)
+    return seen
+
+
+def test_table_projects_from_a_smooth_point(monkeypatch):
+    # the bundled curve has a smooth F_p-point at every table prime (six
+    # at p = 2), so every count runs on cubic lanes; a silent fall back to
+    # quartic lanes would keep the counts and lose the speed
+    seen = _spy_degrees(monkeypatch)
+    l_polynomial_table(CURVE, DEFAULT_FROBENIUS_PRIMES)
+    assert {p for p, _ in seen} == set(DEFAULT_FROBENIUS_PRIMES)
+    assert {d for _, d in seen} == {3}
+
+
+def test_no_smooth_point_keeps_quartic_lanes(monkeypatch):
+    # x^4 + y^4 + z^4 has no point over F_5 (fourth powers are 0 and 1),
+    # so its counts run on the chart's quartic lanes
+    assert _smooth_points(FERMAT, 5) == []
+    seen = _spy_degrees(monkeypatch)
+    lp = l_polynomial(FERMAT, 5)
+    assert set(seen) == {(5, 4)}
+    assert [lp.point_count(m) for m in (1, 2)] == [
+        _brute_count(FERMAT, 5, m) for m in (1, 2)
+    ]
 
 
 def test_small_counts_exact():
@@ -238,12 +338,26 @@ def test_single_block_counts_stay_on_the_calling_thread(monkeypatch):
 
 
 def test_degenerate_chart_falls_back_to_enumeration():
-    # no pure fourth power at all: every projective point has a zero
-    # coordinate contribution; small fields go through brute enumeration
-    form = TernaryQuarticForm({(3, 1, 0): 1, (1, 3, 0): 1, (0, 2, 2): 1})
+    # the double conic (xy + yz + zx)^2 has no pure fourth power and no
+    # smooth point, since its gradient vanishes on the conic; small fields
+    # go through brute enumeration
+    form = TernaryQuarticForm({
+        (2, 2, 0): 1, (0, 2, 2): 1, (2, 0, 2): 1,
+        (2, 1, 1): 2, (1, 2, 1): 2, (1, 1, 2): 2,
+    })
+    assert _projection(form, 3) is None
     assert count_points(form, 3, 1) == _brute_count(form, 3, 1)
     with pytest.raises(BudgetExceededError):
         count_points(form, 101, 2)
+
+
+def test_line_and_cubic_is_counted_from_its_smooth_point():
+    # no pure fourth power, but the smooth point (1 : 0 : 0): cubic lanes
+    for p, m in [(3, 1), (2, 3), (3, 2), (5, 1), (5, 2), (7, 1)]:
+        assert len(_projection(LINE_AND_CUBIC, p).coeff_rows) == 3
+        assert count_points(LINE_AND_CUBIC, p, m) == _brute_count(
+            LINE_AND_CUBIC, p, m
+        )
 
 
 def test_lane_dtype_follows_the_range_bound():

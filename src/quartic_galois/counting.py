@@ -1,21 +1,19 @@
 """Exact point counting on plane quartics over F_{p^m}, vectorized.
 
 Projection.  Once per prime, the count projects the curve C: F = 0 from
-an F_p-point.  It searches the first lines of P^2(F_p) for the smooth
-point P of C of smallest index and changes coordinates so that P is
-(0 : 0 : 1) and its tangent line is X = 0.  The quartic G in the new
-coordinates then has no Z^4 term and a Z^3 coefficient cX with c != 0
-(Taylor's expansion at P, in any characteristic).  The chart X = 1 runs
-one coordinate t over F_q, q = p^m, as numpy "lanes", and each lane
-counts the distinct roots in F_q of the monic cubic
-h_t(z) = G(1, t, z) / c.  The tangent line adds P and the roots in F_q
-of G(0, 1, z), of degree <= 2 over F_p, found by an ``FqPoly`` gcd
-(q + 1 points if the line lies on C).  A curve with no smooth F_p-point
-found (degenerate mod p, or with no F_p-point at all) is projected
-instead from the vertex of a coordinate chart, a point off the curve:
-there each lane's h_x(y) is a monic quartic, and the line at infinity
-is counted the same way.  With neither, fields of at most 512 elements
-are enumerated and larger ones raise ``BudgetExceededError``.
+one F_p-point, the centre: the smooth point P of C of smallest index on
+the first lines of P^2(F_p), else the first point off C there.  From P
+the coordinates change so that P is (0 : 0 : 1) and its tangent line is
+X = 0.  The quartic G in the new coordinates then has no Z^4 term and a
+Z^3 coefficient cX with c != 0 (Taylor's expansion at P, in any
+characteristic).  The chart X = 1 runs one coordinate t over F_q,
+q = p^m, as numpy "lanes", and each lane counts the distinct roots in
+F_q of the monic cubic h_t(z) = G(1, t, z) / c.  The tangent line adds
+P and the roots in F_q of G(0, 1, z), of degree <= 2 over F_p, found by
+an ``FqPoly`` gcd (q + 1 points if the line lies on C).  From a centre
+off C, the Z^4 coefficient of G is a unit, each h_t is a monic quartic
+and X = 0 is counted the same way.  Only a form that is zero mod p
+has no centre; its curve is the whole plane, q^2 + q + 1 points.
 
 Roots.  The number of distinct roots of a monic h of degree d in {3, 4}
 in F_q is deg gcd(y^q - y, h), and the kernel reads d from the shape of
@@ -64,7 +62,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from itertools import permutations
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,14 +71,13 @@ from .fields import make_field
 from .polys import FqPoly
 
 _FIELD_BUDGET = 10 ** 7
-_BRUTE_LIMIT = 512
 _BLOCK = 4096  # a kernel block is a range of _BLOCK * m field indices
 _THREADS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1
 )
 _INT32_LIMIT = 2 ** 31  # lane range bounds below this run on int32
-_SEARCH_LINES = 16  # the smooth-point search covers this many lines
+_SEARCH_LINES = 16  # the centre search covers this many lines
 
 Point = Tuple[int, int, int]
 
@@ -116,22 +112,11 @@ class _VecField:
         self.dtype = np.int32 if bound < _INT32_LIMIT else np.int64
         fd = make_field(p, m)
         self.p, self.m = p, m
-        # rows[t] = x^(m+t) in the polynomial basis, t = 0..m-2
-        rows = []
-        if m > 1:
-            cur = [(-c) % p for c in fd.modulus[:m]]
-            rows.append(cur)
-            for _ in range(m - 2):
-                shifted = [0] + cur[:-1]
-                over = cur[-1]
-                cur = [
-                    (shifted[i] + over * rows[0][i]) % p for i in range(m)
-                ]
-                rows.append(cur)
+        # x^(m+t) in the polynomial basis, t = 0..m-2
         self.red = [
             (i, m + t, c)
-            for t, row in enumerate(rows)
-            for i, c in enumerate(row)
+            for t in range(m - 1)
+            for i, c in enumerate(fd.pow(fd.gen(), m + t))
             if c
         ]
         basis = [tuple(int(i == k) for i in range(m)) for k in range(m)]
@@ -172,19 +157,6 @@ class _VecField:
         return self.reduce(acc)
 
 
-def _choose_chart(
-    curve: TernaryQuarticForm, p: int
-) -> Optional[Tuple[int, int, int]]:
-    """A variable ordering (iterate, root, chart) whose pure fourth-power
-    root coefficient is a unit mod p, or None."""
-    for root, iter_, chart in permutations(range(3)):
-        exps = [0, 0, 0]
-        exps[root] = 4
-        if curve.coeff(*exps) % p != 0:
-            return (iter_, root, chart)
-    return None
-
-
 class _Projection(NamedTuple):
     """C seen from one F_p-point: |C(F_q)| is ``extra`` (the centre, if
     it lies on C) plus the roots in F_q of the F_p polynomial ``line``
@@ -198,21 +170,28 @@ class _Projection(NamedTuple):
     extra: int
 
 
-def _smooth_point(curve: TernaryQuarticForm, p: int) -> Optional[Point]:
-    """The smooth point of C(F_p) of smallest index among the first
-    _SEARCH_LINES lines of P^2(F_p), or None.
+def _centre(curve: TernaryQuarticForm, p: int) -> Tuple[Point, bool]:
+    """(P, True) for the smooth point P of C(F_p) of smallest index among
+    the first _SEARCH_LINES lines of P^2(F_p), else (c, False) for the
+    first point c off C there.
 
     Index 0 is (0 : 0 : 1), 1 + z is (0 : 1 : z) and p + 1 + yp + z is
     (1 : y : z).  Blocks of indices are tested at once on int64 lanes,
-    every product of two residues reduced mod p.  A curve with an
-    F_p-point has one on the first lines unless it is degenerate mod p,
-    so the cap keeps the search O(p) without changing any count.
+    every product of two residues reduced mod p.  The cap keeps the
+    search O(p), and every form that is nonzero mod p has a centre there:
+    for p >= 5 a quartic meets a line it does not contain in at most 4 of
+    its p + 1 >= 6 points, and a nonzero quartic contains at most 4
+    lines, while the search covers all of P^2(F_p) for p <= 13 and 16
+    lines through (0 : 0 : 1) for p >= 17.  For p in {2, 3} it covers
+    the plane, and F -> (F, grad F) at the points of P^2(F_p) has rank
+    15 on quartic forms, so it is injective.
     """
     forms = [
         [(e, c % p) for e, c in coeffs.items() if c % p]
         for coeffs in [curve.coeffs] + [curve.partial(v) for v in range(3)]
     ]
     total = min(p * p + p + 1, _SEARCH_LINES * p + 1)
+    off = None
     for lo in range(0, total, _BLOCK):
         n = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
         y, z = np.divmod(n - p - 1, p)
@@ -232,12 +211,18 @@ def _smooth_point(curve: TernaryQuarticForm, p: int) -> Optional[Point]:
             for (i, j, k), c in terms:
                 acc += c * (pw[0][i] * pw[1][j] % p * pw[2][k] % p)
             vals.append(acc % p)
+        on = vals[0] == 0
         hit = np.flatnonzero(
-            (vals[0] == 0) & ((vals[1] != 0) | (vals[2] != 0) | (vals[3] != 0))
+            on & ((vals[1] != 0) | (vals[2] != 0) | (vals[3] != 0))
         )
         if hit.size:
-            return tuple(int(c) for c in pt[:, hit[0]])
-    return None
+            return tuple(int(c) for c in pt[:, hit[0]]), True
+        miss = np.flatnonzero(~on)
+        if off is None and miss.size:
+            off = tuple(int(c) for c in pt[:, miss[0]]), False
+    if off is None:
+        raise ArithmeticError("a nonzero quartic has no centre mod %d" % p)
+    return off
 
 
 def _project(
@@ -302,36 +287,18 @@ def _unit(v: int) -> Point:
 def _projection(
     curve: TernaryQuarticForm, p: int
 ) -> Optional[_Projection]:
-    """The projection from the smooth F_p-point of smallest index (cubic
-    lanes); else from the vertex of a chart, a point off the curve
-    (quartic lanes); else None, and only brute enumeration is left."""
-    point = _smooth_point(curve, p)
-    if point is not None:
-        return _project_from(curve, p, point)
-    chart = _choose_chart(curve, p)
-    if chart is None:
+    """The projection from the centre that :func:`_centre` finds, or None
+    for a form that is zero mod p.  A centre c off C is completed by the
+    two unit vectors other than e_k, c_k != 0, so the frame's determinant
+    is +-c_k."""
+    if not any(c % p for c in curve.coeffs.values()):
         return None
-    iter_var, root_var, chart_var = chart
-    return _project(
-        curve, p, _unit(chart_var), _unit(iter_var), _unit(root_var)
-    )
-
-
-def _brute_count(curve: TernaryQuarticForm, p: int, m: int) -> int:
-    F = make_field(p, m)
-    els = list(F.elements())
-    one, zero = F.one(), F.zero()
-    n = 0
-    for yv in els:
-        for zv in els:
-            if F.is_zero(curve.evaluate(F, (one, yv, zv))):
-                n += 1
-    for zv in els:
-        if F.is_zero(curve.evaluate(F, (zero, one, zv))):
-            n += 1
-    if F.is_zero(curve.evaluate(F, (zero, zero, one))):
-        n += 1
-    return n
+    point, smooth = _centre(curve, p)
+    if smooth:
+        return _project_from(curve, p, point)
+    k = next(v for v in range(3) if point[v])
+    a, b = (_unit(v) for v in range(3) if v != k)
+    return _project(curve, p, a, b, point)
 
 
 # ---------------------------------------------------------------------------
@@ -514,25 +481,16 @@ def _plan_counts(
                 "field size %d exceeds the %d budget" % (p ** m, _FIELD_BUDGET)
             )
     projection = _projection(curve, p)
-    return [_plan_count(curve, p, m, projection) for m in degrees]
+    return [_plan_count(p, m, projection) for m in degrees]
 
 
-def _plan_count(
-    curve: TernaryQuarticForm, p: int, m: int,
-    projection: Optional[_Projection],
-) -> _Plan:
-    """Counts what needs no kernel, the brute fallback when there is no
-    projection or the line it leaves out, and cuts the lanes into
-    blocks."""
+def _plan_count(p: int, m: int, projection: Optional[_Projection]) -> _Plan:
+    """Counts what needs no kernel, the whole plane when there is no
+    projection (the form is zero mod p) or else the line the projection
+    leaves out, and cuts the lanes into blocks."""
     q = p ** m
     if projection is None:
-        if q <= _BRUTE_LIMIT:
-            return _Plan(q, _brute_count(curve, p, m), None, [])
-        raise BudgetExceededError(
-            "no smooth F_%d-point found, no coordinate has a unit pure "
-            "fourth power mod %d, and the field is too large for brute "
-            "enumeration" % (p, p)
-        )
+        return _Plan(q, q * q + q + 1, None, [])
     vf = _VecField(p, m)
     coeff_rows = projection.coeff_rows
 
@@ -595,6 +553,8 @@ def count_points(curve: TernaryQuarticForm, p: int, m: int) -> int:
 
     The caller is responsible for checking smoothness of the fiber (see
     :func:`l_polynomial`); the count itself is well defined regardless.
+    Every form is counted, the one that is zero mod p as the whole plane;
+    only a field over the size budget raises ``BudgetExceededError``.
     """
     return _run_plans(_plan_counts(curve, p, [m]))[0]
 

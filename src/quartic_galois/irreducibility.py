@@ -184,17 +184,22 @@ def dim2_resultants(
 
 
 def dim2_exclusion(rps: Dict[int, int]) -> FrozenSet[int]:
-    """Odd-prime support of gcd of the nonzero resultants r_p (as
-    returned by :func:`dim2_resultants`).
+    """The odd primes ell dividing gcd(r_p : p != ell), for the
+    resultants r_p of :func:`dim2_resultants`; the gcd of no r_p is 0.
 
     A 2-dimensional factor with determinant the cyclotomic character is
     modular (TF-SERRE), so its Frobenius trace t_p is a common root mod
-    ell of H_p and Q_p, forcing ell | r_p for every good p != ell.
+    ell of H_p and Q_p, forcing ell | r_p for every good p != ell.  So
+    the set is the odd support of the full gcd, plus each odd p that
+    divides the gcd of the other r's.
     """
     g = gcd(*rps.values())
     if g == 0:
         raise ValueError("all Hecke/Q resultants vanish; no dim-2 constraint")
-    return frozenset(q for q in sympy.primefactors(g) if q % 2 == 1)
+    return frozenset(
+        ell for ell in set(sympy.primefactors(g)) | set(rps)
+        if ell % 2 and gcd(*(r for p, r in rps.items() if p != ell)) % ell == 0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +318,7 @@ def irreducibility_certify(
     poly = anchor.to_int_poly()
 
     # dimension 2
-    dim2_gcd_support: Optional[FrozenSet[int]] = None
+    dim2_ells: Optional[FrozenSet[int]] = None
     rps: Dict[int, int] = {}
     if hecke_polys:
         qpolys = {
@@ -324,10 +329,8 @@ def irreducibility_certify(
         usable = {p: h for p, h in hecke_polys.items() if p in qpolys}
         if usable:
             rps = dim2_resultants(qpolys, usable)
-            dim2_gcd_support = dim2_exclusion(rps)
-    dim2_set = (
-        (dim2_gcd_support | escape) if dim2_gcd_support is not None else None
-    )
+            dim2_ells = dim2_exclusion(rps)
+    dim2_set = (dim2_ells | escape) if dim2_ells is not None else None
 
     # dimension 3, anchored at the same smallest table prime
     n0 = dim3_obstruction(anchor, 0)

@@ -16,7 +16,12 @@ then coefficient vector) is identical across runs.
 Resultants over Z are exact integer computations: a monic-divisor
 reduction fast path (used when one operand has very large degree, as with
 Hecke characteristic polynomials) followed by a fraction-free Bareiss
-determinant of the Sylvester matrix.  No floating point anywhere.
+determinant of the Sylvester matrix.  No floating point anywhere.  The
+signed r_p of ``irreducibility.dim2_resultants`` go into the certificate,
+so they stay here: sympy 1.14's resultant has the opposite sign when
+deg f < deg g and deg f * deg g is odd (``(T - 2).resultant(T**3 + 3*T**2
+- 3)`` in ``ring("T", ZZ)`` and ``sympy.resultant`` give -17, not 17).
+``curve.py`` uses sympy's resultants only through |.|, gcd and roots.
 """
 
 from __future__ import annotations

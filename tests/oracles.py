@@ -13,7 +13,8 @@ library against; none of them is on a ``certify`` path.
   the library only uses inside its multimodular charpoly engine;
 * deg gcd(h, r) per counting lane by a masked, inversion-free
   polynomial remainder sequence, which the counting kernel's divsteps
-  replaced.
+  replaced;
+* |C(F_{p^m})| by enumerating P^2(F_{p^m}), for small fields.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import numpy as np
 import sympy
 
-from quartic_galois.curve import LPolynomial
+from quartic_galois.curve import LPolynomial, TernaryQuarticForm
+from quartic_galois.fields import make_field
 from quartic_galois.modsym import _cuspidal_basis, _hecke_matrices, check_hecke_prime
 
 # ---------------------------------------------------------------------------
@@ -208,3 +210,18 @@ def remainder_sequence_degrees(vf, h: np.ndarray, r: np.ndarray) -> np.ndarray:
     else:
         raise ArithmeticError("polynomial remainder sequence did not terminate")
     return np.where(degB == 0, 0, degA)
+
+
+# ---------------------------------------------------------------------------
+# point counts by enumeration
+
+
+def brute_count(curve: TernaryQuarticForm, p: int, m: int) -> int:
+    """|C(F_{p^m})| by evaluating the form at every point of
+    P^2(F_{p^m}): (1 : y : z), (0 : 1 : z) and (0 : 0 : 1)."""
+    F = make_field(p, m)
+    els = list(F.elements())
+    one, zero = F.one(), F.zero()
+    points = [(one, y, z) for y in els for z in els]
+    points += [(zero, one, z) for z in els] + [(zero, zero, one)]
+    return sum(F.is_zero(curve.evaluate(F, pt)) for pt in points)

@@ -1,7 +1,10 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from quartic_galois import counting
 from quartic_galois.counting import (
@@ -9,8 +12,7 @@ from quartic_galois.counting import (
     BudgetExceededError,
     _BLOCK,
     _VecField,
-    _brute_count,
-    _choose_chart,
+    _centre,
     _frobenius_residues,
     _gcd_degrees,
     _orbit_reps,
@@ -27,12 +29,12 @@ from quartic_galois.fields import make_field
 from quartic_galois.pipeline import DEFAULT_FROBENIUS_PRIMES
 from quartic_galois.polys import FqPoly
 
-from oracles import remainder_sequence_degrees
+from oracles import brute_count, remainder_sequence_degrees
 
 CURVE = TernaryQuarticForm.bundled_curve()
 FERMAT = TernaryQuarticForm({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
-# the Klein quartic has no pure fourth power, so it would never leave the
-# brute-force fallback; the y^4 term gives it a chart for the kernel
+# the Klein quartic x^3 y + y^3 z + z^3 x plus y^4, singular mod 2 only
+# among the primes below 15
 KLEIN_Y4 = TernaryQuarticForm(
     {(3, 1, 0): 1, (0, 3, 1): 1, (1, 0, 3): 1, (0, 4, 0): 1}
 )
@@ -53,15 +55,15 @@ def test_counts_match_brute_enumeration():
     # 1, 2, 3, 4 and 6
     cases += [(3, 3), (2, 4), (3, 4), (2, 6)]
     for p, m in cases:
-        assert count_points(CURVE, p, m) == _brute_count(CURVE, p, m)
+        assert count_points(CURVE, p, m) == brute_count(CURVE, p, m)
 
 
 def test_counts_match_brute_on_other_curves():
     for form in (FERMAT, KLEIN_Y4):
         for p, m in [(3, 1), (5, 1), (3, 2), (13, 1), (2, 3), (5, 2),
                      (3, 3), (2, 4), (3, 4)]:
-            assert _choose_chart(form, p) is not None
-            assert count_points(form, p, m) == _brute_count(form, p, m)
+            assert _projection(form, p) is not None
+            assert count_points(form, p, m) == brute_count(form, p, m)
 
 
 def test_orbit_representatives_cover_the_field():
@@ -195,22 +197,27 @@ def test_frobenius_residues_match_a_slow_power(p, m):
             assert FqPoly(F, coeffs(r)) == y.pow_mod(p ** m, monic) - y
 
 
-def _smooth_points(form, p):
-    """Every smooth point of the form's curve over F_p, by enumeration."""
+def _plane(p):
+    """P^2(F_p) in the order of the centre search."""
     points = [(0, 0, 1)] + [(0, 1, z) for z in range(p)]
-    points += [(1, y, z) for y in range(p) for z in range(p)]
-    maps = [form.coeffs] + [form.partial(v) for v in range(3)]
+    return points + [(1, y, z) for y in range(p) for z in range(p)]
 
-    def value(coeffs, pt):
-        return sum(
+
+def _value_and_gradient(form, pt, p):
+    """(F, dF/dx, dF/dy, dF/dz) at pt, mod p."""
+    return [
+        sum(
             c * pt[0] ** i * pt[1] ** j * pt[2] ** k
             for (i, j, k), c in coeffs.items()
         ) % p
-
-    return [
-        pt for pt in points
-        if value(maps[0], pt) == 0 and any(value(g, pt) for g in maps[1:])
+        for coeffs in [form.coeffs] + [form.partial(v) for v in range(3)]
     ]
+
+
+def _smooth_points(form, p):
+    """Every smooth point of the form's curve over F_p, by enumeration."""
+    values = [(pt, _value_and_gradient(form, pt, p)) for pt in _plane(p)]
+    return [pt for pt, (f, *grad) in values if f == 0 and any(grad)]
 
 
 @pytest.mark.parametrize("form, p, degrees", [
@@ -236,9 +243,9 @@ def test_every_projection_centre_gives_the_brute_count(form, p, degrees):
     if form is LINE_AND_CUBIC:
         assert any(proj.line.is_zero() for proj in projections)
     for m in degrees:
-        brute = _brute_count(form, p, m)
+        brute = brute_count(form, p, m)
         for proj in projections:
-            assert _run_plans([_plan_count(form, p, m, proj)]) == [brute]
+            assert _run_plans([_plan_count(p, m, proj)]) == [brute]
 
 
 def _spy_degrees(monkeypatch):
@@ -265,13 +272,14 @@ def test_table_projects_from_a_smooth_point(monkeypatch):
 
 def test_no_smooth_point_keeps_quartic_lanes(monkeypatch):
     # x^4 + y^4 + z^4 has no point over F_5 (fourth powers are 0 and 1),
-    # so its counts run on the chart's quartic lanes
+    # so its counts run on quartic lanes from the first point, off C
     assert _smooth_points(FERMAT, 5) == []
+    assert _centre(FERMAT, 5) == ((0, 0, 1), False)
     seen = _spy_degrees(monkeypatch)
     lp = l_polynomial(FERMAT, 5)
     assert set(seen) == {(5, 4)}
     assert [lp.point_count(m) for m in (1, 2)] == [
-        _brute_count(FERMAT, 5, m) for m in (1, 2)
+        brute_count(FERMAT, 5, m) for m in (1, 2)
     ]
 
 
@@ -337,25 +345,86 @@ def test_single_block_counts_stay_on_the_calling_thread(monkeypatch):
         count_points(CURVE, 41, 3)
 
 
-def test_degenerate_chart_falls_back_to_enumeration():
+def test_double_conic_is_counted_from_a_point_off_it():
     # the double conic (xy + yz + zx)^2 has no pure fourth power and no
-    # smooth point, since its gradient vanishes on the conic; small fields
-    # go through brute enumeration
+    # smooth point, since its gradient vanishes on the conic, so it is
+    # projected from a point off it; its points are the q + 1 of the conic
     form = TernaryQuarticForm({
         (2, 2, 0): 1, (0, 2, 2): 1, (2, 0, 2): 1,
         (2, 1, 1): 2, (1, 2, 1): 2, (1, 1, 2): 2,
     })
+    assert len(_projection(form, 3).coeff_rows) == 4
+    assert count_points(form, 3, 1) == brute_count(form, 3, 1)
+    assert count_points(form, 101, 2) == 101 ** 2 + 1
+
+
+def test_the_zero_form_mod_p_holds_the_whole_plane():
+    form = TernaryQuarticForm({(4, 0, 0): 3, (0, 4, 0): 3, (0, 0, 4): 3})
     assert _projection(form, 3) is None
-    assert count_points(form, 3, 1) == _brute_count(form, 3, 1)
-    with pytest.raises(BudgetExceededError):
-        count_points(form, 101, 2)
+    for m in (1, 2, 6):
+        q = 3 ** m
+        assert count_points(form, 3, m) == q * q + q + 1
+    assert count_points(form, 3, 1) == brute_count(form, 3, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_value_and_gradient_determine_a_quartic_mod_2_and_3(p):
+    # F -> (F, grad F) at the points of P^2(F_p) has rank 15 on quartic
+    # forms, so a form nonzero mod p has a smooth point or a point off it
+    # in P^2(F_p), all of which the centre search covers at p = 2, 3
+    monomials = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
+    columns = [
+        [v for pt in _plane(p)
+         for v in _value_and_gradient(TernaryQuarticForm({e: 1}), pt, p)]
+        for e in monomials
+    ]
+    rows = [[GF(p)(col[r]) for col in columns] for r in range(len(columns[0]))]
+    assert DomainMatrix(rows, (len(rows), 15), GF(p)).rank() == 15
+
+
+def _seeded_forms(p, n, seed):
+    """n forms nonzero mod p: one to five random terms, and every third
+    form the square of a conic of one to three terms, which has no
+    smooth point."""
+    quartics = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
+    conics = [(i, j, 2 - i - j) for i in range(3) for j in range(3 - i)]
+    rng = random.Random(seed)
+    forms = []
+    while len(forms) < n:
+        if len(forms) % 3 == 2:
+            conic = [(e, rng.randrange(-p, p))
+                     for e in rng.sample(conics, rng.randint(1, 3))]
+            terms = {}
+            for (e, a), (f, b) in itertools.product(conic, repeat=2):
+                k = tuple(u + v for u, v in zip(e, f))
+                terms[k] = terms.get(k, 0) + a * b
+        else:
+            terms = {e: rng.randrange(-p, p)
+                     for e in rng.sample(quartics, rng.randint(1, 5))}
+        if any(c % p for c in terms.values()):
+            forms.append(TernaryQuarticForm(terms))
+    return forms
+
+
+@pytest.mark.parametrize("p, degrees", [
+    (2, (1, 2, 3)), (3, (1, 2)), (5, (1, 2)), (7, (1,)), (17, (1,)), (19, (1,)),
+])
+def test_every_form_nonzero_mod_p_has_a_centre(p, degrees):
+    # the forms are often degenerate mod p: reducible, non-reduced or
+    # with no smooth F_p-point, and then counted on quartic lanes
+    lanes = set()
+    for form in _seeded_forms(p, 20, p):
+        lanes.add(len(_projection(form, p).coeff_rows))
+        for m in degrees:
+            assert count_points(form, p, m) == brute_count(form, p, m)
+    assert lanes == {3, 4}
 
 
 def test_line_and_cubic_is_counted_from_its_smooth_point():
     # no pure fourth power, but the smooth point (1 : 0 : 0): cubic lanes
     for p, m in [(3, 1), (2, 3), (3, 2), (5, 1), (5, 2), (7, 1)]:
         assert len(_projection(LINE_AND_CUBIC, p).coeff_rows) == 3
-        assert count_points(LINE_AND_CUBIC, p, m) == _brute_count(
+        assert count_points(LINE_AND_CUBIC, p, m) == brute_count(
             LINE_AND_CUBIC, p, m
         )
 

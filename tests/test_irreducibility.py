@@ -140,11 +140,21 @@ def test_dim2_exclusion_discards_zero_resultants(lpoly_map):
     assert rps[2] == 0
     q5 = dim2_qpoly(lpoly_map[5])
     got = dim2_exclusion(rps)
-    assert got == {q for q in sympy.primefactors(abs(q5(1))) if q % 2 == 1}
+    # r_2 = 0 leaves ell = 5 with no resultant at a prime other than 5
+    odd = {q for q in sympy.primefactors(abs(q5(1))) if q % 2 == 1}
+    assert odd == {23}
+    assert got == odd | {5}
     with pytest.raises(ValueError):
         dim2_exclusion({2: 0})
     with pytest.raises(ValueError):
         dim2_exclusion({})
+
+
+def test_dim2_exclusion_skips_the_resultant_at_ell():
+    # ell | r_p is forced only for p != ell: 3 divides r_5 = 231 and is
+    # kept although 3 does not divide r_3 = 14, while 5 does not divide
+    # r_3 and is dropped
+    assert dim2_exclusion({3: 14, 5: 231}) == {3, 7}
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,19 @@ def test_resultant_large_monic_fast_path():
     assert int_resultant(q, h) == 17 ** 70  # even degree product: same sign
 
 
+def test_resultant_sign_for_an_odd_degree_product():
+    # Res(f, g) = lc(f)^deg g * prod g(alpha) over the roots alpha of f,
+    # and swapping f and g multiplies it by (-1)^(deg f deg g)
+    q = IntPoly([-3, 0, 3, 1])  # Q_2, with Q_2(2) = 17
+    lin = IntPoly([-2, 1])
+    assert int_resultant(lin, q) == 17  # Bareiss
+    assert int_resultant(q, lin) == -17
+    h = IntPoly([1])
+    for _ in range(71):
+        h = h * lin
+    assert int_resultant(q, h) == -17 ** 71  # monic fast path
+
+
 def test_resultant_zero_poly_rejected():
     with pytest.raises(ValueError):
         int_resultant(IntPoly([]), IntPoly([1, 1]))

@@ -6,9 +6,10 @@ quartic in (x, y, z).  This module locates the primes of bad reduction
 points of each bad fiber, and houses :class:`LPolynomial`, the stored
 form of the degree-6 Frobenius characteristic polynomial.
 
-Over Z the form and its partials are sparse integer polynomials of
-sympy's ``PolyRing`` (resultants and factorization over Q); over F_q
-they are restricted to lines and handled as univariate
+Over Z the form and its partials are eliminated by the resultants of
+``polys`` (``bivariate_resultant`` and ``int_resultant``); sympy's
+sparse ``PolyRing`` is left for changes of coordinates and factorization
+over Q.  Over F_q they are restricted to lines and handled as univariate
 :class:`~quartic_galois.polys.FqPoly`.
 """
 
@@ -27,15 +28,14 @@ from sympy.polys.rings import ring
 
 from .fields import FieldDescriptor, make_field
 from .polys import FqPoly, IntPoly, factor_fq
+from .polys import bivariate_resultant, int_resultant
 
 Monomial = Tuple[int, int, int]
 
 _VARIABLE_NAMES = ("x", "y", "z")
 
-# sparse integer polynomial rings: the plane in (x, y, z), and an affine
-# chart whose generator 0 is the variable a resultant eliminates
+# the sparse integer polynomial ring of the plane in (x, y, z)
 _XYZ = ring("x,y,z", ZZ)[0]
-_ELIM = ring("u,v", ZZ)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +264,11 @@ def _exact_div(n: int, k: int) -> int:
 def find_bad_prime_candidates(curve: TernaryQuarticForm) -> int:
     """A nonzero integer B divisible by every prime of bad reduction.
 
-    Dehomogenize on each coordinate chart, take iterated resultants of
-    (f, f_u, f_v) eliminating both affine variables in both orders, and
-    combine the nonzero eliminants by gcd.  Spurious prime factors are
-    possible and are filtered by the per-prime singular scan downstream.
+    On each chart, for both orders of the affine variables (u, v), take
+    Res_v(Res_u(f, f_u), Res_u(f, f_v)), 0 when an inner one vanishes, and
+    combine the nonzero values' absolute values by gcd.  Spurious prime
+    factors are possible and are filtered by the per-prime singular scan
+    downstream.
     """
     if not curve.is_irreducible_over_q():
         raise ValueError("curve is not irreducible over Q")
@@ -276,8 +277,9 @@ def find_bad_prime_candidates(curve: TernaryQuarticForm) -> int:
     for chart in range(3):
         u, v = (t for t in range(3) if t != chart)
         for first, second in ((u, v), (v, u)):
-            g, gu, gv = (_affine(maps[t], first, second) for t in (0, 1 + u, 1 + v))
-            r = int(g.resultant(gu).resultant(g.resultant(gv)))
+            g, gu, gv = (_rows(maps[t], first, second) for t in (0, 1 + u, 1 + v))
+            a, b = bivariate_resultant(g, gu), bivariate_resultant(g, gv)
+            r = 0 if a.is_zero() or b.is_zero() else int_resultant(a, b)
             if r:
                 vals.append(abs(r))
     if not vals:
@@ -285,12 +287,14 @@ def find_bad_prime_candidates(curve: TernaryQuarticForm) -> int:
     return gcd(*vals)
 
 
-def _affine(coeff_map: Dict[Monomial, int], first: int, second: int):
+def _rows(coeff_map: Dict[Monomial, int], elim: int, keep: int) -> List[IntPoly]:
     """A homogeneous coefficient map on the chart where the third
-    variable is 1, as an element of ``_ELIM`` in (first, second)."""
-    return _ELIM.from_dict(
-        {(e[first], e[second]): c for e, c in coeff_map.items()}
-    )
+    variable is 1, as polynomials in ``keep`` indexed by their degree in
+    ``elim``."""
+    rows = [[0] * 5 for _ in range(5)]
+    for e, c in coeff_map.items():
+        rows[e[elim]][e[keep]] = c
+    return [IntPoly(r) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +448,8 @@ def singular_points(curve: TernaryQuarticForm, p: int) -> SingularFiberReport:
 
     Works by elimination: on the chart z = 1 the x-coordinates of
     singular points are among the roots of g(x), the gcd of the
-    reductions of the integer resultants Res_y(f, f_*).  Each irreducible
+    reductions of the resultants Res_y(f, f_*) over Z[x] (by
+    ``bivariate_resultant``; only the monic gcd is used).  Each irreducible
     factor of g of degree <= 2 is split over F_{p^2}, and at each root x0
     so is the gcd of f and its partials on the line x = x0.  A factor of
     degree >= 3 is probed for genuine solutions in its residue field; if
@@ -467,11 +472,9 @@ def singular_points(curve: TernaryQuarticForm, p: int) -> SingularFiberReport:
     # --- affine chart z = 1 ---------------------------------------------
     gx = FqPoly.zero(F)
     if curve.coeff(0, 4, 0) % p:
-        f = _affine(curve.coeffs, 1, 0)
-        # dense coefficients, low degree first, as Python ints whatever
-        # sympy's ground types
-        elim = (f.resultant(_affine(m, 1, 0)).to_dense()[::-1] for m in maps[1:])
-        gx = _gcd_all(F, (FqPoly.from_ints(F, [int(c) for c in r]) for r in elim))
+        f = _rows(curve.coeffs, 1, 0)
+        elim = (bivariate_resultant(f, _rows(m, 1, 0)) for m in maps[1:])
+        gx = _gcd_all(F, (FqPoly.from_ints(F, r.coeffs) for r in elim))
     if gx.is_zero():
         # the leading y-coefficient dies, or every eliminant vanishes:
         # scan the F_p-points and give up on completeness

@@ -21,7 +21,9 @@ signed r_p of ``irreducibility.dim2_resultants`` go into the certificate,
 so they stay here: sympy 1.14's resultant has the opposite sign when
 deg f < deg g and deg f * deg g is odd (``(T - 2).resultant(T**3 + 3*T**2
 - 3)`` in ``ring("T", ZZ)`` and ``sympy.resultant`` give -17, not 17).
-``curve.py`` uses sympy's resultants only through |.|, gcd and roots.
+Every resultant over Z goes through ``int_resultant``, with its sign:
+``curve.py`` eliminates over Z[x] by ``bivariate_resultant``, which packs
+x = 2^K into it.
 """
 
 from __future__ import annotations
@@ -222,6 +224,31 @@ def int_resultant(f: IntPoly, g: IntPoly) -> int:
     if b.degree == 0:
         return sign * b.lc() ** a.degree
     return sign * _sylvester_resultant(a, b)
+
+
+def bivariate_resultant(f_rows: List[IntPoly], g_rows: List[IntPoly]) -> IntPoly:
+    """Res_y(f, g) in Z[x] for f = sum_j f_rows[j](x) y^j and likewise g,
+    with :func:`int_resultant`'s sign, by Kronecker substitution x = 2^K.
+
+    No coefficient of Res_y exceeds B = (sum_j |f_j|_1)^deg_y(g) *
+    (sum_j |g_j|_1)^deg_y(f), the permanent bound on the Sylvester matrix.
+    With 2^(K-2) above B and every |row|_1 the signed base-2^K digits of
+    the packed resultant are unique, and a packed row is zero only when
+    the row is, so deg_y survives.  A zero operand gives the zero
+    polynomial; two operands constant in y give 1.
+    """
+    rows = (f_rows, g_rows)
+    df, dg = (max((j for j, r in enumerate(h) if r.coeffs), default=-1) for h in rows)
+    if df < 0 or dg < 0:
+        return IntPoly([])
+    nf, ng = (sum(abs(c) for r in h for c in r.coeffs) for h in rows)
+    K = max(nf ** dg * ng ** df, nf, ng).bit_length() + 2
+    res = int_resultant(*(IntPoly([r(1 << K) for r in h]) for h in rows))
+    digits, half = [], 1 << (K - 1)
+    while res:  # the low digit, centred, then the rest
+        digits.append((res + half) % (2 * half) - half)
+        res = (res - digits[-1]) >> K
+    return IntPoly(digits)
 
 
 # ---------------------------------------------------------------------------

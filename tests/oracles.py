@@ -14,16 +14,22 @@ library against; none of them is on a ``certify`` path.
 * deg gcd(h, r) per counting lane by a masked, inversion-free
   polynomial remainder sequence, which the counting kernel's divsteps
   replaced;
-* |C(F_{p^m})| by enumerating P^2(F_{p^m}), for small fields.
+* |C(F_{p^m})| by enumerating P^2(F_{p^m}), for small fields;
+* the eliminants of the bad-prime search and the singular scan by
+  sympy's bivariate subresultants, which Kronecker substitution into
+  ``int_resultant`` replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.rings import ring
 
 from quartic_galois.curve import LPolynomial, TernaryQuarticForm
 from quartic_galois.fields import make_field
@@ -225,3 +231,40 @@ def brute_count(curve: TernaryQuarticForm, p: int, m: int) -> int:
     points = [(one, y, z) for y in els for z in els]
     points += [(zero, one, z) for z in els] + [(zero, zero, one)]
     return sum(F.is_zero(curve.evaluate(F, pt)) for pt in points)
+
+
+# ---------------------------------------------------------------------------
+# eliminants by sympy's subresultants
+
+# an affine chart whose generator 0 is the variable a resultant eliminates
+_ELIM = ring("u,v", ZZ)[0]
+
+
+def _affine(coeff_map, first: int, second: int):
+    """A homogeneous coefficient map on the chart where the third
+    variable is 1, as an element of ``_ELIM`` in (first, second)."""
+    return _ELIM.from_dict(
+        {(e[first], e[second]): c for e, c in coeff_map.items()}
+    )
+
+
+def sympy_eliminant(f_map, g_map, first: int, second: int) -> List[int]:
+    """Res over Z[second] of two coefficient maps on the chart where the
+    third variable is 1, eliminating ``first``, by sympy's subresultant
+    PRS: dense coefficients, low degree first ([] for zero)."""
+    r = _affine(f_map, first, second).resultant(_affine(g_map, first, second))
+    return [int(c) for c in r.to_dense()[::-1]]
+
+
+def sympy_bad_prime_candidates(curve: TernaryQuarticForm) -> int:
+    """The gcd of the nonzero |Res_v(Res_u(f, f_u), Res_u(f, f_v))| over
+    the three charts and both orders of their variables (u, v), by
+    sympy's subresultants; 0 when every value vanishes."""
+    maps = [curve.coeffs] + [curve.partial(t) for t in range(3)]
+    vals = []
+    for chart in range(3):
+        u, v = (t for t in range(3) if t != chart)
+        for first, second in ((u, v), (v, u)):
+            g, gu, gv = (_affine(maps[t], first, second) for t in (0, 1 + u, 1 + v))
+            vals.append(abs(int(g.resultant(gu).resultant(g.resultant(gv)))))
+    return gcd(*vals)

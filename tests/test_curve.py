@@ -8,14 +8,17 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import sympy_bad_prime_candidates, sympy_eliminant
 from quartic_galois.curve import (
     LPolynomial,
     TernaryQuarticForm,
+    _rows,
     classify_node,
     find_bad_prime_candidates,
     singular_points,
 )
 from quartic_galois.fields import make_field
+from quartic_galois.polys import bivariate_resultant, int_resultant
 
 CURVE = TernaryQuarticForm.bundled_curve()
 FERMAT = TernaryQuarticForm({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
@@ -109,6 +112,135 @@ def test_candidates_reject_singular_over_q():
         find_bad_prime_candidates(
             TernaryQuarticForm({(2, 2, 0): 1, (2, 0, 2): 1})
         )
+
+
+# ---------------------------------------------------------------------------
+# elimination against sympy's subresultants
+
+# the 15 degree-4 monomials, x-degree descending, then y-degree descending
+MONOMIALS = tuple(
+    (i, j, 4 - i - j) for i in range(4, -1, -1) for j in range(4 - i, -1, -1)
+)
+# (eliminated, kept) variable pairs; the third variable is set to 1
+PAIRS = tuple((a, b) for a in range(3) for b in range(3) if a != b)
+
+
+def _elimination_corpus():
+    """400 seeded forms of 1-15 terms; form n has coefficients of
+    magnitude at most 10^(n mod 21), so each magnitude from 1 to 10^20
+    occurs about 19 times."""
+    rng = random.Random(2026)
+    forms = []
+    for n in range(400):
+        mag = 10 ** (n % 21)
+        terms = rng.sample(MONOMIALS, rng.randint(1, 15))
+        forms.append(
+            TernaryQuarticForm(
+                {m: rng.choice((-1, 1)) * rng.randint(1, mag) for m in terms}
+            )
+        )
+    return forms
+
+
+def _eliminant(f_map, g_map, elim, keep):
+    return list(
+        bivariate_resultant(_rows(f_map, elim, keep), _rows(g_map, elim, keep)).coeffs
+    )
+
+
+def _assert_equal_up_to_sign(got, ref):
+    assert got in (ref, [-c for c in ref]), (got, ref)
+
+
+def test_eliminants_match_sympy_up_to_sign():
+    checked = vanished = 0
+    for form in _elimination_corpus():
+        for t in range(3):
+            partial = form.partial(t)
+            for elim, keep in PAIRS:
+                ref = sympy_eliminant(form.coeffs, partial, elim, keep)
+                _assert_equal_up_to_sign(
+                    _eliminant(form.coeffs, partial, elim, keep), ref
+                )
+                checked += 1
+                vanished += not ref
+    assert checked == 7200
+    assert 0 < vanished < checked
+
+
+def test_bad_prime_candidates_match_sympy():
+    # the forms of magnitude at most 10^4: above it the 24 x 24 Bareiss
+    # determinant of the outer resultant makes the check slow, while the
+    # eliminants above cover every magnitude
+    forms = [f for n, f in enumerate(_elimination_corpus()) if n % 21 <= 4]
+    equal = 0
+    for form in forms:
+        ref = sympy_bad_prime_candidates(form)
+        if ref and form.is_irreducible_over_q():
+            assert find_bad_prime_candidates(form) == ref, form
+            equal += 1
+        else:
+            with pytest.raises(ValueError):
+                find_bad_prime_candidates(form)
+    assert len(forms) == 96
+    assert equal > len(forms) // 2
+
+
+def test_form_without_x_has_a_zero_eliminant():
+    # f_x = 0: Res_y(f, f_x) is zero, with no ValueError from int_resultant
+    form = TernaryQuarticForm({(0, 4, 0): 1, (0, 2, 2): 3, (0, 0, 4): 2})
+    assert form.partial(0) == {}
+    for elim, keep in PAIRS:
+        assert _eliminant(form.coeffs, {}, elim, keep) == []
+        assert sympy_eliminant(form.coeffs, {}, elim, keep) == []
+    # four lines through (1:0:0), the one singular point mod 5
+    rep = singular_points(form, 5)
+    assert [pt.coords for pt in rep.points] == [(1, 0, 0)]
+
+
+def test_cone_over_q_has_only_vanishing_eliminants():
+    # x^4 + z^4 is irreducible over Q and holds no y, so Res_u(f, f_y)
+    # is zero on every chart: each outer resultant is taken as 0
+    form = TernaryQuarticForm({(4, 0, 0): 1, (0, 0, 4): 1})
+    assert form.is_irreducible_over_q()
+    assert sympy_bad_prime_candidates(form) == 0
+    with pytest.raises(ValueError, match="all eliminants vanish"):
+        find_bad_prime_candidates(form)
+
+
+def test_eliminant_below_degree_4_in_the_eliminated_variable():
+    # degree 3 in y, 2 in x and 1 in z, with a zero leading row in each
+    form = TernaryQuarticForm(
+        {(2, 2, 0): 5, (0, 3, 1): -7, (1, 0, 3): 2, (0, 1, 3): -1, (0, 0, 4): 1}
+    )
+    for t in range(3):
+        for elim, keep in PAIRS:
+            ref = sympy_eliminant(form.coeffs, form.partial(t), elim, keep)
+            _assert_equal_up_to_sign(
+                _eliminant(form.coeffs, form.partial(t), elim, keep), ref
+            )
+
+
+def test_eliminant_of_operands_constant_in_the_eliminated_variable():
+    # z^4 + x^3 z and 4 x^3 hold no y: Res_y = 1
+    f_map, g_map = {(0, 0, 4): 1, (3, 0, 1): 1}, {(3, 0, 0): 4}
+    for keep in (0, 2):
+        assert _eliminant(f_map, g_map, 1, keep) == [1]
+        assert sympy_eliminant(f_map, g_map, 1, keep) == [1]
+
+
+def test_vanishing_chart_eliminants_match_sympy():
+    # z^4 - y^4 + x z^3 is singular at (1:0:0) over Q; on the chart x = 1
+    # both iterated resultants vanish, as in sympy
+    form = TernaryQuarticForm({(0, 0, 4): 1, (0, 4, 0): -1, (1, 0, 3): 1})
+    maps = [form.coeffs] + [form.partial(t) for t in range(3)]
+    for first, second in ((1, 2), (2, 1)):
+        a, b = (
+            bivariate_resultant(_rows(maps[0], first, second), _rows(m, first, second))
+            for m in (maps[1 + first], maps[1 + second])
+        )
+        assert int_resultant(a, b) == 0
+    assert find_bad_prime_candidates(form) == sympy_bad_prime_candidates(form)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +386,6 @@ def test_from_counts_inverts_point_count(p, a, b, c):
 # ---------------------------------------------------------------------------
 # fingerprints of the elimination over a seeded corpus
 
-# the 15 degree-4 monomials, x-degree descending, then y-degree descending
-MONOMIALS = tuple(
-    (i, j, 4 - i - j) for i in range(4, -1, -1) for j in range(4 - i, -1, -1)
-)
 # (y^2 - xz)^2: singular along a whole conic, so every eliminant vanishes
 DOUBLE_CONIC = TernaryQuarticForm(
     {(0, 4, 0): 1, (1, 2, 1): -2, (2, 0, 2): 1}

@@ -1,10 +1,13 @@
 """The library does its algebra on one polynomial layer.
 
-Over finite fields that is ``FqPoly``; over Z it is ``IntPoly`` plus
-sympy's sparse ``PolyRing`` polynomials.  sympy's expression layer
-(``symbols``, ``resultant``, ``factor_list``, ``Poly``, ``subs``) is a
-second representation and is kept out of ``src/``; from the top-level
-``sympy`` namespace only number-theory functions are used.
+Over finite fields that is ``FqPoly``; over Z it is ``IntPoly``, and
+every resultant over Z goes through ``polys.int_resultant`` with its one
+sign convention, so no ``.resultant(`` call appears in ``src/``.  sympy's
+sparse ``PolyRing`` is left only for ``compose`` and ``factor_list``.
+sympy's expression layer (``symbols``, ``resultant``, ``factor_list``,
+``Poly``, ``subs``) is a second representation and is kept out of
+``src/``; from the top-level ``sympy`` namespace only number-theory
+functions are used.
 """
 
 import ast
@@ -37,6 +40,12 @@ def _violations(tree):
             yield node.lineno, "sympy.%s" % node.attr
         elif isinstance(node, ast.Attribute) and node.attr == "subs":
             yield node.lineno, ".subs"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "resultant"
+        ):
+            yield node.lineno, ".resultant("
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
             "sympy"
         ):
@@ -63,9 +72,11 @@ def test_guard_flags_the_expression_layer():
         "e = sympy.Poly(x).subs(x, 1)\n"
         "ok = sympy.isprime(7)\n"
         "import sympy as sp\n"
+        "r2 = f.resultant(g).resultant(h)\n"
     )
     found = [what for _, what in _violations(ast.parse(source))]
     assert found.count("sympy.isprime") == 0
+    assert found.count(".resultant(") == 3
     for what in (
         "from sympy import symbols",
         "sympy.symbols",

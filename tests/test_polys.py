@@ -8,6 +8,7 @@ from quartic_galois.fields import make_field
 from quartic_galois.polys import (
     FqPoly,
     IntPoly,
+    bivariate_resultant,
     factor_fq,
     int_resultant,
     is_irreducible_fq,
@@ -144,6 +145,48 @@ def test_resultant_sign_for_an_odd_degree_product():
 def test_resultant_zero_poly_rejected():
     with pytest.raises(ValueError):
         int_resultant(IntPoly([]), IntPoly([1, 1]))
+
+
+def _in_y(*rows):
+    """A polynomial in y whose coefficient of y^j is the x-polynomial
+    rows[j] (coefficients low degree first)."""
+    return [IntPoly(r) for r in rows]
+
+
+def test_bivariate_resultant_reads_back_signed_digits():
+    # Res_y(f, g) = lc(f)^deg g * prod g(alpha) over the roots alpha of f
+    # y^2 - x against y - x: (sqrt x - x)(-sqrt x - x) = x^2 - x
+    assert bivariate_resultant(
+        _in_y([0, -1], [], [1]), _in_y([0, -1], [1])
+    ) == IntPoly([0, -1, 1])
+    # y - x^2 against y - 1: x^2 - 1, a borrow across the zero digit
+    assert bivariate_resultant(
+        _in_y([0, 0, -1], [1]), _in_y([-1], [1])
+    ) == IntPoly([-1, 0, 1])
+    # y^2 - 1 against x y - 1: (x - 1)(-x - 1) = 1 - x^2, negative on top
+    assert bivariate_resultant(
+        _in_y([-1], [], [1]), _in_y([-1], [0, 1])
+    ) == IntPoly([1, 0, -1])
+    # swapping the operands multiplies by (-1)^(deg_y f deg_y g)
+    assert bivariate_resultant(
+        _in_y([-1], [1]), _in_y([0, 0, -1], [1])
+    ) == IntPoly([1, 0, -1])
+
+
+def test_bivariate_resultant_degenerate_operands():
+    g = _in_y([-1], [0, 1])
+    assert bivariate_resultant([], g) == IntPoly([])
+    assert bivariate_resultant(_in_y([], []), g) == IntPoly([])
+    assert bivariate_resultant(g, _in_y([])) == IntPoly([])
+    # both constant in y
+    assert bivariate_resultant(_in_y([1, 2]), _in_y([3])) == IntPoly([1])
+    # g constant in y: Res_y(y^2 - x, 2x + 1) = (2x + 1)^2
+    assert bivariate_resultant(
+        _in_y([0, -1], [], [1]), _in_y([1, 2])
+    ) == IntPoly([1, 4, 4])
+    # (x - 16) y against 3: the bound B = 3 alone would pack x = 16 and
+    # lose deg_y f; K also covers |f|_1, so Res_y = 3
+    assert bivariate_resultant(_in_y([], [-16, 1]), _in_y([3])) == IntPoly([3])
 
 
 # ---------------------------------------------------------------------------

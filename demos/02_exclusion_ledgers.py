@@ -13,8 +13,7 @@ import sys
 from math import prod
 from pathlib import Path
 
-import sympy
-
+from quartic_galois.arith import primefactors
 from quartic_galois.counting import l_polynomial
 from quartic_galois.curve import (
     TernaryQuarticForm,
@@ -41,7 +40,7 @@ lpolys = [l_polynomial(curve, p) for p in (2, 3, 5, 17, 19, 23, 41, 43, 73)]
 by_p = {lp.p: lp for lp in lpolys}
 # the bad primes are the candidates whose fiber really is singular
 bad_primes = tuple(
-    p for p in sympy.primefactors(find_bad_prime_candidates(curve))
+    p for p in primefactors(find_bad_prime_candidates(curve))
     if singular_points(curve, p).points
 )
 level = prod(bad_primes)
@@ -84,7 +83,7 @@ print()
 for e in (0, 1):
     n = dim3_obstruction(by_p[2], e)
     print("dim-3 obstruction N(%d) = %d, odd support %s"
-          % (e, n, sorted(set(sympy.primefactors(n)) - {2})))
+          % (e, n, sorted(set(primefactors(n)) - {2})))
 sols = dim3_solutions(by_p[2], 0, 5).solutions
 print("exhaustive check at ell = 5, e = 0 finds solutions:", sorted(sols))
 print()

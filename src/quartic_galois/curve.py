@@ -1,16 +1,19 @@
 """Plane quartic geometry over Z and over finite fields.
 
 The central type is :class:`TernaryQuarticForm`, a homogeneous integer
-quartic in (x, y, z).  This module locates the primes of bad reduction
-(by iterated resultant elimination), finds and classifies the singular
-points of each bad fiber, and houses :class:`LPolynomial`, the stored
-form of the degree-6 Frobenius characteristic polynomial.
+quartic in (x, y, z).  This module locates the primes of bad reduction,
+finds and classifies the singular points of each bad fiber, and houses
+:class:`LPolynomial`, the stored form of the degree-6 Frobenius
+characteristic polynomial.
 
-Over Z the form and its partials are eliminated by the resultants of
-``polys`` (``bivariate_resultant`` and ``int_resultant``); sympy's
-sparse ``PolyRing`` is left for changes of coordinates and factorization
-over Q.  Over F_q they are restricted to lines and handled as univariate
-:class:`~quartic_galois.polys.FqPoly`.
+The bad primes divide B = 2 |Res(f_x, f_y, f_z)|, the Macaulay resultant
+of the three partials as a ratio of two ``polys._bareiss_det``
+determinants.  By Euler's relation 4f = x f_x + y f_y + z f_z its odd
+prime factors are exactly the odd primes where the fiber is singular;
+the relation is empty at p = 2, so 2 is always a candidate and its fiber
+is always scanned.  Each fiber is eliminated over Z[x] by
+``polys.bivariate_resultant``, then restricted to lines and handled as
+univariate :class:`~quartic_galois.polys.FqPoly` over F_q.
 """
 
 from __future__ import annotations
@@ -19,23 +22,16 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 from importlib import resources
-from math import comb, gcd
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.rings import ring
-
+from .arith import isprime
 from .fields import FieldDescriptor, make_field
-from .polys import FqPoly, IntPoly, factor_fq
-from .polys import bivariate_resultant, int_resultant
+from .polys import FqPoly, IntPoly, _bareiss_det, bivariate_resultant, factor_fq
 
 Monomial = Tuple[int, int, int]
 
 _VARIABLE_NAMES = ("x", "y", "z")
-
-# the sparse integer polynomial ring of the plane in (x, y, z)
-_XYZ = ring("x,y,z", ZZ)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +117,27 @@ class TernaryQuarticForm:
     ) -> Dict[Monomial, int]:
         """The coefficient map of F(Xa + Yb + Zc) for integer vectors
         a, b, c, in the exponents of (X, Y, Z)."""
-        X, Y, Z = _XYZ.gens
-        images = [a[v] * X + b[v] * Y + c[v] * Z for v in range(3)]
-        f = _XYZ.from_dict(self.coeffs)
-        return dict(f.compose(list(zip(_XYZ.gens, images))).items())
+        # X^u Y^v Z^w, of degree <= 4, has the key 25u + 5v + w, so keys
+        # add as exponents do; powers[t][e] = (a[t] X + b[t] Y + c[t] Z)^e
+        powers = []
+        for t in range(3):
+            line = ((25, a[t]), (5, b[t]), (1, c[t]))
+            pw = [[(0, 1)]]
+            for _ in range(4):
+                acc: Dict[int, int] = {}
+                for key, coeff in pw[-1]:
+                    for step, d in line:
+                        acc[key + step] = acc.get(key + step, 0) + coeff * d
+                pw.append(list(acc.items()))
+            powers.append(pw)
+        out = [0] * 125
+        for (i, j, k), coeff in self.coeffs.items():
+            for key0, c0 in powers[0][i]:
+                for key1, c1 in powers[1][j]:
+                    key01, c01 = key0 + key1, coeff * c0 * c1
+                    for key2, c2 in powers[2][k]:
+                        out[key01 + key2] += c01 * c2
+        return {(n // 25, n // 5 % 5, n % 5): t for n, t in enumerate(out) if t}
 
     def evaluate(self, F: FieldDescriptor, pt) -> tuple:
         """Evaluate over a finite field at a triple of field elements."""
@@ -134,10 +147,6 @@ class TernaryQuarticForm:
             t = F.mul(F.pow(x, i), F.mul(F.pow(y, j), F.pow(z, k)))
             acc = F.add(acc, F.scalar_mul(c, t))
         return acc
-
-    def is_irreducible_over_q(self) -> bool:
-        factors = _XYZ.from_dict(self.coeffs).factor_list()[1]
-        return len(factors) == 1 and factors[0][1] == 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -261,30 +270,94 @@ def _exact_div(n: int, k: int) -> int:
 # bad primes
 
 
-def find_bad_prime_candidates(curve: TernaryQuarticForm) -> int:
-    """A nonzero integer B divisible by every prime of bad reduction.
+# the 36 monomials of degree 7, and the 9 of them divisible by the cubes
+# of two variables, which index the extraneous minor
+_DEGREE_7 = tuple(
+    (i, j, 7 - i - j) for i in range(7, -1, -1) for j in range(7 - i, -1, -1)
+)
+_EXTRANEOUS = tuple(
+    n for n, e in enumerate(_DEGREE_7) if sum(v >= 3 for v in e) == 2
+)
+# unimodular changes of coordinates x = A X (A by rows), tried in this
+# order until the extraneous minor is nonzero.  For the moved form g with
+# h_ij = [X^i Y^j] g, the minor is -(4 h_40)^3 (h_13 h_31 - 16 h_40 h_04)
+# times a quartic in the h_ij, so the first column u of A must be off the
+# curve: h_40 = f(u).  Hence u = (1, 0, 0), (0, 1, 0) and (0, 0, 1) first
+# (the identity and the two cyclic permutations), then (1, 1, 2) by a
+# shear and (1, 1, 1) by the Pascal matrix.
+_MACAULAY_FRAMES = (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+    ((1, 0, 0), (1, 1, 0), (2, 3, 1)),
+    ((1, 1, 1), (1, 2, 3), (1, 3, 6)),
+)
 
-    On each chart, for both orders of the affine variables (u, v), take
-    Res_v(Res_u(f, f_u), Res_u(f, f_v)), 0 when an inner one vanishes, and
-    combine the nonzero values' absolute values by gcd.  Spurious prime
-    factors are possible and are filtered by the per-prime singular scan
-    downstream.
+
+def _macaulay_matrix(cubics: Sequence[Dict[Monomial, int]]) -> List[List[int]]:
+    """The Macaulay matrix in degree 7 of three ternary cubics: the row
+    of a monomial e holds the coefficients of (e / x_i^3) * cubics[i]
+    for the first variable x_i whose cube divides e, over the columns
+    ``_DEGREE_7``."""
+    column = {e: n for n, e in enumerate(_DEGREE_7)}
+    rows = []
+    for e in _DEGREE_7:
+        i = next(t for t in range(3) if e[t] >= 3)
+        shift = tuple(v - 3 * (t == i) for t, v in enumerate(e))
+        row = [0] * len(_DEGREE_7)
+        for (u, v, w), c in cubics[i].items():
+            row[column[u + shift[0], v + shift[1], w + shift[2]]] = c
+        rows.append(row)
+    return rows
+
+
+def partials_resultant(curve: TernaryQuarticForm) -> int:
+    """Res(f_x, f_y, f_z), the Macaulay resultant of the three partial
+    cubics, up to sign (Macaulay 1902; Cox, Little and O'Shea, *Using
+    Algebraic Geometry*, GTM 185, ch. 3 sec. 4).
+
+    It vanishes mod a prime p exactly when the partials have a common
+    zero over the algebraic closure of F_p, and it is 0 exactly when the
+    curve is singular over Q-bar.  It is det(M) / det(M'), where M is the
+    36 x 36 Macaulay matrix in degree 7 and M' its 9 x 9 extraneous
+    minor.  M' can vanish in the given coordinates, so the curve is
+    first moved by each change of ``_MACAULAY_FRAMES`` in turn: a change
+    of determinant +-1 leaves |Res| as it is.  Raises ArithmeticError
+    when every minor vanishes.
     """
-    if not curve.is_irreducible_over_q():
-        raise ValueError("curve is not irreducible over Q")
-    maps = [curve.coeffs] + [curve.partial(t) for t in range(3)]
-    vals: List[int] = []
-    for chart in range(3):
-        u, v = (t for t in range(3) if t != chart)
-        for first, second in ((u, v), (v, u)):
-            g, gu, gv = (_rows(maps[t], first, second) for t in (0, 1 + u, 1 + v))
-            a, b = bivariate_resultant(g, gu), bivariate_resultant(g, gv)
-            r = 0 if a.is_zero() or b.is_zero() else int_resultant(a, b)
-            if r:
-                vals.append(abs(r))
-    if not vals:
-        raise ValueError("all eliminants vanish: curve is singular over Q")
-    return gcd(*vals)
+    for frame in _MACAULAY_FRAMES:
+        moved = TernaryQuarticForm(curve.in_coordinates(*zip(*frame)))
+        mat = _macaulay_matrix([moved.partial(t) for t in range(3)])
+        minor = _bareiss_det([[mat[r][c] for c in _EXTRANEOUS] for r in _EXTRANEOUS])
+        if minor:
+            res, rem = divmod(_bareiss_det(mat), minor)
+            if rem:
+                raise ArithmeticError(
+                    "the extraneous minor does not divide the Macaulay determinant"
+                )
+            return res
+    raise ArithmeticError("every extraneous minor of the Macaulay matrix vanishes")
+
+
+def find_bad_prime_candidates(curve: TernaryQuarticForm) -> int:
+    """B = 2 |Res(f_x, f_y, f_z)|, divisible by every prime of bad
+    reduction of the model.
+
+    By Euler's relation 4f = x f_x + y f_y + z f_z, at an odd prime p a
+    common zero of the partials is a singular point of the fiber and
+    conversely, so the odd prime factors of B are exactly the odd primes
+    where the fiber is singular.  At p = 2 the relation says nothing,
+    hence the factor 2: the prime 2 is always scanned downstream.
+    Raises ValueError when Res = 0, that is when the curve is singular
+    over Q-bar (a smooth plane quartic is geometrically irreducible, so
+    this also rejects every reducible form).
+    """
+    res = partials_resultant(curve)
+    if res == 0:
+        raise ValueError(
+            "Res(f_x, f_y, f_z) = 0: the curve is singular over Q-bar"
+        )
+    return 2 * abs(res)
 
 
 def _rows(coeff_map: Dict[Monomial, int], elim: int, keep: int) -> List[IntPoly]:
@@ -461,7 +534,7 @@ def singular_points(curve: TernaryQuarticForm, p: int) -> SingularFiberReport:
     or when every eliminant vanishes mod p, the chart z = 1 falls back to
     a scan of its F_p-points and ``complete`` is False.
     """
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ValueError("p must be prime")
     F, K2 = make_field(p, 1), make_field(p, 2)
     maps = [curve.coeffs] + [curve.partial(t) for t in range(3)]

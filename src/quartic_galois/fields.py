@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Tuple
 
-import sympy
+from .arith import isprime
 
 Element = Tuple[int, ...]
 
@@ -154,7 +154,7 @@ def make_field(p: int, m: int) -> FieldDescriptor:
     root is also sufficient, and for m >= 4 distinct-degree splitting
     decides.
     """
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ValueError("p = %d is not prime" % p)
     if m < 1:
         raise ValueError("extension degree must be >= 1, got %d" % m)

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
-import sympy
-
+from .arith import primefactors
 from .curve import LPolynomial
 from .polys import IntPoly, int_resultant, is_irreducible_mod
 
@@ -157,7 +156,7 @@ def dim1_exclusion(lpolys: Sequence[LPolynomial]) -> FrozenSet[int]:
         raise ArithmeticError(
             "P_p(1) * P_p(p) = 0, which the Weil bounds forbid at good p"
         )
-    return frozenset(q for q in sympy.primefactors(g) if q % 2 == 1)
+    return frozenset(q for q in primefactors(g) if q % 2 == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +196,7 @@ def dim2_exclusion(rps: Dict[int, int]) -> FrozenSet[int]:
     if g == 0:
         raise ValueError("all Hecke/Q resultants vanish; no dim-2 constraint")
     return frozenset(
-        ell for ell in set(sympy.primefactors(g)) | set(rps)
+        ell for ell in set(primefactors(g)) | set(rps)
         if ell % 2 and gcd(*(r for p, r in rps.items() if p != ell)) % ell == 0
     )
 
@@ -307,7 +306,7 @@ def irreducibility_certify(
     # divisors of the order of (Z/level)^*
     escape = frozenset(
         q
-        for q in sympy.primefactors(prod(b - 1 for b in bad_primes))
+        for q in primefactors(prod(b - 1 for b in bad_primes))
         if q % 2 == 1
     )
     base_set = frozenset(bad_primes) | escape
@@ -337,7 +336,7 @@ def irreducibility_certify(
     n1 = dim3_obstruction(anchor, 1)
     dim3_set = frozenset(
         q
-        for q in {3, 5, 7} | set(sympy.primefactors(n0 * n1))
+        for q in {3, 5, 7} | set(primefactors(n0 * n1))
         if q % 2 == 1
     )
 

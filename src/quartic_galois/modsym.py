@@ -49,8 +49,8 @@ from math import comb, gcd, isqrt, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy
 
+from .arith import divisors, factorint, isprime, primefactors, totient
 from .polys import IntPoly
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,7 @@ def genus_x0(N: int) -> int:
     12g = 12 + mu - 3 nu2 - 4 nu3 - 6 nu_inf."""
     if N < 1:
         raise ValueError("level must be >= 1")
-    ps = sympy.primefactors(N)
+    ps = primefactors(N)
     mu = N
     for p in ps:
         mu = mu // p * (p + 1)
@@ -78,7 +78,7 @@ def genus_x0(N: int) -> int:
         nu3 = 1
         for p in ps:
             nu3 *= 1 if p == 3 else (2 if p % 3 == 1 else 0)
-    nu_inf = int(sum(sympy.totient(gcd(d, N // d)) for d in sympy.divisors(N)))
+    nu_inf = sum(totient(gcd(d, N // d)) for d in divisors(N))
     g, rem = divmod(12 + mu - 3 * nu2 - 4 * nu3 - 6 * nu_inf, 12)
     if rem:
         raise ArithmeticError("genus formula at level %d is not integral" % N)
@@ -125,7 +125,7 @@ def p1_list(N: int) -> List[Tuple[int, int]]:
     out = {(0, 1)}
     for d in range(N):
         out.add((1, d))
-    for g in sympy.divisors(N):
+    for g in divisors(N):
         if g in (1, N):
             continue
         for d in range(N):
@@ -416,7 +416,7 @@ def _atkin_lehner_matrix(N: int, Q: int) -> Tuple[int, int, int, int]:
 def check_hecke_prime(N: int, p) -> None:
     """Raise ValueError unless p is a prime that does not divide the
     level N: the coset formula for T_p is only valid for such p."""
-    if isinstance(p, bool) or not isinstance(p, int) or not sympy.isprime(p):
+    if isinstance(p, bool) or not isinstance(p, int) or not isprime(p):
         raise ValueError("T_p needs a prime p, got p = %r" % (p,))
     if N % p == 0:
         raise ValueError("p = %d divides the level %d" % (p, N))
@@ -580,7 +580,7 @@ def _atkin_lehner_involutions(
     exactly to be commuting involutions that commute with every T_p."""
     identity = np.eye(basis[2].shape[1], dtype=np.int64)
     involutions: Dict[str, np.ndarray] = {}
-    for ell, e in sorted(sympy.factorint(N).items()):
+    for ell, e in factorint(N).items():
         name = "W_%d" % ell ** e
         image = [_atkin_lehner_matrix(N, ell ** e)]
         W = _cuspidal_matrix(N, basis, partial(_path_images, N, image), name)
@@ -717,7 +717,7 @@ def _crt_moduli(g: int) -> Iterator[int]:
     that a charpoly of a g x g matrix modulo any of them fits int64."""
     q = min(1 << 26, isqrt((2 ** 63 - 1) // max(g, 1))) - 1
     while q > 2:
-        if sympy.isprime(q):
+        if isprime(q):
             yield q
         q -= 1
 

@@ -22,8 +22,7 @@ from importlib import resources
 from math import prod
 from typing import List, Optional, Tuple
 
-import sympy
-
+from .arith import isprime, primefactors
 from .counting import l_polynomial_table
 from .curve import TernaryQuarticForm, find_bad_prime_candidates, singular_points
 from .facts import REGISTRY_VERSION, all_facts, get_fact
@@ -65,7 +64,7 @@ _DEFAULTS = {
 _VALID = {
     type(None): (lambda v: v is None or isinstance(v, str), "a path or null"),
     list: (lambda v: isinstance(v, list)
-           and all(type(x) is int and sympy.isprime(x) for x in v)
+           and all(type(x) is int and isprime(x) for x in v)
            and len(set(v)) == len(v), "a list of distinct primes"),
     dict: (lambda v: isinstance(v, dict), "an object"),
     str: (lambda v: isinstance(v, str), "a string"),
@@ -139,7 +138,7 @@ def _load_hecke(cfg: dict, level: int):
 
 def _reduction_analysis(cfg, curve, run):
     reports = {}
-    for p in sympy.primefactors(find_bad_prime_candidates(curve)):
+    for p in primefactors(find_bad_prime_candidates(curve)):
         rep = singular_points(curve, p)
         if not rep.complete:
             raise PipelineFailure(

@@ -32,8 +32,7 @@ import random
 from math import lcm
 from typing import List, Sequence, Tuple
 
-import sympy
-
+from .arith import factorint
 from .fields import Element, FieldDescriptor, make_field
 
 _CZ_SEED = 0x5EED_CA55
@@ -566,7 +565,7 @@ def multiplicative_order(f: FqPoly) -> int:
             continue
         group = F.order ** g.degree - 1
         order = group
-        for prime, exp in sympy.factorint(group).items():
+        for prime, exp in factorint(group).items():
             for _ in range(exp):
                 cand = order // prime
                 if x.pow_mod(cand, g) == FqPoly.one(F):

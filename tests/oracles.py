@@ -15,21 +15,23 @@ library against; none of them is on a ``certify`` path.
   polynomial remainder sequence, which the counting kernel's divsteps
   replaced;
 * |C(F_{p^m})| by enumerating P^2(F_{p^m}), for small fields;
-* the eliminants of the bad-prime search and the singular scan by
-  sympy's bivariate subresultants, which Kronecker substitution into
-  ``int_resultant`` replaced.
+* the eliminants of the singular scan and the old iterated-elimination
+  bad-prime candidates by sympy's bivariate subresultants, which
+  Kronecker substitution into ``int_resultant`` and then the Macaulay
+  resultant of the partials replaced;
+* changes of coordinates and irreducibility over Q by sympy's sparse
+  ``PolyRing`` (``compose`` and ``factor_list``), which direct
+  substitution and the Macaulay resultant replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
+from math import gcd, isqrt
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
-import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.rings import ring
 
 from quartic_galois.curve import LPolynomial, TernaryQuarticForm
 from quartic_galois.fields import make_field
@@ -130,7 +132,8 @@ def dim3_solutions(lp: LPolynomial, e: int, ell: int) -> Dim3Solution:
     """
     if e not in (0, 1):
         raise ValueError("determinant exponent e must be 0 or 1")
-    if ell == lp.p or ell % 2 == 0 or not sympy.isprime(ell):
+    odd_prime = ell > 2 and all(ell % d for d in range(2, isqrt(ell) + 1))
+    if ell == lp.p or not odd_prime:
         raise ValueError("ell must be an odd prime different from p")
     p, a, b, c = lp.p, lp.a, lp.b, lp.c
     p1, p2, p3, pe = p ** (1 - e), p ** (2 - e), p ** (3 - e), p ** e
@@ -236,14 +239,22 @@ def brute_count(curve: TernaryQuarticForm, p: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # eliminants by sympy's subresultants
 
-# an affine chart whose generator 0 is the variable a resultant eliminates
-_ELIM = ring("u,v", ZZ)[0]
+@lru_cache(maxsize=None)
+def _ring(names: str):
+    """sympy's sparse integer polynomial ring in ``names``, imported on
+    first use so that the demos, which use the other oracles, run
+    without sympy."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rings import ring
+
+    return ring(names, ZZ)[0]
 
 
 def _affine(coeff_map, first: int, second: int):
     """A homogeneous coefficient map on the chart where the third
-    variable is 1, as an element of ``_ELIM`` in (first, second)."""
-    return _ELIM.from_dict(
+    variable is 1, as an element of the ring in (u, v) = (first, second),
+    so that u is the variable a resultant eliminates."""
+    return _ring("u,v").from_dict(
         {(e[first], e[second]): c for e, c in coeff_map.items()}
     )
 
@@ -268,3 +279,20 @@ def sympy_bad_prime_candidates(curve: TernaryQuarticForm) -> int:
             g, gu, gv = (_affine(maps[t], first, second) for t in (0, 1 + u, 1 + v))
             vals.append(abs(int(g.resultant(gu).resultant(g.resultant(gv)))))
     return gcd(*vals)
+
+
+# ---------------------------------------------------------------------------
+# changes of coordinates and factorization over Q by sympy's PolyRing
+
+def sympy_in_coordinates(curve: TernaryQuarticForm, a, b, c) -> Dict:
+    """The coefficient map of F(Xa + Yb + Zc) by ``PolyRing.compose``."""
+    xyz = _ring("x,y,z")
+    X, Y, Z = xyz.gens
+    images = [a[v] * X + b[v] * Y + c[v] * Z for v in range(3)]
+    f = xyz.from_dict(curve.coeffs)
+    return dict(f.compose(list(zip(xyz.gens, images))).items())
+
+
+def sympy_is_irreducible_over_q(curve: TernaryQuarticForm) -> bool:
+    factors = _ring("x,y,z").from_dict(curve.coeffs).factor_list()[1]
+    return len(factors) == 1 and factors[0][1] == 1

@@ -8,13 +8,20 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import sympy_bad_prime_candidates, sympy_eliminant
+from oracles import (
+    sympy_bad_prime_candidates,
+    sympy_eliminant,
+    sympy_in_coordinates,
+    sympy_is_irreducible_over_q,
+)
 from quartic_galois.curve import (
     LPolynomial,
     TernaryQuarticForm,
     _rows,
     classify_node,
     find_bad_prime_candidates,
+    _MACAULAY_FRAMES,
+    partials_resultant,
     singular_points,
 )
 from quartic_galois.fields import make_field
@@ -38,9 +45,13 @@ def test_bundled_curve_coefficients():
 
 
 def test_bundled_curve_irreducible_over_q():
-    assert CURVE.is_irreducible_over_q()
+    # smooth over Q-bar, hence geometrically irreducible: Res != 0
+    assert partials_resultant(CURVE) == -(2 ** 14) * 7 * 11 * 83 ** 2
+    assert sympy_is_irreducible_over_q(CURVE)
     reducible = TernaryQuarticForm({(2, 2, 0): 1, (2, 0, 2): 1})  # x^2(y^2+z^2)
-    assert not reducible.is_irreducible_over_q()
+    assert not sympy_is_irreducible_over_q(reducible)
+    with pytest.raises(ValueError, match="singular over Q-bar"):
+        find_bad_prime_candidates(reducible)
 
 
 def test_json_round_trip(tmp_path):
@@ -168,22 +179,89 @@ def test_eliminants_match_sympy_up_to_sign():
     assert 0 < vanished < checked
 
 
+def _odd_support_within(n: int, m: int) -> bool:
+    """Whether every odd prime factor of n divides m, found by gcds
+    alone: neither integer is factored."""
+    n >>= (n & -n).bit_length() - 1
+    g = gcd(n, m)
+    while g > 1:
+        n //= g
+        g = gcd(n, m)
+    return n == 1
+
+
+ODD_PRIMES_BELOW_50 = [p for p in range(3, 50) if sympy.isprime(p)]
+
+
+def _good_where_complete(form, primes):
+    """{p: is_good} over the given primes where the singular scan is
+    complete."""
+    reports = (singular_points(form, p) for p in primes)
+    return {rep.p: rep.is_good for rep in reports if rep.complete}
+
+
 def test_bad_prime_candidates_match_sympy():
-    # the forms of magnitude at most 10^4: above it the 24 x 24 Bareiss
-    # determinant of the outer resultant makes the check slow, while the
-    # eliminants above cover every magnitude
+    # the forms of magnitude at most 10^4.  B and the oracle's iterated
+    # elimination gcd run to hundreds of bits, so the odd prime supports
+    # are compared without factoring: every odd prime of B divides the
+    # oracle's gcd, and at each odd prime below 50 that divides the gcd
+    # the singular scan keeps exactly those that divide B.  A form that
+    # is refused (Res = 0, or every extraneous minor vanishes) is bad at
+    # every odd prime below 50 where the scan is complete.
     forms = [f for n, f in enumerate(_elimination_corpus()) if n % 21 <= 4]
-    equal = 0
+    compared = refused = scanned = 0
     for form in forms:
+        try:
+            b = find_bad_prime_candidates(form)
+        except (ValueError, ArithmeticError):
+            refused += 1
+            good = _good_where_complete(form, ODD_PRIMES_BELOW_50)
+            assert not any(good.values()), form
+            continue
         ref = sympy_bad_prime_candidates(form)
-        if ref and form.is_irreducible_over_q():
-            assert find_bad_prime_candidates(form) == ref, form
-            equal += 1
-        else:
-            with pytest.raises(ValueError):
-                find_bad_prime_candidates(form)
-    assert len(forms) == 96
-    assert equal > len(forms) // 2
+        assert ref and sympy_is_irreducible_over_q(form), form
+        assert _odd_support_within(b, ref), form
+        primes = [p for p in ODD_PRIMES_BELOW_50 if ref % p == 0]
+        for p, is_good in _good_where_complete(form, primes).items():
+            assert (b % p == 0) == (not is_good), (form, p)
+            scanned += 1
+        compared += 1
+    assert (len(forms), compared, refused, scanned) == (96, 56, 40, 45)
+
+
+def test_partials_resultant_vanishes_exactly_at_singular_fibers():
+    # four corpus forms of each magnitude 1 to 10^20: an odd p divides Res
+    # exactly when the fiber is singular (Euler's relation), also when
+    # Res = 0 and every fiber is singular
+    checked = {True: 0, False: 0}
+    for form in _elimination_corpus()[:84]:
+        try:
+            res = partials_resultant(form)
+        except ArithmeticError:  # every extraneous minor vanishes
+            continue
+        for p, is_good in _good_where_complete(form, ODD_PRIMES_BELOW_50).items():
+            assert (res % p == 0) == (not is_good), (form, p)
+            checked[is_good] += 1
+    assert checked == {True: 420, False: 109}
+
+
+def test_macaulay_frames_are_unimodular():
+    for frame in _MACAULAY_FRAMES:
+        (a, b, c), (d, e, f), (g, h, i) = frame
+        assert abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) == 1
+    assert _MACAULAY_FRAMES[0] == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert _MACAULAY_FRAMES[-1] == ((1, 1, 1), (1, 2, 3), (1, 3, 6))
+
+
+def test_in_coordinates_matches_sympy_compose():
+    rng = random.Random(7)
+    for n in range(300):
+        form = TernaryQuarticForm(
+            {m: rng.choice((-1, 1)) * rng.randint(1, 10 ** (n % 7))
+             for m in rng.sample(MONOMIALS, rng.randint(1, 15))}
+        )
+        frame = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
+        assert form.in_coordinates(*frame) == sympy_in_coordinates(form, *frame)
 
 
 def test_form_without_x_has_a_zero_eliminant():
@@ -200,11 +278,12 @@ def test_form_without_x_has_a_zero_eliminant():
 
 def test_cone_over_q_has_only_vanishing_eliminants():
     # x^4 + z^4 is irreducible over Q and holds no y, so Res_u(f, f_y)
-    # is zero on every chart: each outer resultant is taken as 0
+    # is zero on every chart, and the cone is singular at (0:1:0)
     form = TernaryQuarticForm({(4, 0, 0): 1, (0, 0, 4): 1})
-    assert form.is_irreducible_over_q()
+    assert sympy_is_irreducible_over_q(form)
     assert sympy_bad_prime_candidates(form) == 0
-    with pytest.raises(ValueError, match="all eliminants vanish"):
+    assert partials_resultant(form) == 0
+    with pytest.raises(ValueError, match="singular over Q-bar"):
         find_bad_prime_candidates(form)
 
 
@@ -240,7 +319,12 @@ def test_vanishing_chart_eliminants_match_sympy():
             for m in (maps[1 + first], maps[1 + second])
         )
         assert int_resultant(a, b) == 0
-    assert find_bad_prime_candidates(form) == sympy_bad_prime_candidates(form)
+    # the iterated elimination's gcd is 1, as if the curve were good
+    # everywhere; the Macaulay resultant sees the singular point
+    assert sympy_bad_prime_candidates(form) == 1
+    assert partials_resultant(form) == 0
+    with pytest.raises(ValueError, match="singular over Q-bar"):
+        find_bad_prime_candidates(form)
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +476,14 @@ DOUBLE_CONIC = TernaryQuarticForm(
 )
 # z^2 (x^2 + y^2 + z^2): every point of the line z = 0 is singular
 DOUBLE_LINE = TernaryQuarticForm({(2, 0, 2): 1, (0, 2, 2): 1, (0, 0, 4): 1})
-# sha256 pins of the reports and the candidates: any rewrite of the
-# elimination must leave them unchanged
+# sha256 pins of the reports, and of the candidates B = 2 |Res| with
+# their bad primes: any rewrite of the elimination must leave them
+# unchanged
 SINGULAR_CORPUS_SHA256 = (
     "6ebe64a3c1edee92c2ce9845337b27fb0d4cb49fc2936271a58dc6adbc2a7d87"
 )
 BAD_PRIME_SHA256 = (
-    "b2e7f824cdec2fd039e25fc835aba2a404d5e3775cee7a38029edc2958b2d56a"
+    "a790bf90a2ccc814c5cc9d016dd08d6f09fb38b361d49400af659712fbbb9c01"
 )
 
 
@@ -440,8 +525,17 @@ def test_singular_points_corpus_fingerprint():
 
 
 def test_bad_prime_candidates_fingerprint():
+    # B with its bad primes below 100 (the scan costs O(p^2) when the y^4
+    # coefficient vanishes mod p); every odd prime factor of B is bad
     forms = [CURVE, FERMAT] + [_seeded_forms(seed)[0] for seed in (0, 1, 2)]
-    lines = ["%r %d" % (f, find_bad_prime_candidates(f)) for f in forms]
+    lines = []
+    for f in forms:
+        b = find_bad_prime_candidates(f)
+        small = [p for p in sympy.primefactors(b) if p < 100]
+        bad = [p for p in small if not singular_points(f, p).is_good]
+        assert set(small) - set(bad) <= {2}
+        lines.append("%r %d %r" % (f, b, bad))
+    assert lines[0].endswith(" 17381883904 [7, 11, 83]")
     assert _digest(lines) == BAD_PRIME_SHA256
 
 

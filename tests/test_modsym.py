@@ -91,7 +91,7 @@ def test_p1_normalize_matches_unit_scan():
 def test_genus_formula_remainder_raises(monkeypatch):
     # without its prime factors, level 11 gives 12g = 4: an exception
     # that survives python -O, not an assert
-    monkeypatch.setattr(modsym.sympy, "primefactors", lambda N: [])
+    monkeypatch.setattr(modsym, "primefactors", lambda N: [])
     with pytest.raises(ArithmeticError, match="level 11"):
         genus_x0(11)
 

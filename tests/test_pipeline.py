@@ -3,6 +3,7 @@ import json
 import pytest
 
 from quartic_galois import counting
+from quartic_galois.curve import TernaryQuarticForm
 from quartic_galois.pipeline import (
     Certificate,
     DEFAULT_FROBENIUS_PRIMES,
@@ -84,6 +85,26 @@ def test_fermat_quartic_fails_reduction(tmp_path):
     cert = run_pipeline({"curve_path": str(path), "hecke": {"mode": "skip"}})
     assert cert.final_verdict.startswith("not certified")
     assert "reduction-analysis" in cert.final_verdict
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        # z^4 - y^4 + x z^3 and z^4 - y z^3 + y^3 z + y^4 - x z^3, both
+        # singular at (1:0:0) over Q: the iterated elimination's gcd was 1
+        {(0, 0, 4): 1, (0, 4, 0): -1, (1, 0, 3): 1},
+        {(0, 0, 4): 1, (0, 1, 3): -1, (0, 3, 1): 1, (0, 4, 0): 1, (1, 0, 3): -1},
+    ],
+)
+def test_curve_singular_over_q_fails_reduction(tmp_path, coeffs):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(TernaryQuarticForm(coeffs).to_json_obj()))
+    cert = run_pipeline({"curve_path": str(path), "hecke": {"mode": "skip"}})
+    reduction = cert.obligations[0]
+    assert reduction["name"] == "reduction-analysis"
+    assert reduction["status"] == "failed"
+    assert "singular over Q-bar" in reduction["evidence"]["error"]
+    assert cert.final_verdict.startswith("not certified")
 
 
 def test_vanishing_hecke_resultants_fail_irreducibility(tmp_path):

@@ -42,3 +42,22 @@ def test_script_runs(tmp_path, script):
     # run in a scratch directory: demo 03 writes certificate.json there
     proc = _run([str(ROOT / script)], tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "demos/01_point_counts_and_lpolynomials.py",
+        "demos/02_exclusion_ledgers.py",
+        "demos/03_hecke_operators_and_certificate.py",
+    ],
+)
+def test_demo_runs_without_sympy(tmp_path, script):
+    # a None entry in sys.modules makes every "import sympy" fail
+    code = (
+        "import runpy, sys\n"
+        "sys.modules['sympy'] = None\n"
+        "runpy.run_path(sys.argv[1], run_name='__main__')\n"
+    )
+    proc = _run(["-c", code, str(ROOT / script)], tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -18,11 +18,13 @@ path decomposition is integral and field-independent, so it is computed
 once and reused for every prime's integer matrix.
 
 The cuspidal matrix of each T_p is integral in the basis of free
-classes, so it is built once over Z: the relation solve and the
-cuspidal basis are row-reduced modulo one 26-bit prime, lifted to the
-symmetric range and proved exact over Z.  Every row reduction clears a
-pivot's column with one rank-1 update of the rows gathered where that
-column is nonzero.
+classes, so it is built once over Z.  The relation solve (3 nonzeros
+per row) and the cuspidal basis (one row per cusp class) take their
+matrices as sparse rows: each is row-reduced modulo one 26-bit prime by
+sparse elimination, lifted to the symmetric range and proved exact over
+Z by a sparse product.  Every dense row reduction clears a pivot's
+column with one rank-1 update of the rows gathered where that column is
+nonzero.
 
 The Atkin-Lehner involutions W_Q (Q || N a prime power) are built the
 same way, each from the one matrix [[Q, y], [N, Q w]] of determinant Q,
@@ -35,9 +37,11 @@ columns of the projector P_s = prod(I + s_i W_i), whose trace is
 fixed-seed and {-1, 0, 1}-valued, instead of the g x g projector.
 Each CRT modulus q then row-reduces [B_s | T_p B_s] on d_s rows where
 B_s is invertible to read off T_p on V_s (a modulus where that block is
-singular is skipped) and computes the block charpolys.  Each block is
-lifted from the coefficient bound that Deligne's |a_p| <= 2 sqrt(p)
-gives at its own size and re-verified against held-out moduli.
+singular is skipped) and computes all its block charpolys in one
+batched Hessenberg reduction, each block zero-padded to the largest.
+Each block is lifted from the coefficient bound that Deligne's
+|a_p| <= 2 sqrt(p) gives at its own size and re-verified against
+held-out moduli.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from math import comb, gcd, isqrt, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -490,26 +495,127 @@ def _int_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X.astype(np.float64) @ Y.astype(np.float64)).astype(np.int64)
 
 
-def _integer_kernel(M: np.ndarray, N: int, what: str):
-    """(E, free): the kernel basis of the integer matrix M with
-    E[free] = I, as an integer matrix.
+def _sparse_rref_mod(rows, n: int, q: int):
+    """(R, pivots): the reduced row-echelon form mod q of the n-column
+    matrix whose rows are given as (column, value) pairs (values at one
+    column add up), as one {column: value} dict per nonzero row, and its
+    pivot columns.
 
-    E is read off the row-echelon form of M mod _LIFT_PRIME and lifted
-    to the symmetric range, then proved exact: M.E = 0 over Z gives
+    Pivots are taken in column order.  Each is the shortest row still
+    nonzero in its column, and clears that column from the rows not yet
+    pivots, found through a column index that follows their fill-in.
+    Back substitution, last pivot first, then clears every pivot column
+    from the rows above it.  The reduced form is unique, so it is the
+    one ``_rref_mod`` gives for the dense matrix."""
+    R = []
+    for row in rows:
+        acc: Dict[int, int] = {}
+        for k, v in row:
+            acc[k] = (acc.get(k, 0) + v) % q
+        R.append({k: v for k, v in acc.items() if v})
+    where: List[set] = [set() for _ in range(n)]
+    for i, row in enumerate(R):
+        for k in row:
+            where[k].add(i)
+    pivot_row: Dict[int, Dict[int, int]] = {}
+    for c in range(n):
+        if not where[c]:
+            continue
+        p = min(where[c], key=lambda i: (len(R[i]), i))
+        row = R[p]
+        for k in row:
+            where[k].discard(p)
+        inv = pow(row[c], -1, q)
+        if inv != 1:
+            for k in row:
+                row[k] = row[k] * inv % q
+        # the rows left in where[c] start at column c, as row does
+        for i in list(where[c]):
+            other, f = R[i], R[i][c]
+            for k, v in row.items():
+                new = (other.get(k, 0) - f * v) % q
+                if new:
+                    if k not in other:
+                        where[k].add(i)
+                    other[k] = new
+                else:
+                    del other[k]
+                    where[k].discard(i)
+        pivot_row[c] = row
+    pivots = sorted(pivot_row)
+    for c in reversed(pivots):
+        row = pivot_row[c]
+        # the rows of the later pivots hold only their pivot and free columns
+        for k in [k for k in row if k != c and k in pivot_row]:
+            f = row.pop(k)
+            for kk, v in pivot_row[k].items():
+                if kk != k:
+                    new = (row.get(kk, 0) - f * v) % q
+                    if new:
+                        row[kk] = new
+                    else:
+                        row.pop(kk, None)
+    return [pivot_row[c] for c in pivots], pivots
+
+
+def _sparse_int_matmul(rows, E: np.ndarray) -> np.ndarray:
+    """M @ E over Z, as int64, for the matrix M whose rows are given as
+    (column, value) pairs (values at one column add up) and an int64
+    matrix E.
+
+    Entry t of every row is applied in one vectorized step.  Every
+    partial sum has absolute value <= max_i sum |M[i]| * max|E|, so the
+    product is refused when that bound reaches 2^63."""
+    width = max(map(len, rows), default=0)
+    cols = np.zeros((len(rows), width), dtype=np.intp)
+    vals = np.zeros((len(rows), width), dtype=np.int64)
+    for i, row in enumerate(rows):
+        if row:
+            cols[i, : len(row)], vals[i, : len(row)] = zip(*row)
+    worst = int(np.abs(vals).sum(axis=1).max(initial=0)) * int(np.abs(E).max(initial=0))
+    if worst >= _INT64_LIMIT:
+        raise OverflowError(
+            "sparse integer product bound max row sum * max|E| = %d reaches 2^63"
+            % worst
+        )
+    out = np.zeros((len(rows), E.shape[1]), dtype=np.int64)
+    for t in range(width):
+        out += vals[:, t, None] * E[cols[:, t]]
+    return out
+
+
+def _integer_kernel(rows, n: int, N: int, what: str):
+    """(E, free): the kernel basis, with E[free] = I, of the n-column
+    integer matrix M whose rows are given as (column, value) pairs, as
+    an integer matrix.
+
+    E is read off the reduced row-echelon form of M mod _LIFT_PRIME,
+    computed by sparse elimination, and lifted to the symmetric range,
+    then proved exact by a sparse product: M.E = 0 over Z gives
     rank_Q(M) <= n - |free| = rank_q(M) <= rank_Q(M), so the columns of
     E span the rational kernel, and E[free] = I makes that basis unique.
     """
     q = _LIFT_PRIME
-    n = M.shape[1]
-    rref, pivots = _rref_mod(M, q)
+    rref, pivots = _sparse_rref_mod(rows, n, q)
     pivset = set(pivots)
     free = [c for c in range(n) if c not in pivset]
+    slot = np.full(n, -1, dtype=np.intp)
+    slot[free] = np.arange(len(free))
+    # E[pivots] = -rref[:, free], read off the dicts in one pass
+    sizes = [len(row) for row in rref]
+    total = sum(sizes)
+    ks = np.fromiter(chain.from_iterable(rref), dtype=np.intp, count=total)
+    vs = np.fromiter(
+        chain.from_iterable(row.values() for row in rref), dtype=np.int64, count=total
+    )
+    at = np.repeat(np.array(pivots, dtype=np.intp), sizes)
+    keep = slot[ks] >= 0
     E = np.zeros((n, len(free)), dtype=np.int64)
     E[free, np.arange(len(free))] = 1
-    E[pivots] = -rref[:, free] % q
+    E[at[keep], slot[ks[keep]]] = -vs[keep] % q
     E[E > q // 2] -= q
     identity = np.eye(len(free), dtype=np.int64)
-    if not np.array_equal(E[free], identity) or _int_matmul(M, E).any():
+    if not np.array_equal(E[free], identity) or _sparse_int_matmul(rows, E).any():
         raise ArithmeticError(
             "the integer lift of the %s at level %d is not exact" % (what, N)
         )
@@ -523,16 +629,15 @@ def _cuspidal_basis(N: int):
     once per level."""
     g = genus_x0(N)
     sk = skeleton(N)
-    R = np.zeros((len(sk.rows), sk.n_classes), dtype=np.int64)
-    for i, row in enumerate(sk.rows):
-        for k, v in row:
-            R[i, k] = v
-    expr, free = _integer_kernel(R, N, "relation solve")
-    B = np.zeros((len(sk.cusp_reps), len(free)), dtype=np.int64)
+    expr, free = _integer_kernel(sk.rows, sk.n_classes, N, "relation solve")
+    # the boundary map, one row per cusp class over the free classes
+    boundary: List[Dict[int, int]] = [{} for _ in sk.cusp_reps]
     for j, c in enumerate(free):
         for k, v in sk.boundary[c]:
-            B[k, j] += v
-    K, free_b = _integer_kernel(B, N, "cuspidal basis")
+            boundary[k][j] = v
+    K, free_b = _integer_kernel(
+        [tuple(row.items()) for row in boundary], len(free), N, "cuspidal basis"
+    )
     if len(free_b) != g:
         raise ArithmeticError(
             "cuspidal dimension %d at level %d does not match the genus "
@@ -661,55 +766,75 @@ class HeckeCharPoly:
         return IntPoly(list(self.coeffs))
 
 
-def _charpoly_hessenberg_mod(A: np.ndarray, q: int) -> np.ndarray:
-    """Characteristic polynomial coefficients (low degree first) of A
-    mod q via Hessenberg reduction.  Every int64 dot product here has at
-    most n terms below q^2, so n (q - 1)^2 < 2^63 is required.  The
-    similarity updates are reduced as a - (a // q) q, which numpy runs
-    faster than its int64 %."""
-    n = A.shape[0]
-    if n * (q - 1) ** 2 >= _INT64_LIMIT:
+def _charpolys_hessenberg_mod(
+    stack: np.ndarray, sizes: Sequence[int], q: int
+) -> List[np.ndarray]:
+    """The characteristic polynomial coefficients (low degree first) mod
+    q of every X_t, from the stack of D x D matrices diag(X_t, 0) with
+    X_t of size d_t = sizes[t] <= D, by one batched Hessenberg reduction.
+
+    chi(diag(X, 0)) = x^(D - d) chi(X), so the D - d lowest
+    coefficients of each padded charpoly must vanish: they are checked
+    (ArithmeticError otherwise) and dropped.  Every int64 dot product
+    here has at most D terms below q^2, so D (q - 1)^2 < 2^63 is
+    required of the padded size D.  The similarity updates are reduced
+    as a - (a // q) q, which numpy runs faster than its int64 %."""
+    count, D = stack.shape[0], stack.shape[1]
+    if D * (q - 1) ** 2 >= _INT64_LIMIT:
         raise OverflowError(
-            "charpoly of a %d x %d matrix mod %d may overflow int64" % (n, n, q)
+            "charpoly of a %d x %d matrix mod %d may overflow int64" % (D, D, q)
         )
-    if n == 0:
-        return np.array([1], dtype=np.int64)
-    H = A % q
-    for j in range(n - 2):
-        nz = np.flatnonzero(H[j + 1 :, j])
-        if nz.size == 0:
-            continue
-        piv = j + 1 + int(nz[0])
-        if piv != j + 1:
-            H[[j + 1, piv]] = H[[piv, j + 1]]
-            H[:, [j + 1, piv]] = H[:, [piv, j + 1]]
-        inv = pow(int(H[j + 1, j]), -1, q)
-        f = H[j + 2 :, j] * inv % q
+    H = stack % q
+    at = np.arange(count)
+    for j in range(D - 2):
+        # swap row and column j + 1 with the first row below it that is
+        # nonzero in column j, where one is (argmax of none is 0)
+        piv = j + 1 + np.argmax(H[:, j + 1 :, j] != 0, axis=1)
+        if (piv != j + 1).any():
+            top = H[at, j + 1].copy()
+            H[at, j + 1] = H[at, piv]
+            H[at, piv] = top
+            left = H[at, :, j + 1].copy()
+            H[at, :, j + 1] = H[at, :, piv]
+            H[at, :, piv] = left
+        inv = np.array(
+            [pow(int(x), -1, q) if x else 0 for x in H[:, j + 1, j]], dtype=np.int64
+        )
+        f = H[:, j + 2 :, j] * inv[:, None] % q
         if f.any():
             # rows j + 1 and below vanish left of column j
-            block = H[j + 2 :, j:]
-            block -= np.outer(f, H[j + 1, j:])
+            block = H[:, j + 2 :, j:]
+            block -= f[:, :, None] * H[:, j + 1, None, j:]
             block -= block // q * q
-            col = H[:, j + 1] + H[:, j + 2 :] @ f
-            H[:, j + 1] = col - col // q * q
+            col = H[:, :, j + 1] + (H[:, :, j + 2 :] @ f[:, :, None])[:, :, 0]
+            H[:, :, j + 1] = col - col // q * q
     # p_0 = 1; p_m = (x - H[m-1,m-1]) p_(m-1)
     #             - sum_i H[i-1,m-1] (prod_(k=i-1..m-2) H[k+1,k]) p_(i-1)
     # p_m has degree m, so only its first m + 1 entries are touched
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)
-    P[0, 0] = 1
-    sub = np.diagonal(H, -1)
-    # suffix[i] = prod_(k=i..m-2) sub[k], kept for i = 0..m-2
-    suffix = np.zeros(n, dtype=np.int64)
-    for m in range(1, n + 1):
-        new = P[m, : m + 1]
-        new[1:] = P[m - 1, :m]
-        new[:m] = (new[:m] - H[m - 1, m - 1] * P[m - 1, :m]) % q
+    P = np.zeros((count, D + 1, D + 1), dtype=np.int64)
+    P[:, 0, 0] = 1
+    sub = np.diagonal(H, -1, axis1=1, axis2=2)
+    # suffix[:, i] = prod_(k=i..m-2) sub[:, k], kept for i = 0..m-2
+    suffix = np.zeros((count, D), dtype=np.int64)
+    for m in range(1, D + 1):
+        new = P[:, m, : m + 1]
+        new[:, 1:] = P[:, m - 1, :m]
+        new[:, :m] = (new[:, :m] - H[:, m - 1, m - 1, None] * P[:, m - 1, :m]) % q
         if m >= 2:
-            suffix[m - 2] = 1
-            suffix[: m - 1] = suffix[: m - 1] * sub[m - 2] % q
-            w = H[: m - 1, m - 1] * suffix[: m - 1] % q
-            new[: m - 1] = (new[: m - 1] - w @ P[: m - 1, : m - 1]) % q
-    return P[n].copy()  # a view would keep all of P alive
+            suffix[:, m - 2] = 1
+            suffix[:, : m - 1] = suffix[:, : m - 1] * sub[:, m - 2, None] % q
+            w = H[:, : m - 1, m - 1] * suffix[:, : m - 1] % q
+            dots = (w[:, None, :] @ P[:, : m - 1, : m - 1])[:, 0]
+            new[:, : m - 1] = (new[:, : m - 1] - dots) % q
+    out = []
+    for t, d in enumerate(sizes):
+        if P[t, D, : D - d].any():
+            raise ArithmeticError(
+                "the charpoly of a %d x %d block zero-padded to %d x %d mod %d "
+                "is not divisible by x^%d" % (d, d, D, D, q, D - d)
+            )
+        out.append(P[t, D, D - d :].copy())  # a view would keep all of P alive
+    return out
 
 
 def _crt_moduli(g: int) -> Iterator[int]:
@@ -743,12 +868,12 @@ def hecke_charpolys_multimodular(
     The integer matrices of T_p and of the Atkin-Lehner involutions W_Q
     are built once, and the cuspidal space is split into the joint sign
     spaces of the W_Q, which every T_p preserves.  Each modulus solves
-    for T_p on every sign space and computes those block charpolys.  A
-    block's charpoly is CRT-lifted from the fewest moduli whose product
-    exceeds twice the coefficient bound from Deligne's |a_p| <= 2
-    sqrt(p) at the block's size, re-verified against the next
-    ``_VERIFICATION_MODULI`` (2) moduli, and the block charpolys are
-    multiplied over Z.  ``progress(i, n)``, if given, is called after
+    for T_p on every sign space and computes those block charpolys in
+    one batched call.  A block's charpoly is CRT-lifted from the fewest
+    moduli whose product exceeds twice the coefficient bound from
+    Deligne's |a_p| <= 2 sqrt(p) at the block's size, re-verified
+    against the next ``_VERIFICATION_MODULI`` (2) moduli, and the block
+    charpolys are multiplied over Z.  ``progress(i, n)``, if given, is called after
     the i-th of the n moduli."""
     for p in primes:
         check_hecke_prime(N, p)
@@ -796,10 +921,14 @@ def hecke_charpolys_multimodular(
             del moduli[i]
             plan()
             continue
-        for j, p in active:
-            d, k = systems[j].shape[0], slot[p]
-            X = solved[j][0][:, k * d : (k + 1) * d]
-            residues[(j, p)].append(_charpoly_hessenberg_mod(X, q))
+        # every block of this modulus, zero-padded to the largest, in one call
+        sizes = [systems[j].shape[0] for j, _ in active]
+        stack = np.zeros((len(active), max(sizes), max(sizes)), dtype=np.int64)
+        for t, (j, p) in enumerate(active):
+            d, k = sizes[t], slot[p]
+            stack[t, :d, :d] = solved[j][0][:, k * d : (k + 1) * d]
+        for key, charpoly in zip(active, _charpolys_hessenberg_mod(stack, sizes, q)):
+            residues[key].append(charpoly)
         i += 1
         if progress is not None:
             progress(i, len(moduli))
@@ -825,14 +954,14 @@ def hecke_charpolys_multimodular(
 
 
 def _crt_lift(residue_arrays: List[np.ndarray], moduli: List[int]) -> List[int]:
+    """The integers in the symmetric range mod prod(moduli) with the
+    given residues, coefficient by coefficient."""
     M = prod(moduli)
-    n = len(residue_arrays[0])
+    # the CRT weight of q is 1 mod q and 0 mod every other modulus
+    weights = [M // q * pow(M // q % q, -1, q) for q in moduli]
     out = []
-    for k in range(n):
-        acc = 0
-        for arr, q in zip(residue_arrays, moduli):
-            Mq = M // q
-            acc = (acc + int(arr[k]) * Mq * pow(Mq % q, -1, q)) % M
+    for column in zip(*(arr.tolist() for arr in residue_arrays)):
+        acc = sum(r * w for r, w in zip(column, weights)) % M
         if acc > M // 2:
             acc -= M
         out.append(acc)

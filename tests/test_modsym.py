@@ -1,9 +1,11 @@
+import collections
 import hashlib
 import itertools
 import json
+import random
 from importlib import resources
 from pathlib import Path
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -297,18 +299,18 @@ def test_singular_modulus_is_skipped(monkeypatch):
     # block solve works mod 2; that modulus must give no residue
     expected = hecke_charpolys_multimodular(143, (2, 3))
     real_moduli = modsym._crt_moduli
-    real_charpoly = modsym._charpoly_hessenberg_mod
+    real_charpolys = modsym._charpolys_hessenberg_mod
     used, ticks = [], []
 
-    def recording(A, q):
+    def recording(stack, sizes, q):
         used.append(q)
-        return real_charpoly(A, q)
+        return real_charpolys(stack, sizes, q)
 
     def small_first(g):
         return itertools.chain([2, 3], real_moduli(g))
 
     monkeypatch.setattr(modsym, "_crt_moduli", small_first)
-    monkeypatch.setattr(modsym, "_charpoly_hessenberg_mod", recording)
+    monkeypatch.setattr(modsym, "_charpolys_hessenberg_mod", recording)
     got = hecke_charpolys_multimodular(143, (2, 3), progress=lambda *t: ticks.append(t))
     assert got == expected
     assert 2 not in used and 3 in used
@@ -327,9 +329,9 @@ def test_integer_kernel_matches_sympy_nullspace(monkeypatch):
     calls = []
     real = modsym._integer_kernel
 
-    def recording(M, N, what):
-        E, free = real(M, N, what)
-        calls.append((what, M, E))
+    def recording(rows, n, N, what):
+        E, free = real(rows, n, N, what)
+        calls.append((what, _dense(rows, n), E))
         return E, free
 
     monkeypatch.setattr(modsym, "_integer_kernel", recording)
@@ -340,6 +342,112 @@ def test_integer_kernel_matches_sympy_nullspace(monkeypatch):
         for what, M, E in calls:
             assert E.tolist() == _sympy_kernel(M), (N, what)
         assert calls[1][2].shape[1] == genus_x0(N)
+
+
+def _dense(rows, n):
+    M = np.zeros((len(rows), n), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for k, v in row:
+            M[i, k] += v
+    return M
+
+
+def _dense_kernel_lift(M):
+    # the dense route: _rref_mod of the whole matrix and the same lift
+    q = modsym._LIFT_PRIME
+    n = M.shape[1]
+    rref, pivots = modsym._rref_mod(M, q)
+    free = [c for c in range(n) if c not in pivots]
+    E = np.zeros((n, len(free)), dtype=np.int64)
+    E[free, np.arange(len(free))] = 1
+    E[pivots] = -rref[:, free] % q
+    E[E > q // 2] -= q
+    return E, free
+
+
+def _recorded_kernel_inputs(monkeypatch, N):
+    # [(what, rows, n)] for each _integer_kernel call of _cuspidal_basis
+    calls = []
+    real = modsym._integer_kernel
+
+    def recording(rows, n, N, what):
+        calls.append((what, rows, n))
+        return real(rows, n, N, what)
+
+    with monkeypatch.context() as m:
+        m.setattr(modsym, "_integer_kernel", recording)
+        modsym._cuspidal_basis(N)
+    return calls
+
+
+@pytest.mark.parametrize("N", [2233, 6391])
+def test_sparse_kernel_matches_dense_route(monkeypatch, N):
+    calls = _recorded_kernel_inputs(monkeypatch, N)
+    assert [what for what, _, _ in calls] == ["relation solve", "cuspidal basis"]
+    for what, rows, n in calls:
+        E, free = modsym._integer_kernel(rows, n, N, what)
+        E0, free0 = _dense_kernel_lift(_dense(rows, n))
+        assert free == free0 and np.array_equal(E, E0), (N, what)
+
+
+def _random_sparse_matrices():
+    # M = A [I_r | C] with its columns shuffled: the kernel is integral
+    # when A has rank r; zero and duplicate rows are spliced in
+    rng = random.Random(22)
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        r = rng.randint(0, n)
+        order = rng.sample(range(n), n)
+        basis = np.zeros((r, n), dtype=np.int64)
+        for i in range(r):
+            basis[i, order[i]] = 1
+            for c in order[r:]:
+                basis[i, c] = rng.choice((0, 0, 0, 1, -1, 2, -3))
+        m = rng.randint(0, r + 3)
+        A = np.array([rng.choice((0, 0, 1, -1, 2)) for _ in range(m * r)], dtype=np.int64)
+        M = A.reshape(m, r) @ basis
+        rows = [[(c, int(v)) for c, v in enumerate(row) if v] for row in M]
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)), [])
+        if rows and rng.random() < 0.5:
+            rows.append(list(rows[rng.randrange(len(rows))]))
+        for row in rows:
+            rng.shuffle(row)
+        yield rows, n
+
+
+def test_sparse_kernel_matches_dense_route_on_random_matrices():
+    kinds = collections.Counter()
+    for rows, n in _random_sparse_matrices():
+        M = _dense(rows, n)
+        for q in (7, modsym._LIFT_PRIME):
+            rref, pivots = modsym._sparse_rref_mod(rows, n, q)
+            R0, pivots0 = modsym._rref_mod(M, q)
+            assert pivots == pivots0 and _dense([r.items() for r in rref], n).tolist() == R0.tolist()
+        E0, free0 = _dense_kernel_lift(M)
+        exact = not (M @ E0).any()
+        if exact:
+            E, free = modsym._integer_kernel(rows, n, 0, "random matrix")
+            assert free == free0 and np.array_equal(E, E0)
+        else:
+            with pytest.raises(ArithmeticError, match="not exact"):
+                modsym._integer_kernel(rows, n, 0, "random matrix")
+        assert np.array_equal(modsym._sparse_int_matmul(rows, E0), M @ E0)
+        rank = len(pivots)
+        kinds["full rank" if rank == min(M.shape) else "rank deficient"] += 1
+        kinds["exact" if exact else "inexact"] += 1
+        kinds["zero row"] += any(not row for row in rows)
+        nonzero = [tuple(row) for row in M.tolist() if any(row)]
+        kinds["duplicate row"] += len(set(nonzero)) < len(nonzero)
+    assert all(kinds[k] >= 5 for k in ("full rank", "rank deficient", "exact", "inexact", "zero row", "duplicate row")), kinds
+
+
+def test_sparse_integer_product_guard():
+    # the bound is the largest row's sum |M[i]| times max|E|
+    E = np.array([[1 << 61], [1]], dtype=np.int64)
+    assert modsym._sparse_int_matmul([[(0, 3)], [(1, 1)]], E).tolist() == [[3 << 61], [1]]
+    with pytest.raises(OverflowError):
+        modsym._sparse_int_matmul([[(0, 3), (1, -1)]], E)
 
 
 def test_integer_hecke_operators_commute_389():
@@ -369,17 +477,17 @@ def test_lifted_coefficients_within_deligne_bound():
 
 
 def test_corrupted_lift_raises(monkeypatch):
-    real = modsym._rref_mod
+    real = modsym._sparse_rref_mod
 
-    def corrupted(M, q):
+    def corrupted(rows, n, q):
         # one entry of a free column feeds exactly one entry of E
-        rref, pivots = real(M, q)
-        free = [c for c in range(M.shape[1]) if c not in pivots]
-        rref[0, free[0]] += 1
+        rref, pivots = real(rows, n, q)
+        free = [c for c in range(n) if c not in pivots]
+        rref[0][free[0]] = (rref[0].get(free[0], 0) + 1) % q
         return rref, pivots
 
-    monkeypatch.setattr(modsym, "_rref_mod", corrupted)
-    with pytest.raises(ArithmeticError, match="level 37"):
+    monkeypatch.setattr(modsym, "_sparse_rref_mod", corrupted)
+    with pytest.raises(ArithmeticError, match="at level 37 is not exact"):
         integer_hecke_matrices(37, [2])
 
 
@@ -405,12 +513,55 @@ def test_non_prime_p_rejected():
 
 
 def test_charpoly_int64_guard():
-    A = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    A = np.array([[[1, 2], [3, 4]]], dtype=np.int64)
     # 2 (q - 1)^2 < 2^63 just below 2^31, and not above 2^31.5
     q = sympy.prevprime(1 << 31)
-    assert modsym._charpoly_hessenberg_mod(A, q).tolist() == [q - 2, q - 5, 1]
+    assert modsym._charpolys_hessenberg_mod(A, [2], q)[0].tolist() == [q - 2, q - 5, 1]
     with pytest.raises(OverflowError):
-        modsym._charpoly_hessenberg_mod(A, sympy.nextprime(isqrt(1 << 63)))
+        modsym._charpolys_hessenberg_mod(A, [2], sympy.nextprime(isqrt(1 << 63)))
+    # the guard is on the padded size: 3 (q - 1)^2 >= 2^63
+    padded = np.zeros((1, 3, 3), dtype=np.int64)
+    padded[0, :2, :2] = A[0]
+    with pytest.raises(OverflowError, match="3 x 3"):
+        modsym._charpolys_hessenberg_mod(padded, [2], q)
+
+
+def _padded_stacks():
+    # seeded stacks of mixed sizes, each block zero-padded to the largest
+    rng = np.random.default_rng(22)
+    for q in (7, 101, modsym._LIFT_PRIME):
+        for sizes in ([3, 1, 5, 5, 2], [0, 4, 6], [1], [7, 7, 3, 6]):
+            D = max(sizes)
+            blocks = [rng.integers(-20, 21, (d, d)) for d in sizes]
+            if D >= 3:
+                # no nonzero below the diagonal of column 0, and one
+                # below the subdiagonal of column 1 only
+                blocks[sizes.index(D)][1:, 0] = 0
+                blocks[sizes.index(D)][2, 1], blocks[sizes.index(D)][-1, 1] = 0, 5
+            stack = np.zeros((len(sizes), D, D), dtype=np.int64)
+            for t, X in enumerate(blocks):
+                stack[t, : sizes[t], : sizes[t]] = X
+            yield q, sizes, blocks, stack
+
+
+def test_batched_charpoly_matches_sympy():
+    for q, sizes, blocks, stack in _padded_stacks():
+        got = modsym._charpolys_hessenberg_mod(stack, sizes, q)
+        assert len(got) == len(blocks)
+        for X, cp in zip(blocks, got):
+            want = [c % q for c in _sympy_charpoly(X)] if X.size else [1]
+            assert cp.tolist() == want, (q, X.tolist())
+
+
+def test_batched_charpoly_refuses_a_nonzero_padded_prefix():
+    # diag(X, 1) has charpoly (x - 1) chi(X), whose constant term is
+    # -det X != 0, not x chi(X)
+    stack = np.zeros((2, 3, 3), dtype=np.int64)
+    stack[0, :2, :2] = [[1, 2], [3, 4]]
+    stack[0, 2, 2] = 1
+    stack[1] = [[1, 0, 2], [0, 3, 0], [1, 1, 1]]
+    with pytest.raises(ArithmeticError, match="not divisible by x\\^1"):
+        modsym._charpolys_hessenberg_mod(stack, [2, 3], 101)
 
 
 def _sympy_rref_mod(M, q):
@@ -447,6 +598,35 @@ def test_rref_int64_guard():
     assert (R.tolist(), pivots) == _sympy_rref_mod(M, ok)
     with pytest.raises(OverflowError):
         modsym._rref_mod(M, bad)
+
+
+def _crt_lift_per_coefficient(residue_arrays, moduli):
+    # the earlier lift, with one modular inverse per coefficient and modulus
+    M = prod(moduli)
+    out = []
+    for k in range(len(residue_arrays[0])):
+        acc = 0
+        for arr, q in zip(residue_arrays, moduli):
+            Mq = M // q
+            acc = (acc + int(arr[k]) * Mq * pow(Mq % q, -1, q)) % M
+        if acc > M // 2:
+            acc -= M
+        out.append(acc)
+    return out
+
+
+def test_crt_lift_matches_per_coefficient_formula():
+    rng = random.Random(22)
+    candidates = modsym._crt_moduli(237)
+    for count in (1, 2, 5, 9):
+        moduli = [next(candidates) for _ in range(count)]
+        M = prod(moduli)
+        # half of the values from the negative half of the symmetric range
+        values = [rng.randrange(-(M // 2), M // 2 + 1) for _ in range(12)] + [-1, 0, 1]
+        values += [-rng.randrange(M // 2) for _ in range(12)]
+        residues = [np.array([v % q for v in values], dtype=np.int64) for q in moduli]
+        assert modsym._crt_lift(residues, moduli) == values
+        assert modsym._crt_lift(residues, moduli) == _crt_lift_per_coefficient(residues, moduli)
 
 
 def test_crt_moduli_fit_int64():

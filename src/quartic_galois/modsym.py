@@ -3,38 +3,31 @@
 The space is presented by Manin symbols (c:d) over P^1(Z/N), subject to
 the 2-term relation x + xS = 0, the 3-term relation x + xT + xT^2 = 0
 (S = [[0,-1],[1,0]], T = [[0,-1],[1,-1]]), and the star identification
-x = x.eta with eta = [[-1,0],[0,1]].  The involution relations are pure
-sign bookkeeping (union-find); the 3-term relations are a sparse linear
-system whose cokernel is the plus-quotient, of dimension
-genus + (star-merged cusps) - 1.  The cuspidal subspace is the kernel
-of the boundary map to star-merged cusp classes, of dimension equal to
-the genus of X_0(N).
+x = x.eta with eta = [[-1,0],[0,1]].  One table-driven index, built once
+per level, maps arrays of pairs (c, d) to symbol indices, so every
+relation and operator image is indexed by array calls.  The involution
+relations are the orbits of the Klein group {1, S, eta, S eta}; the
+3-term relations are a sparse linear system whose cokernel is the
+plus-quotient, of dimension genus + (star-merged cusps) - 1.  The
+cuspidal subspace is the kernel of the boundary map to star-merged cusp
+classes, of dimension equal to the genus of X_0(N).  Both kernels are
+found by sparse elimination modulo one 26-bit prime, lifted to Z and
+proved exact.
 
-Hecke operators T_p (p not dividing N) act through the degeneracy coset
-family [[1,k],[0,p]] (k = 0..p-1) and [[p,0],[0,1]], with each image
-path {alpha, beta} re-expressed in Manin symbols by the
-continued-fraction convergents of its endpoints (Manin's trick); the
-path decomposition is integral and field-independent, so it is computed
-once and reused for every prime's integer matrix.
-
-The cuspidal matrix of each T_p is integral in the basis of free
-classes, so it is built once over Z.  The relation solve (3 nonzeros
-per row) and the cuspidal basis (one row per cusp class) take their
-matrices as sparse rows: each is row-reduced modulo one 26-bit prime by
-sparse elimination, lifted to the symmetric range and proved exact over
-Z by a sparse product.  Every dense row reduction clears a pivot's
-column with one rank-1 update of the rows gathered where that column is
-nonzero.
-
-The Atkin-Lehner involutions W_Q (Q || N a prime power) are built the
-same way, each from the one matrix [[Q, y], [N, Q w]] of determinant Q,
-and proved exactly to be commuting involutions that commute with every
-T_p.  So T_p preserves each joint sign space V_s of the W_Q, and its
-characteristic polynomial is the product of those on the V_s.  Each
+T_p (p not dividing N) acts on Manin symbols through Merel's matrices
+X_p of determinant p (|X_2| = 4, |X_5| = 15): (c:d) T_p is the sum of
+(c:d).h over h in X_p.  The Atkin-Lehner involutions W_Q (Q || N a prime
+power) come from the one matrix [[Q, y], [N, Q w]] by Manin's trick:
+each image path is expanded by continued fractions.  Either image is a
+set of (class, free column, sign) triples, and the integer matrix in the
+cuspidal basis is assembled from it by sparse products, then proved
+cuspidal-stable.  The W_Q are proved exactly to be commuting involutions
+that commute with every T_p, each operator converted once for those
+products.  So T_p preserves each joint sign space V_s of the W_Q, and
+its characteristic polynomial is the product of those on the V_s.  Each
 V_s, about g / 2^k wide, gets an integer basis B_s once: d_s pivot
 columns of the projector P_s = prod(I + s_i W_i), whose trace is
-2^k d_s.  The pivots are read off a (d_s + 4) x g sketch S P_s, with S
-fixed-seed and {-1, 0, 1}-valued, instead of the g x g projector.
+2^k d_s, read off a (d_s + 4) x g fixed-seed {-1, 0, 1} sketch S P_s.
 Each CRT modulus q then row-reduces [B_s | T_p B_s] on d_s rows where
 B_s is invertible to read off T_p on V_s (a modulus where that block is
 singular is skipped) and computes all its block charpolys in one
@@ -48,10 +41,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain
 from math import comb, gcd, isqrt, prod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -94,57 +87,49 @@ def genus_x0(N: int) -> int:
 # P^1(Z/N)
 
 
-def p1_normalize(N: int, c: int, d: int) -> Optional[Tuple[int, int]]:
-    """Canonical representative of (c:d) in P^1(Z/N), or None if the
-    pair is not a projective point (gcd(c, d, N) > 1)."""
-    if N == 1:
-        return (0, 0)
-    c %= N
-    d %= N
-    if gcd(gcd(c, d), N) != 1:
-        return None
-    if c == 0:
-        return (0, 1)
-    g = gcd(c, N)
-    # scale c to g: s*c = g (mod N) for some unit s
-    s = pow(c // g, -1, N // g)
-    # any lift of s coprime to N works; adjust modulo N/g
-    step = N // g
-    while gcd(s, N) != 1:
-        s += step
-    d1 = s * d % N
-    if g == 1:
-        return (1, d1)
-    # remaining freedom: the units t = 1 (mod N/g) carry d1 to exactly
-    # the d = d1 (mod N/g) with gcd(d, g) = 1; the least is canonical
-    d = d1 % step
-    while gcd(d, g) != 1:
-        d += step
-    return (g, d)
+class _P1:
+    """P^1(Z/N) as tables: ``p1(c, d)`` maps integer arrays to the
+    indices in the sorted ``symbols`` of the points (c:d), -1 where
+    gcd(c, d, N) > 1.  The canonical form of (c:d) is (g : d'), g =
+    gcd(c, N) (0 for g = N), d' the least d' = u d (mod N/g) coprime to g,
+    u = (c/g)^-1 (mod N/g).  The unit s of Z/N that lifts u to the least
+    such d' sends (c:d) to (g : s d), so table row g, indexed by s d mod N,
+    holds the index of (g : d'), or -1 where s d is not coprime to g.
+    Residues below N are multiplied, so N < 2^31 is required."""
 
+    def __init__(self, N: int):
+        if N >= 1 << 31:
+            raise OverflowError("P^1(Z/%d) index products may overflow int64" % N)
+        x = np.arange(N, dtype=np.int64)
+        G = np.gcd(x, N)
+        # g = N (c = 0) sorts first as (0 : d'), then g = 1, 2, ...
+        divs = sorted(divisors(N), key=lambda g: g % N)
+        self.N, self.symbols = N, []
+        self.table = np.empty((len(divs), N), dtype=np.int64)
+        self.row, self.scale = np.empty((2, N), dtype=np.int64)
+        for t, g in enumerate(divs):
+            m = N // g
+            coprime = np.gcd(x, g) == 1
+            # d'[r]: the least d' = r (mod m) coprime to g, if there is one
+            least = coprime.reshape(g, m).argmax(axis=0) * m + np.arange(m)
+            reps = np.sort(least[coprime.reshape(g, m).any(axis=0)])
+            rank = len(self.symbols) + np.searchsorted(reps, least)
+            self.table[t] = np.where(coprime, rank[x % m], -1)
+            self.symbols += [(g % N, d) for d in reps.tolist()]
+            cs = np.flatnonzero(G == g)
+            self.row[cs] = t
+            self.scale[cs] = least[[pow(c, -1, m) for c in (cs // g).tolist()]]
 
-def p1_list(N: int) -> List[Tuple[int, int]]:
-    """All canonical representatives of P^1(Z/N), sorted."""
-    if N == 1:
-        return [(0, 0)]
-    out = {(0, 1)}
-    for d in range(N):
-        out.add((1, d))
-    for g in divisors(N):
-        if g in (1, N):
-            continue
-        for d in range(N):
-            if gcd(gcd(g, d), N) == 1:
-                out.add(p1_normalize(N, g, d))
-    return sorted(out)
+    def __call__(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        c = np.asarray(c, dtype=np.int64) % self.N
+        d = np.asarray(d, dtype=np.int64) % self.N
+        return self.table[self.row[c], self.scale[c] * d % self.N]
 
 
 def _lift_to_sl2z(N: int, c: int, d: int) -> Tuple[int, int, int, int]:
-    """A matrix [[a,b],[c0,d0]] in SL_2(Z) with (c0, d0) = (c, d) mod N.
-
-    Assumes a canonical P^1 representative, for which gcd(c, d) = 1 as
-    integers (with (0,1) and (1,0) as the degenerate forms).
-    """
+    """A matrix [[a,b],[c0,d0]] in SL_2(Z) with (c0, d0) = (c, d) mod N,
+    for a canonical P^1 representative, for which gcd(c, d) = 1 as
+    integers (with (0,1) and (1,0) as the degenerate forms)."""
     if N == 1:
         return (1, 0, 0, 1)
     if c == 0:
@@ -177,26 +162,6 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
 # cusps
 
 
-def _cusps_equivalent(
-    N: int, a: Tuple[int, int], b: Tuple[int, int]
-) -> bool:
-    """Gamma_0(N)-equivalence of reduced cusps p/q (q >= 0, infinity =
-    (1,0)): s1*q2 = s2*q1 (mod gcd(q1*q2, N)) with p_i*s_i = 1 mod q_i."""
-    (p1, q1), (p2, q2) = a, b
-
-    def s_of(p, q):
-        if q == 0:
-            return p  # p = +-1; p*p = 1
-        if q == 1:
-            return 0
-        return pow(p % q, -1, q)
-
-    m = gcd(q1 * q2, N)
-    if m == 0:
-        m = N
-    return (s_of(p1, q1) * q2 - s_of(p2, q2) * q1) % m == 0
-
-
 def _reduce_cusp(num: int, den: int) -> Tuple[int, int]:
     if den == 0:
         return (1, 0)
@@ -213,8 +178,8 @@ def _reduce_cusp(num: int, den: int) -> Tuple[int, int]:
 
 @dataclass
 class _Skeleton:
+    p1: _P1
     symbols: List[Tuple[int, int]]
-    index: Dict[Tuple[int, int], int]
     cls: List[int]  # symbol -> class id, or -1 if forced zero
     sgn: List[int]  # symbol -> sign relative to class representative
     n_classes: int
@@ -222,78 +187,41 @@ class _Skeleton:
     rows: List[Tuple[Tuple[int, int], ...]]  # 3-term relations, (class, coeff)
     cusp_reps: List[Tuple[int, int]]  # star-merged cusp classes
     boundary: List[Tuple[Tuple[int, int], ...]]  # class id -> (cusp, coeff)
-
-
-def _build_sign_classes(symbols, index, N):
-    n = len(symbols)
-    parent = list(range(n))
-    rel = [1] * n
-    zero = [False] * n
-
-    def find(i):
-        path = []
-        while parent[i] != i:
-            path.append(i)
-            i = parent[i]
-        s = 1
-        for j in reversed(path):
-            s *= rel[j]
-            parent[j] = i
-            rel[j] = s
-        return i
-
-    def union(i, j, s):
-        # impose value(i) = s * value(j)
-        ri, rj = find(i), find(j)
-        si, sj = rel[i], rel[j]
-        if ri == rj:
-            if si != s * sj:
-                zero[ri] = True
-            return
-        parent[rj] = ri
-        rel[rj] = si * s * sj
-        if zero[rj]:
-            zero[ri] = True
-
-    for i, (c, d) in enumerate(symbols):
-        xs = p1_normalize(N, d, -c)  # x.S
-        union(i, index[xs], -1)  # x = -x.S
-        xe = p1_normalize(N, -c, d)  # x.eta
-        union(i, index[xe], 1)  # x = x.eta (plus quotient)
-
-    cls = [-1] * n
-    sgn = [0] * n
-    class_rep: List[int] = []
-    root_to_class: Dict[int, int] = {}
-    for i in range(n):
-        r = find(i)
-        if zero[r]:
-            continue
-        if r not in root_to_class:
-            root_to_class[r] = len(class_rep)
-            class_rep.append(r)  # rel[r] = 1 by construction
-        cls[i] = root_to_class[r]
-        sgn[i] = rel[i]
-    return cls, sgn, class_rep
+    # cls and sgn as arrays, with a trailing -1 and 0 for symbol index -1
+    cls_of: np.ndarray
+    sgn_of: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def skeleton(N: int) -> _Skeleton:
-    symbols = p1_list(N)
-    index = {s: i for i, s in enumerate(symbols)}
-    cls, sgn, class_rep = _build_sign_classes(symbols, index, N)
-    n_classes = len(class_rep)
+    p1 = _P1(N)
+    symbols = p1.symbols
+    c, d = np.array(symbols, dtype=np.int64).T
+    x = np.arange(len(symbols))
+    # x = -x.S and x = x.eta: S and eta generate the Klein group
+    # {1, S, eta, S eta} on P^1, so each orbit is one class, numbered in
+    # order of its least symbol m and forced zero if m = m.S or
+    # m = m.eta.S.  Its representative r is m.eta.S when that precedes
+    # both m.S and m.eta, else m (the root that a union-find merging each
+    # x with x.S and x.eta in index order ends at); r and r.eta have sign
+    # +1, r.S and r.eta.S sign -1
+    S, E = p1(d, -c), p1(-c, d)
+    m = np.minimum.reduce([x, S, E, S[E]])
+    zero = (S[m] == m) | (S[E[m]] == m)
+    root = np.where((S[E[m]] < S[m]) & (S[E[m]] < E[m]), S[E[m]], m)
+    minima = np.flatnonzero((m == x) & ~zero)
+    class_rep = root[minima]
+    cls_of = np.append(np.where(zero, -1, np.searchsorted(minima, m)), -1)
+    sgn_of = np.append(np.where(zero, 0, np.where((x == root) | (x == E[root]), 1, -1)), 0)
 
-    def sym_class(c, d):
-        key = p1_normalize(N, c, d)
-        i = index[key]
-        return cls[i], sgn[i]
-
+    # x + x.T + x.T^2 with (c:d).T = (d : -c-d), (c:d).T^2 = (-c-d : c),
+    # once per T-orbit
+    T1, T2 = p1(d, -c - d), p1(-c - d, c)
+    terms = np.stack([x, T1, T2], axis=1)[x <= np.minimum(T1, T2)]
     rows = set()
-    for (c, d) in symbols:
+    for ks, ss in zip(cls_of[terms].tolist(), sgn_of[terms].tolist()):
         acc: Dict[int, int] = {}
-        for (cc, dd) in ((c, d), (d, -c - d), (-c - d, c)):
-            k, s = sym_class(cc, dd)
+        for k, s in zip(ks, ss):
             if k >= 0:
                 acc[k] = acc.get(k, 0) + s
         row = tuple(sorted((k, v) for k, v in acc.items() if v))
@@ -303,112 +231,108 @@ def skeleton(N: int) -> _Skeleton:
             row = tuple((k, -v) for k, v in row)
         rows.add(row)
 
-    # boundary of each class representative
+    # boundary of each class representative.  Reduced cusps a/c, a'/c'
+    # are Gamma_0(N)-equivalent iff s c' = s' c (mod gcd(c c', N)) with
+    # s a = 1 (mod c), s' a' = 1 (mod c'), that is iff d = gcd(c, N) =
+    # gcd(c', N) and a c/d = a' c'/d (mod gcd(d, N/d)); the star
+    # involution a/c -> -a/c merges the key's sign
     cusp_reps: List[Tuple[int, int]] = []
+    cusp_index: Dict[Tuple[int, int], int] = {}
 
     def cusp_class(num, den):
-        cu = _reduce_cusp(num, den)
-        for j, rep in enumerate(cusp_reps):
-            if _cusps_equivalent(N, cu, rep) or _cusps_equivalent(
-                N, (-cu[0], cu[1]), rep
-            ):
-                return j
-        cusp_reps.append(cu)
-        return len(cusp_reps) - 1
+        a, c = cu = _reduce_cusp(num, den)
+        d = gcd(c, N)
+        e = gcd(d, N // d)
+        key = (d, min(a * (c // d) % e, -a * (c // d) % e))
+        if key not in cusp_index:
+            cusp_index[key] = len(cusp_reps)
+            cusp_reps.append(cu)
+        return cusp_index[key]
 
     boundary = []
-    for r in class_rep:
+    for r in class_rep.tolist():
         c, d = symbols[r]
         a, b, c0, d0 = _lift_to_sl2z(N, c, d)
-        acc = {}
         # boundary of {g0, g inf} = [a/c0] - [b/d0]
-        j1 = cusp_class(a, c0)
-        acc[j1] = acc.get(j1, 0) + 1
-        j2 = cusp_class(b, d0)
-        acc[j2] = acc.get(j2, 0) - 1
-        boundary.append(tuple(sorted((k, v) for k, v in acc.items() if v)))
+        j1, j2 = cusp_class(a, c0), cusp_class(b, d0)
+        boundary.append(() if j1 == j2 else tuple(sorted(((j1, 1), (j2, -1)))))
 
     return _Skeleton(
+        p1=p1,
         symbols=symbols,
-        index=index,
-        cls=cls,
-        sgn=sgn,
-        n_classes=n_classes,
-        class_rep=class_rep,
+        cls=cls_of[:-1].tolist(),
+        sgn=sgn_of[:-1].tolist(),
+        n_classes=len(class_rep),
+        class_rep=class_rep.tolist(),
         rows=sorted(rows),
         cusp_reps=cusp_reps,
         boundary=boundary,
+        cls_of=cls_of,
+        sgn_of=sgn_of,
     )
 
 
 # ---------------------------------------------------------------------------
-# Hecke path decomposition (field-independent, cached)
+# operator images of the free classes, as (class, free column, sign)
 
 
-def _infty_path(num: int, den: int) -> List[Tuple[int, int]]:
-    """Symbols (c, d) with {infinity, num/den} = sum of [(c:d)]."""
-    if den == 0:
-        return []
-    quotients = []
-    a, b = num, den
-    while b:
-        q = a // b
-        quotients.append(q)
-        a, b = b, a - q * b
-    terms = []
-    q_before = 0  # q_(-1)
-    q_last = None  # q_(j-1) during iteration
-    for j, aj in enumerate(quotients):
-        if j == 0:
-            q_j = 1
-        else:
-            q_j = aj * q_last + q_before
-        # symbol for the path {p_(j-1)/q_(j-1), p_j/q_j}
-        prev_q = q_last if j > 0 else 0  # q_(j-1); for j=0 it is q_(-1)=0
-        s = 1 if (j - 1) % 2 == 0 else -1  # (-1)^(j-1)
-        terms.append((q_j, s * prev_q))
-        if j > 0:
-            q_before = q_last
-        q_last = q_j
-    return terms
+def _merel_set(p: int) -> List[Tuple[int, int, int, int]]:
+    """Merel's X_p = {[[a, b], [c, d]] : ad - bc = p, a > b >= 0,
+    d > c >= 0}; then bc <= (a - 1)(d - 1) gives a + d <= p + 1."""
+    return [(a, b, c, d) for a in range(1, p + 1) for d in range(1, p + 2 - a)
+            for b in range(a) for c in range(d) if a * d - b * c == p]
 
 
-def _path_images(
-    N: int, matrices: Sequence[Tuple[int, int, int, int]], sym_index: int
-) -> Tuple[Tuple[int, int], ...]:
-    """The sum of the images m.x of the sym_index-th canonical symbol x
-    under the given integer matrices m = (m11, m12, m21, m22), as a list
-    of (symbol index, +-1) contributions; independent of the coefficient
-    field."""
+def _image_triples(sk: _Skeleton, symbol_index: np.ndarray, column: np.ndarray, sign):
+    """The (class, free column, sign) triples of signed symbols, without
+    the forced zeros and the non-points of P^1 (index -1)."""
+    k = sk.cls_of[symbol_index]
+    keep = k >= 0
+    return k[keep], column[keep], (sk.sgn_of[symbol_index] * sign)[keep]
+
+
+def _hecke_image(N: int, free: Sequence[int], p: int):
+    """T_p of every free class (c:d) as the sum over h in X_p of (c:d).h
+    (Merel), one index call per h."""
     sk = skeleton(N)
-    c, d = sk.symbols[sym_index]
-    a, b, c0, d0 = _lift_to_sl2z(N, c, d)
-    # the underlying path is {alpha, beta} with alpha = g.0 = b/d0,
-    # beta = g.infinity = a/c0 (denominator 0 means infinity), and
-    # {m.alpha, m.beta} = {infinity, m.beta} - {infinity, m.alpha}
-    contributions: List[Tuple[int, int]] = []
-
-    def add_endpoint(num, den, sign):
-        if den < 0:
-            num, den = -num, -den
-        for (cc, dd) in _infty_path(num, den):
-            key = p1_normalize(N, cc, dd)
-            if key is None:
-                continue
-            contributions.append((sk.index[key], sign))
-
-    for m11, m12, m21, m22 in matrices:
-        add_endpoint(m11 * a + m12 * c0, m21 * a + m22 * c0, 1)  # m.beta
-        add_endpoint(m11 * b + m12 * d0, m21 * b + m22 * d0, -1)  # m.alpha
-    return tuple(contributions)
+    c, d = np.array([sk.symbols[sk.class_rep[k]] for k in free], np.int64).reshape(-1, 2).T
+    X = _merel_set(p)
+    index = np.concatenate([sk.p1(c * a + d * cc, c * b + d * dd) for a, b, cc, dd in X])
+    column = np.tile(np.arange(len(free)), len(X))
+    return _image_triples(sk, index, column, 1)
 
 
-@lru_cache(maxsize=None)
-def _hecke_paths(N: int, p: int, sym_index: int) -> Tuple[Tuple[int, int], ...]:
-    """T_p applied to the sym_index-th canonical symbol, through the
-    coset family [[1,k],[0,p]] (k = 0..p-1) and [[p,0],[0,1]]."""
-    cosets = [(1, k, 0, p) for k in range(p)] + [(p, 0, 0, 1)]
-    return _path_images(N, cosets, sym_index)
+def _atkin_lehner_image(N: int, free: Sequence[int], Q: int):
+    """W_Q of every free class by Manin's trick: W = [[Q, y], [N, Q w]]
+    carries the path {b/d, a/c} of the lift [[a, b], [c, d]] of its symbol
+    to {oo, W a/c} - {oo, W b/d}, and {oo, x} is the sum of the symbols
+    (q_j : (-1)^(j-1) q_(j-1)) over the convergent denominators q_j of x
+    (q_(-1) = 0); all endpoints are expanded at once, indexed in one call.
+    Every value stays below 2 N^2, which the P^1 bound N < 2^31 keeps in int64."""
+    sk = skeleton(N)
+    m11, m12, m21, m22 = _atkin_lehner_matrix(N, Q)
+    lifts = [_lift_to_sl2z(N, *sk.symbols[sk.class_rep[k]]) for k in free]
+    a, b, c, d = np.array(lifts, dtype=np.int64).reshape(-1, 4).T
+    num = np.concatenate([m11 * a + m12 * c, m11 * b + m12 * d])
+    den = np.concatenate([m21 * a + m22 * c, m21 * b + m22 * d])
+    num, den = np.where(den < 0, -num, num), np.abs(den)
+    column, sign = np.tile(np.arange(len(free)), 2), np.repeat([1, -1], len(free))
+    q_prev, q_prev2 = np.zeros_like(num), np.ones_like(num)  # q_(j-1), q_(j-2)
+    empty = np.zeros(0, dtype=np.int64)
+    terms, parity = [(empty,) * 4], -1  # parity = (-1)^(j-1)
+    while True:
+        live = den != 0
+        num, den, q_prev, q_prev2, column, sign = (
+            v[live] for v in (num, den, q_prev, q_prev2, column, sign)
+        )
+        if not num.size:
+            break
+        quotient = num // den
+        q = quotient * q_prev + q_prev2
+        terms.append((q, parity * q_prev, column, sign))
+        num, den, q_prev, q_prev2, parity = den, num - quotient * den, q, q_prev, -parity
+    c, d, column, sign = (np.concatenate(v) for v in zip(*terms))
+    return _image_triples(sk, sk.p1(c, d), column, sign)
 
 
 def _atkin_lehner_matrix(N: int, Q: int) -> Tuple[int, int, int, int]:
@@ -420,7 +344,7 @@ def _atkin_lehner_matrix(N: int, Q: int) -> Tuple[int, int, int, int]:
 
 def check_hecke_prime(N: int, p) -> None:
     """Raise ValueError unless p is a prime that does not divide the
-    level N: the coset formula for T_p is only valid for such p."""
+    level N: Merel's formula for T_p is only valid for such p."""
     if isinstance(p, bool) or not isinstance(p, int) or not isprime(p):
         raise ValueError("T_p needs a prime p, got p = %r" % (p,))
     if N % p == 0:
@@ -478,21 +402,36 @@ def _rref_mod(M: np.ndarray, q: int):
     return M[: len(pivots)], pivots
 
 
-def _int_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X @ Y over Z for int64 matrices, as int64.
+class _Exact:
+    """An int64 matrix with its float64 copy and max|entry|, so that
+    ``_int_matmul`` converts an operand once however often it is used."""
+
+    def __init__(self, X: np.ndarray):
+        self.ints, self.floats = X, X.astype(np.float64)
+        self.bound = int(np.abs(X).max(initial=0))
+
+
+def _exact(X) -> _Exact:
+    return X if isinstance(X, _Exact) else _Exact(X)
+
+
+def _int_matmul(X, Y) -> np.ndarray:
+    """X @ Y over Z for int64 matrices (or their ``_exact`` forms), as
+    int64.
 
     The product runs in float64 BLAS (numpy's int64 matmul has no BLAS
     and is about 40x slower).  Every partial sum is an integer of
     absolute value <= max|X| * max|Y| * inner, so the product is exact
     when that bound is below 2^53, and refused otherwise."""
-    inner = X.shape[1]
-    worst = int(np.abs(X).max(initial=0)) * int(np.abs(Y).max(initial=0)) * inner
+    X, Y = _exact(X), _exact(Y)
+    inner = X.floats.shape[1]
+    worst = X.bound * Y.bound * inner
     if worst >= _FLOAT64_EXACT:
         raise OverflowError(
             "integer product bound max|X| * max|Y| * %d = %d reaches 2^53"
             % (inner, worst)
         )
-    return (X.astype(np.float64) @ Y.astype(np.float64)).astype(np.int64)
+    return (X.floats @ Y.floats).astype(np.int64)
 
 
 def _sparse_rref_mod(rows, n: int, q: int):
@@ -563,15 +502,17 @@ def _sparse_int_matmul(rows, E: np.ndarray) -> np.ndarray:
     (column, value) pairs (values at one column add up) and an int64
     matrix E.
 
-    Entry t of every row is applied in one vectorized step.  Every
-    partial sum has absolute value <= max_i sum |M[i]| * max|E|, so the
-    product is refused when that bound reaches 2^63."""
-    width = max(map(len, rows), default=0)
-    cols = np.zeros((len(rows), width), dtype=np.intp)
-    vals = np.zeros((len(rows), width), dtype=np.int64)
-    for i, row in enumerate(rows):
-        if row:
-            cols[i, : len(row)], vals[i, : len(row)] = zip(*row)
+    With the rows taken longest first, entry t of every row that has one
+    is applied in one vectorized step.  Every partial sum has absolute
+    value <= max_i sum |M[i]| * max|E|, so the product is refused when
+    that bound reaches 2^63."""
+    order = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
+    lengths = np.array([len(rows[i]) for i in order], dtype=np.intp)
+    cols = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.intp)
+    vals = np.zeros(cols.shape, dtype=np.int64)
+    for i, at in enumerate(order):
+        if rows[at]:
+            cols[i, : lengths[i]], vals[i, : lengths[i]] = zip(*rows[at])
     worst = int(np.abs(vals).sum(axis=1).max(initial=0)) * int(np.abs(E).max(initial=0))
     if worst >= _INT64_LIMIT:
         raise OverflowError(
@@ -579,9 +520,49 @@ def _sparse_int_matmul(rows, E: np.ndarray) -> np.ndarray:
             % worst
         )
     out = np.zeros((len(rows), E.shape[1]), dtype=np.int64)
-    for t in range(width):
-        out += vals[:, t, None] * E[cols[:, t]]
+    for t in range(cols.shape[1]):
+        n = np.count_nonzero(lengths > t)
+        out[:n] += vals[:n, t, None] * E[cols[:n, t]]
+    return out[np.argsort(order)]
+
+
+def _expand(left, right):
+    """The products L[i, k] R[k, j], unsummed, as (i, j, value) arrays,
+    for L given as (row, column, value) arrays and R as CSR arrays
+    (indptr, columns, values); refused if one may reach 2^63."""
+    i, k, v = left
+    indptr, cols, vals = right
+    if int(np.abs(v).max(initial=0)) * int(np.abs(vals).max(initial=0)) >= _INT64_LIMIT:
+        raise OverflowError("a sparse product entry may reach 2^63")
+    counts = indptr[k + 1] - indptr[k]
+    # position in vals of every product: each row of R, entry by entry
+    at = np.repeat(indptr[k] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    return np.repeat(i, counts), cols[at], np.repeat(v, counts) * vals[at]
+
+
+def _sparse_matmul(left, right, shape: Tuple[int, int]) -> np.ndarray:
+    """L @ R over Z as a dense int64 array of the given shape, for L and
+    R as in ``_expand`` (values of L at one place add up).
+
+    Every partial sum has absolute value <= max_i sum |L[i]| * max|R|,
+    so the product is refused when that bound reaches 2^63."""
+    row_sums = np.zeros(shape[0], dtype=np.int64)
+    np.add.at(row_sums, left[0], np.abs(left[2]))
+    worst = int(row_sums.max(initial=0)) * int(np.abs(right[2]).max(initial=0))
+    if worst >= _INT64_LIMIT:
+        raise OverflowError("sparse product bound max row sum * max|R| = %d reaches 2^63" % worst)
+    i, j, w = _expand(left, right)
+    out = np.zeros(shape, dtype=np.int64)
+    np.add.at(out.reshape(-1), i * shape[1] + j, w)
     return out
+
+
+def _csr(M: np.ndarray):
+    """(indptr, columns, values) of the nonzero entries of M, by row."""
+    rows, cols = np.nonzero(M)
+    indptr = np.zeros(M.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=M.shape[0]), out=indptr[1:])
+    return indptr, cols, M[rows, cols]
 
 
 def _integer_kernel(rows, n: int, N: int, what: str):
@@ -622,11 +603,21 @@ def _integer_kernel(rows, n: int, N: int, what: str):
     return E, free
 
 
-def _cuspidal_basis(N: int):
-    """(expr, free, K, free_b): expr[k] writes class k in the basis of
-    the free classes, and the columns of K (K[free_b] = I) are the
-    cuspidal basis in those coordinates; field-independent, so built
-    once per level."""
+class _Basis:
+    """The free classes, the cuspidal basis K over them (K[free_b] = I,
+    also kept as CSR and as (column, value) rows) and, as CSR, expr,
+    whose row k writes class k over the free classes."""
+
+    def __init__(self, free: List[int], K: np.ndarray, free_b: List[int], expr: np.ndarray):
+        self.free, self.K, self.free_b, self.expr = free, K, free_b, _csr(expr)
+        indptr, cols, vals = self.K_csr = _csr(K)
+        pairs = list(zip(cols.tolist(), vals.tolist()))
+        self.K_rows = [pairs[a:b] for a, b in zip(indptr.tolist(), indptr[1:].tolist())]
+
+
+def _cuspidal_basis(N: int) -> _Basis:
+    """The relation solve and the cuspidal basis; field-independent, so
+    built once per level."""
     g = genus_x0(N)
     sk = skeleton(N)
     expr, free = _integer_kernel(sk.rows, sk.n_classes, N, "relation solve")
@@ -643,62 +634,55 @@ def _cuspidal_basis(N: int):
             "cuspidal dimension %d at level %d does not match the genus "
             "formula value %d" % (len(free_b), N, g)
         )
-    return expr, free, K, free_b
+    return _Basis(free, K, free_b, expr)
 
 
-def _cuspidal_matrix(N: int, basis, paths, name: str) -> np.ndarray:
-    """The integer g x g matrix, in the cuspidal basis, of the operator
-    that sends the symbol of index i to ``paths(i)``."""
-    sk = skeleton(N)
-    expr, free, K, free_b = basis
-    # C[k, j]: signed count of class k in the image of free class j
-    ks, js, vs = [], [], []
-    for j, c in enumerate(free):
-        for sym_idx, sign in paths(sk.class_rep[c]):
-            k = sk.cls[sym_idx]
-            if k >= 0:
-                ks.append(k)
-                js.append(j)
-                vs.append(sign * sk.sgn[sym_idx])
-    C = np.zeros((sk.n_classes, len(free)), dtype=np.int64)
-    np.add.at(C, (ks, js), vs)
-    M = _int_matmul(_int_matmul(expr.T, C), K)
-    A = M[free_b]
-    if not np.array_equal(_int_matmul(K, A), M):
+def _cuspidal_matrix(N: int, basis: _Basis, image, name: str) -> np.ndarray:
+    """The integer g x g matrix A, in the cuspidal basis, of the operator
+    whose image of free class j has class k with sign s for each triple
+    (k, j, s) of ``image`` (the class-by-free matrix C).  A = M[free_b]
+    for M = expr^T C K, formed by sparse products: the entries of C K,
+    left unsummed, then M^T = (C K)^T expr.  K A = M proves the cuspidal
+    subspace stable."""
+    k, col, w = _expand(image, basis.K_csr)  # C K, unsummed
+    M = _sparse_matmul((col, k, w), basis.expr, (basis.K.shape[1], len(basis.free))).T
+    A = M[basis.free_b]
+    if not np.array_equal(_sparse_int_matmul(basis.K_rows, A), M):
         raise ArithmeticError(
             "cuspidal subspace is not %s-stable at level %d" % (name, N)
         )
     return A
 
 
-def _hecke_matrices(N: int, basis, primes: Sequence[int]) -> Dict[int, np.ndarray]:
+def _hecke_matrices(N: int, basis: _Basis, primes: Sequence[int]) -> Dict[int, np.ndarray]:
     return {
-        p: _cuspidal_matrix(N, basis, partial(_hecke_paths, N, p), "T_%d" % p)
+        p: _cuspidal_matrix(N, basis, _hecke_image(N, basis.free, p), "T_%d" % p)
         for p in primes
     }
 
 
 def _atkin_lehner_involutions(
-    N: int, basis, matrices: Dict[int, np.ndarray]
+    N: int, basis: _Basis, matrices: Dict[int, np.ndarray]
 ) -> List[np.ndarray]:
     """W_Q in the cuspidal basis for each prime power Q || N, proved
-    exactly to be commuting involutions that commute with every T_p."""
-    identity = np.eye(basis[2].shape[1], dtype=np.int64)
-    involutions: Dict[str, np.ndarray] = {}
+    exactly to be commuting involutions that commute with every T_p.
+    Each operator is converted for the exact products once."""
+    identity = np.eye(basis.K.shape[1], dtype=np.int64)
+    hecke = [("T_%d" % p, _exact(A)) for p, A in matrices.items()]
+    involutions: Dict[str, _Exact] = {}
     for ell, e in factorint(N).items():
         name = "W_%d" % ell ** e
-        image = [_atkin_lehner_matrix(N, ell ** e)]
-        W = _cuspidal_matrix(N, basis, partial(_path_images, N, image), name)
+        image = _atkin_lehner_image(N, basis.free, ell ** e)
+        W = _exact(_cuspidal_matrix(N, basis, image, name))
         if not np.array_equal(_int_matmul(W, W), identity):
             raise ArithmeticError("%s^2 != 1 at level %d" % (name, N))
-        others = [*involutions.items()] + [("T_%d" % p, A) for p, A in matrices.items()]
-        for other, A in others:
+        for other, A in [*involutions.items()] + hecke:
             if not np.array_equal(_int_matmul(W, A), _int_matmul(A, W)):
                 raise ArithmeticError(
                     "%s does not commute with %s at level %d" % (name, other, N)
                 )
         involutions[name] = W
-    return list(involutions.values())
+    return [W.ints for W in involutions.values()]
 
 
 def _sketch(rows: int, cols: int) -> np.ndarray:

@@ -11,6 +11,11 @@ library against; none of them is on a ``certify`` path.
   exhaustive search over F_ell^2;
 * the integer Hecke matrices T_p on the cuspidal plus-space, which
   the library only uses inside its multimodular charpoly engine;
+* P^1(Z/N) by scalar normalization, the sign classes by a union-find,
+  the cusp classes by pairwise equivalence tests, and T_p through the
+  p + 1 degeneracy cosets with continued-fraction paths and a dense
+  assembly, which the table index, the Klein-group orbits, the cusp
+  keys, Merel's matrices and the sparse assembly replaced;
 * deg gcd(h, r) per counting lane by a masked, inversion-free
   polynomial remainder sequence, which the counting kernel's divsteps
   replaced;
@@ -29,13 +34,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from quartic_galois.arith import divisors
 from quartic_galois.curve import LPolynomial, TernaryQuarticForm
 from quartic_galois.fields import make_field
-from quartic_galois.modsym import _cuspidal_basis, _hecke_matrices, check_hecke_prime
+from quartic_galois.modsym import (
+    _cuspidal_basis,
+    _hecke_matrices,
+    _integer_kernel,
+    _lift_to_sl2z,
+    _reduce_cusp,
+    check_hecke_prime,
+    skeleton,
+)
 
 # ---------------------------------------------------------------------------
 # eta products
@@ -162,6 +176,207 @@ def integer_hecke_matrices(N: int, primes: Sequence[int]) -> Dict[int, np.ndarra
     for p in primes:
         check_hecke_prime(N, p)
     return _hecke_matrices(N, _cuspidal_basis(N), primes)
+
+
+# ---------------------------------------------------------------------------
+# P^1(Z/N), the sign and cusp classes and T_p by scalar Python
+
+
+def p1_normalize(N: int, c: int, d: int) -> Optional[Tuple[int, int]]:
+    """Canonical representative of (c:d) in P^1(Z/N), or None if the
+    pair is not a projective point (gcd(c, d, N) > 1)."""
+    if N == 1:
+        return (0, 0)
+    c %= N
+    d %= N
+    if gcd(gcd(c, d), N) != 1:
+        return None
+    if c == 0:
+        return (0, 1)
+    g = gcd(c, N)
+    # scale c to g: s*c = g (mod N) for some unit s
+    s = pow(c // g, -1, N // g)
+    # any lift of s coprime to N works; adjust modulo N/g
+    step = N // g
+    while gcd(s, N) != 1:
+        s += step
+    d1 = s * d % N
+    if g == 1:
+        return (1, d1)
+    # remaining freedom: the units t = 1 (mod N/g) carry d1 to exactly
+    # the d = d1 (mod N/g) with gcd(d, g) = 1; the least is canonical
+    d = d1 % step
+    while gcd(d, g) != 1:
+        d += step
+    return (g, d)
+
+
+def p1_list(N: int) -> List[Tuple[int, int]]:
+    """All canonical representatives of P^1(Z/N), sorted."""
+    if N == 1:
+        return [(0, 0)]
+    out = {(0, 1)}
+    for d in range(N):
+        out.add((1, d))
+    for g in divisors(N):
+        if g in (1, N):
+            continue
+        for d in range(N):
+            if gcd(gcd(g, d), N) == 1:
+                out.add(p1_normalize(N, g, d))
+    return sorted(out)
+
+
+def union_find_sign_classes(N: int):
+    """(cls, sgn, class_rep) of the 2-term and star relations x = -x.S,
+    x = x.eta on ``p1_list(N)``, by a union-find that merges each x
+    with x.S and x.eta in index order: the classes are numbered in order
+    of first symbol, represented by their roots, and a class whose signs
+    contradict each other is forced zero (class -1, sign 0)."""
+    symbols = p1_list(N)
+    index = {s: i for i, s in enumerate(symbols)}
+    n = len(symbols)
+    parent, rel, zero = list(range(n)), [1] * n, [False] * n
+
+    def find(i):
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        s = 1
+        for j in reversed(path):
+            s *= rel[j]
+            parent[j], rel[j] = i, s
+        return i
+
+    def union(i, j, s):
+        # impose value(i) = s * value(j)
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            zero[ri] |= rel[i] != s * rel[j]
+            return
+        parent[rj], rel[rj] = ri, rel[i] * s * rel[j]
+        zero[ri] |= zero[rj]
+
+    for i, (c, d) in enumerate(symbols):
+        union(i, index[p1_normalize(N, d, -c)], -1)
+        union(i, index[p1_normalize(N, -c, d)], 1)
+    cls, sgn, class_rep, root_to_class = [-1] * n, [0] * n, [], {}
+    for i in range(n):
+        r = find(i)
+        if not zero[r]:
+            cls[i] = root_to_class.setdefault(r, len(class_rep))
+            if cls[i] == len(class_rep):
+                class_rep.append(r)
+            sgn[i] = rel[i]
+    return cls, sgn, class_rep
+
+
+def _cusps_equivalent(
+    N: int, a: Tuple[int, int], b: Tuple[int, int]
+) -> bool:
+    """Gamma_0(N)-equivalence of reduced cusps p/q (q >= 0, infinity =
+    (1,0)): s1*q2 = s2*q1 (mod gcd(q1*q2, N)) with p_i*s_i = 1 mod q_i."""
+    (p1, q1), (p2, q2) = a, b
+
+    def s_of(p, q):
+        if q == 0:
+            return p  # p = +-1; p*p = 1
+        if q == 1:
+            return 0
+        return pow(p % q, -1, q)
+
+    m = gcd(q1 * q2, N)
+    if m == 0:
+        m = N
+    return (s_of(p1, q1) * q2 - s_of(p2, q2) * q1) % m == 0
+
+
+def scan_cusp_classes(N: int):
+    """(cusp_reps, boundary) of ``skeleton(N)`` recomputed by testing each
+    boundary cusp against the classes found so far with
+    ``_cusps_equivalent``, with and without the star involution."""
+    sk = skeleton(N)
+    cusp_reps: List[Tuple[int, int]] = []
+
+    def cusp_class(num, den):
+        cu = _reduce_cusp(num, den)
+        for j, rep in enumerate(cusp_reps):
+            if _cusps_equivalent(N, cu, rep) or _cusps_equivalent(N, (-cu[0], cu[1]), rep):
+                return j
+        cusp_reps.append(cu)
+        return len(cusp_reps) - 1
+
+    boundary = []
+    for r in sk.class_rep:
+        a, b, c0, d0 = _lift_to_sl2z(N, *sk.symbols[r])
+        acc: Dict[int, int] = {}
+        for j, v in ((cusp_class(a, c0), 1), (cusp_class(b, d0), -1)):
+            acc[j] = acc.get(j, 0) + v
+        boundary.append(tuple(sorted((k, v) for k, v in acc.items() if v)))
+    return cusp_reps, boundary
+
+
+def _infty_path(num: int, den: int) -> List[Tuple[int, int]]:
+    """Symbols (c, d) with {infinity, num/den} = sum of [(c:d)]: one
+    (q_j, (-1)^(j-1) q_(j-1)) per convergent denominator q_j (q_(-1) = 0)."""
+    terms = []
+    q_prev, q_prev2, sign = 0, 1, -1
+    while den:
+        q, rem = divmod(num, den)
+        q_j = q * q_prev + q_prev2
+        terms.append((q_j, sign * q_prev))
+        num, den = den, rem
+        q_prev, q_prev2, sign = q_j, q_prev, -sign
+    return terms
+
+
+@lru_cache(maxsize=None)
+def coset_hecke_paths(N: int, p: int, sym_index: int) -> Tuple[Tuple[int, int], ...]:
+    """T_p of the sym_index-th symbol of ``p1_list(N)`` as (symbol index,
+    +-1) contributions, through the coset family [[1,k],[0,p]]
+    (k = 0..p-1) and [[p,0],[0,1]]: each image path {m.alpha, m.beta} =
+    {oo, m.beta} - {oo, m.alpha} of the lift's path {b/d, a/c}, expanded
+    by continued fractions (Manin's trick)."""
+    symbols, index = _p1_index(N)
+    a, b, c0, d0 = _lift_to_sl2z(N, *symbols[sym_index])
+    out = []
+    for m11, m12, m21, m22 in [(1, k, 0, p) for k in range(p)] + [(p, 0, 0, 1)]:
+        for num, den, sign in (
+            (m11 * a + m12 * c0, m21 * a + m22 * c0, 1),
+            (m11 * b + m12 * d0, m21 * b + m22 * d0, -1),
+        ):
+            if den < 0:
+                num, den = -num, -den
+            for cc, dd in _infty_path(num, den):
+                key = p1_normalize(N, cc, dd)
+                if key is not None:
+                    out.append((index[key], sign))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _p1_index(N: int):
+    symbols = p1_list(N)
+    return symbols, {s: i for i, s in enumerate(symbols)}
+
+
+def coset_hecke_matrix(N: int, p: int) -> np.ndarray:
+    """T_p in the library's cuspidal basis, from ``coset_hecke_paths`` and
+    the dense product expr^T C K in int64 (C: the signed class counts of
+    the image of each free class), checked K A = M."""
+    sk = skeleton(N)
+    basis = _cuspidal_basis(N)
+    expr = _integer_kernel(sk.rows, sk.n_classes, N, "relation solve")[0]
+    C = np.zeros((sk.n_classes, len(basis.free)), dtype=np.int64)
+    for j, k in enumerate(basis.free):
+        for i, sign in coset_hecke_paths(N, p, sk.class_rep[k]):
+            if sk.cls[i] >= 0:
+                C[sk.cls[i], j] += sign * sk.sgn[i]
+    M = expr.T @ C @ basis.K
+    A = M[basis.free_b]
+    assert np.array_equal(basis.K @ A, M)
+    return A
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,19 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from oracles import ETA_NEWFORMS, integer_hecke_matrices, newform_ap
-from quartic_galois import modsym
-from quartic_galois.modsym import (
-    genus_x0,
-    hecke_charpolys_multimodular,
+from oracles import (
+    ETA_NEWFORMS,
+    coset_hecke_matrix,
+    coset_hecke_paths,
+    integer_hecke_matrices,
+    newform_ap,
     p1_list,
     p1_normalize,
+    scan_cusp_classes,
+    union_find_sign_classes,
 )
+from quartic_galois import modsym
+from quartic_galois.modsym import genus_x0, hecke_charpolys_multimodular
 
 KNOWN_GENERA = {1: 0, 2: 0, 6: 0, 11: 1, 14: 1, 15: 1, 22: 2, 37: 2, 50: 2, 6391: 669}
 
@@ -43,7 +48,7 @@ def test_p1_size_is_psi():
         psi = N
         for p in sympy.primefactors(N):
             psi = psi // p * (p + 1)
-        assert len(p1_list(N)) == psi
+        assert len(modsym._P1(N).symbols) == psi
 
 
 def test_p1_normalize_is_canonical():
@@ -198,7 +203,7 @@ def _projector_pivot_columns(N, primes):
     basis = modsym._cuspidal_basis(N)
     matrices = modsym._hecke_matrices(N, basis, primes)
     involutions = modsym._atkin_lehner_involutions(N, basis, matrices)
-    g = basis[2].shape[1]
+    g = basis.K.shape[1]
     identity = np.eye(g, dtype=np.int64)
     columns = []
     for signs in itertools.product((1, -1), repeat=len(involutions)):
@@ -268,8 +273,8 @@ def test_empty_sign_blocks_and_genus_zero(monkeypatch):
 def test_corrupted_atkin_lehner_raises(monkeypatch):
     real = modsym._cuspidal_matrix
 
-    def corrupted(N, basis, paths, name):
-        A = real(N, basis, paths, name)
+    def corrupted(N, basis, image, name):
+        A = real(N, basis, image, name)
         if name.startswith("W_"):
             A[0, 0] += 1
         return A
@@ -283,8 +288,8 @@ def test_atkin_lehner_commutes_with_hecke_check(monkeypatch):
     # a W_Q that is an involution but does not commute with T_2
     real = modsym._cuspidal_matrix
 
-    def swapped(N, basis, paths, name):
-        A = real(N, basis, paths, name)
+    def swapped(N, basis, image, name):
+        A = real(N, basis, image, name)
         if name.startswith("W_"):
             return -A[::-1, ::-1].copy()
         return A
@@ -292,6 +297,20 @@ def test_atkin_lehner_commutes_with_hecke_check(monkeypatch):
     monkeypatch.setattr(modsym, "_cuspidal_matrix", swapped)
     with pytest.raises(ArithmeticError, match="does not commute with T_2"):
         hecke_charpolys_multimodular(67, (2,))
+
+
+def test_unstable_image_raises(monkeypatch):
+    # T_2's image at level 143 with its second term dropped no longer
+    # preserves the cuspidal subspace, so K A = M must fail
+    real = modsym._hecke_image
+
+    def dropped(N, free, p):
+        k, j, s = real(N, free, p)
+        return np.delete(k, 1), np.delete(j, 1), np.delete(s, 1)
+
+    monkeypatch.setattr(modsym, "_hecke_image", dropped)
+    with pytest.raises(ArithmeticError, match="not T_2-stable at level 143"):
+        integer_hecke_matrices(143, [2])
 
 
 def test_singular_modulus_is_skipped(monkeypatch):
@@ -656,14 +675,129 @@ def test_xgcd_matches_sympy_gcdex():
 
 
 def test_skeleton_unchanged_at_2233():
-    # fingerprint of the symbolic skeleton and of the T_5 paths as built
-    # with sympy's mod_inverse and gcdex
+    # fingerprint of the symbolic skeleton and of the coset T_5 paths as
+    # built with sympy's mod_inverse and gcdex
     sk = modsym.skeleton(2233)
     fields = (sk.symbols, sk.cls, sk.sgn, sk.class_rep, sk.rows, sk.cusp_reps, sk.boundary)
-    paths = [modsym._hecke_paths(2233, 5, r) for r in sk.class_rep]
+    paths = [coset_hecke_paths(2233, 5, r) for r in sk.class_rep]
     assert hashlib.sha256(repr(fields).encode()).hexdigest() == (
         "ea9d31d82e053f910411e6206ee1536f582d2969983e2b3ffd248856093357bf"
     )
     assert hashlib.sha256(repr(paths).encode()).hexdigest() == (
         "61da035b8ed2fefccca97e4e4b9c29f64311214efdf6662e7cbe9b9d2606b55f"
     )
+
+
+P1_LEVELS = (1, 2, 8, 9, 12, 27, 32, 36, 49, 100, 121, 125, 143, 210, 243)
+MEREL_LEVELS = (11, 27, 32, 37, 49, 67, 100, 121, 125, 143, 210, 243, 389, 1001, 2233)
+
+
+def _index_agrees_with_normalize(N, c, d):
+    p1 = modsym._P1(N)
+    got = p1(np.array(c), np.array(d)).tolist()
+    want = [p1_normalize(N, x, y) for x, y in zip(c, d)]
+    assert [p1.symbols[i] if i >= 0 else None for i in got] == want, N
+    return got
+
+
+def test_p1_index_matches_normalize_on_every_pair():
+    for N in P1_LEVELS:
+        c, d = zip(*itertools.product(range(-N, 2 * N), repeat=2))
+        got = _index_agrees_with_normalize(N, c, d)
+        assert -1 in got or N == 1, N
+
+
+def test_p1_index_matches_normalize_on_random_pairs():
+    rng = random.Random(2233)
+    for N in (2233, 6391):
+        c = [rng.randrange(-N * N, N * N) for _ in range(20000)]
+        # a third of the pairs share a factor with N
+        d = [rng.randrange(-N * N, N * N) * (1 if i % 3 else 7) for i in range(20000)]
+        got = _index_agrees_with_normalize(N, c, d)
+        assert got.count(-1) > 1000, N
+
+
+def test_p1_list_matches_oracle():
+    for N in range(1, 301):
+        assert modsym._P1(N).symbols == p1_list(N), N
+
+
+def test_sign_classes_match_union_find():
+    for N in itertools.chain(range(1, 121), (143, 210, 243, 389)):
+        sk = modsym.skeleton(N)
+        assert (sk.cls, sk.sgn, sk.class_rep) == union_find_sign_classes(N), N
+
+
+def test_cusp_keys_match_pairwise_equivalence():
+    for N in itertools.chain(range(1, 201), (243, 256, 389, 720, 1001, 2310)):
+        sk = modsym.skeleton(N)
+        assert (sk.cusp_reps, sk.boundary) == scan_cusp_classes(N), N
+
+
+def test_merel_hecke_matches_coset_oracle():
+    for N in MEREL_LEVELS:
+        primes = [p for p in (2, 3, 5, 7, 13) if N % p]
+        mats = integer_hecke_matrices(N, primes)
+        for p in primes:
+            assert np.array_equal(mats[p], coset_hecke_matrix(N, p)), (N, p)
+
+
+def test_merel_set_sizes():
+    assert len(modsym._merel_set(2)) == 4
+    assert len(modsym._merel_set(5)) == 15
+    for p in (2, 3, 5, 7, 13):
+        for a, b, c, d in modsym._merel_set(p):
+            assert a * d - b * c == p and a > b >= 0 and d > c >= 0
+
+
+def test_p1_index_refuses_large_levels(monkeypatch):
+    # refused before any table (or any numpy call) is made
+    monkeypatch.setattr(modsym, "np", None)
+    for N in (1 << 31, 1 << 40):
+        with pytest.raises(OverflowError, match="P\\^1"):
+            modsym._P1(N)
+
+
+def test_sparse_assembly_product_guard():
+    # the bound is the largest row's sum |L[i]| times max|R|
+    left = (np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([1 << 61, 1 << 61, 3]))
+    one = (np.array([0, 1, 2]), np.array([0, 0]), np.array([1, 1]))
+    got = modsym._sparse_matmul(left, one, (2, 1))
+    assert got.tolist() == [[1 << 62], [3]]
+    two = (one[0], one[1], np.array([1, 2]))
+    with pytest.raises(OverflowError):
+        modsym._sparse_matmul(left, two, (2, 1))
+
+
+def test_sparse_matmul_matches_dense_product():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        L = rng.integers(-3, 4, (7, 9)) * (rng.random((7, 9)) < 0.3)
+        R = rng.integers(-3, 4, (9, 5)) * (rng.random((9, 5)) < 0.4)
+        i, k = np.nonzero(L)
+        # split every entry in two to check that repeated places add up
+        left = (np.repeat(i, 2), np.repeat(k, 2), np.repeat(L[i, k], 2) - np.tile([0, 1], len(i)) * np.repeat(L[i, k], 2))
+        assert np.array_equal(modsym._sparse_matmul(left, modsym._csr(R), (7, 5)), L @ R)
+
+
+def test_sparse_int_matmul_takes_rows_of_any_length():
+    rng = random.Random(7)
+    E = np.arange(24, dtype=np.int64).reshape(6, 4) - 11
+    rows = [[(rng.randrange(6), rng.randrange(-3, 4)) for _ in range(rng.randrange(0, 9))] for _ in range(30)]
+    M = np.zeros((30, 6), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for k, v in row:
+            M[r, k] += v
+    assert np.array_equal(modsym._sparse_int_matmul(rows, E), M @ E)
+
+
+def test_exact_operands_keep_the_product_guard():
+    # converted once, the operands still refuse a bound of 2^53
+    X = np.array([[(1 << 26) - 1, (1 << 26) - 1]], dtype=np.int64)
+    Y = np.array([[(1 << 26) - 1], [-((1 << 26) - 3)]], dtype=np.int64)
+    Xe, Ye = modsym._exact(X), modsym._exact(Y)
+    assert modsym._exact(Xe) is Xe
+    for a, b in ((Xe, Ye), (X, Ye), (Xe, Y)):
+        assert modsym._int_matmul(a, b).tolist() == [[2 * ((1 << 26) - 1)]]
+    with pytest.raises(OverflowError):
+        modsym._int_matmul(Xe, modsym._exact(Y + 2 ** 26))

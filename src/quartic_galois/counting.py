@@ -2,18 +2,18 @@
 
 Projection.  Once per prime, the count projects the curve C: F = 0 from
 one F_p-point, the centre: the smooth point P of C of smallest index on
-the first lines of P^2(F_p), else the first point off C there.  From P
-the coordinates change so that P is (0 : 0 : 1) and its tangent line is
-X = 0.  The quartic G in the new coordinates then has no Z^4 term and a
-Z^3 coefficient cX with c != 0 (Taylor's expansion at P, in any
-characteristic).  The chart X = 1 runs one coordinate t over F_q,
-q = p^m, as numpy "lanes", and each lane counts the distinct roots in
-F_q of the monic cubic h_t(z) = G(1, t, z) / c.  The tangent line adds
-P and the roots in F_q of G(0, 1, z), of degree <= 2 over F_p, found by
-an ``FqPoly`` gcd (q + 1 points if the line lies on C).  From a centre
-off C, the Z^4 coefficient of G is a unit, each h_t is a monic quartic
-and X = 0 is counted the same way.  Only a form that is zero mod p
-has no centre; its curve is the whole plane, q^2 + q + 1 points.
+the first lines of P^2(F_p), else the point off C that
+``curve.point_off_curve`` finds.  From P the coordinates change so that
+P is (0 : 0 : 1) and its tangent line is X = 0.  The quartic G in the
+new coordinates then has no Z^4 term and a Z^3 coefficient cX with
+c != 0 (Taylor's expansion at P, in any characteristic).  The chart
+X = 1 runs one coordinate t over F_q, q = p^m, as numpy "lanes", and
+each lane counts the distinct roots in F_q of the monic cubic
+h_t(z) = G(1, t, z) / c.  The tangent line adds P and the roots in F_q
+of G(0, 1, z), of degree <= 2 over F_p, found by an ``FqPoly`` gcd
+(q + 1 points if the line lies on C).  From a centre off C, the Z^4
+coefficient of G is a unit, each h_t is a monic quartic and X = 0 is
+counted the same way.  Only a form that is zero mod p has no centre.
 
 Roots.  The number of distinct roots of a monic h of degree d in {3, 4}
 in F_q is deg gcd(y^q - y, h), and the kernel reads d from the shape of
@@ -66,7 +66,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .curve import LPolynomial, TernaryQuarticForm, singular_points
+from .curve import LPolynomial, Point, TernaryQuarticForm, singular_points
+from .curve import frame_through, point_off_curve
 from .fields import make_field
 from .polys import FqPoly
 
@@ -78,8 +79,6 @@ _THREADS = (
 )
 _INT32_LIMIT = 2 ** 31  # lane range bounds below this run on int32
 _SEARCH_LINES = 16  # the centre search covers this many lines
-
-Point = Tuple[int, int, int]
 
 
 class BadReductionError(ValueError):
@@ -172,26 +171,23 @@ class _Projection(NamedTuple):
 
 def _centre(curve: TernaryQuarticForm, p: int) -> Tuple[Point, bool]:
     """(P, True) for the smooth point P of C(F_p) of smallest index among
-    the first _SEARCH_LINES lines of P^2(F_p), else (c, False) for the
-    first point c off C there.
+    the first _SEARCH_LINES lines of P^2(F_p), else (b, False) for the
+    point b off C that ``curve.point_off_curve`` finds.
 
     Index 0 is (0 : 0 : 1), 1 + z is (0 : 1 : z) and p + 1 + yp + z is
     (1 : y : z).  Blocks of indices are tested at once on int64 lanes,
     every product of two residues reduced mod p.  The cap keeps the
-    search O(p), and every form that is nonzero mod p has a centre there:
-    for p >= 5 a quartic meets a line it does not contain in at most 4 of
-    its p + 1 >= 6 points, and a nonzero quartic contains at most 4
-    lines, while the search covers all of P^2(F_p) for p <= 13 and 16
-    lines through (0 : 0 : 1) for p >= 17.  For p in {2, 3} it covers
-    the plane, and F -> (F, grad F) at the points of P^2(F_p) has rank
-    15 on quartic forms, so it is injective.
+    search O(p).  Every form that is nonzero mod p has a centre: for
+    p >= 5 a point off C lies on a 5 x 5 grid (``point_off_curve``).  For
+    p in {2, 3} the smooth search covers the plane, and F -> (F, grad F)
+    at the points of P^2(F_p) has rank 15 on quartic forms, so it is
+    injective: with no smooth point, F is nonzero somewhere on the plane.
     """
     forms = [
         [(e, c % p) for e, c in coeffs.items() if c % p]
         for coeffs in [curve.coeffs] + [curve.partial(v) for v in range(3)]
     ]
     total = min(p * p + p + 1, _SEARCH_LINES * p + 1)
-    off = None
     for lo in range(0, total, _BLOCK):
         n = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
         y, z = np.divmod(n - p - 1, p)
@@ -211,18 +207,15 @@ def _centre(curve: TernaryQuarticForm, p: int) -> Tuple[Point, bool]:
             for (i, j, k), c in terms:
                 acc += c * (pw[0][i] * pw[1][j] % p * pw[2][k] % p)
             vals.append(acc % p)
-        on = vals[0] == 0
         hit = np.flatnonzero(
-            on & ((vals[1] != 0) | (vals[2] != 0) | (vals[3] != 0))
+            (vals[0] == 0) & ((vals[1] != 0) | (vals[2] != 0) | (vals[3] != 0))
         )
         if hit.size:
             return tuple(int(c) for c in pt[:, hit[0]]), True
-        miss = np.flatnonzero(~on)
-        if off is None and miss.size:
-            off = tuple(int(c) for c in pt[:, miss[0]]), False
+    off = point_off_curve(curve, p)
     if off is None:
         raise ArithmeticError("a nonzero quartic has no centre mod %d" % p)
-    return off
+    return off, False
 
 
 def _project(
@@ -277,28 +270,22 @@ def _project_from(
         if any((b[u] * point[v] - b[v] * point[u]) % p
                for u, v in ((0, 1), (0, 2), (1, 2))):
             break
-    return _project(curve, p, _unit(i), tuple(b), point)
-
-
-def _unit(v: int) -> Point:
-    return tuple(int(u == v) for u in range(3))
+    return _project(curve, p, tuple(int(v == i) for v in range(3)), tuple(b), point)
 
 
 def _projection(
     curve: TernaryQuarticForm, p: int
 ) -> Optional[_Projection]:
     """The projection from the centre that :func:`_centre` finds, or None
-    for a form that is zero mod p.  A centre c off C is completed by the
-    two unit vectors other than e_k, c_k != 0, so the frame's determinant
-    is +-c_k."""
+    for a form that is zero mod p.  A centre off C is completed to a
+    frame by ``curve.frame_through``."""
     if not any(c % p for c in curve.coeffs.values()):
         return None
     point, smooth = _centre(curve, p)
     if smooth:
         return _project_from(curve, p, point)
-    k = next(v for v in range(3) if point[v])
-    a, b = (_unit(v) for v in range(3) if v != k)
-    return _project(curve, p, a, b, point)
+    a, _, c = frame_through(point)
+    return _project(curve, p, a, c, point)
 
 
 # ---------------------------------------------------------------------------

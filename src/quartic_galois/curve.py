@@ -11,9 +11,9 @@ of the three partials as a ratio of two ``polys._bareiss_det``
 determinants.  By Euler's relation 4f = x f_x + y f_y + z f_z its odd
 prime factors are exactly the odd primes where the fiber is singular;
 the relation is empty at p = 2, so 2 is always a candidate and its fiber
-is always scanned.  Each fiber is eliminated over Z[x] by
-``polys.bivariate_resultant``, then restricted to lines and handled as
-univariate :class:`~quartic_galois.polys.FqPoly` over F_q.
+is always scanned.  Each fiber is moved so that an F_p-point off it is
+(0 : 1 : 0), eliminated over Z[x] by ``polys.bivariate_resultant``, then
+restricted to lines and handled as univariate ``FqPoly`` over F_q.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .fields import FieldDescriptor, make_field
 from .polys import FqPoly, IntPoly, _bareiss_det, bivariate_resultant, factor_fq
 
 Monomial = Tuple[int, int, int]
+Point = Tuple[int, int, int]
 
 _VARIABLE_NAMES = ("x", "y", "z")
 
@@ -117,11 +118,12 @@ class TernaryQuarticForm:
     ) -> Dict[Monomial, int]:
         """The coefficient map of F(Xa + Yb + Zc) for integer vectors
         a, b, c, in the exponents of (X, Y, Z)."""
-        # X^u Y^v Z^w, of degree <= 4, has the key 25u + 5v + w, so keys
-        # add as exponents do; powers[t][e] = (a[t] X + b[t] Y + c[t] Z)^e
+        # X^u Y^v Z^w (u, v, w <= 4) has the key 25u + 5v + w, so keys add
+        # as exponents do; powers[t][e] = (a[t] X + b[t] Y + c[t] Z)^e
+        # without the zero terms, so a frame of unit vectors is cheap
         powers = []
         for t in range(3):
-            line = ((25, a[t]), (5, b[t]), (1, c[t]))
+            line = [(k, d) for k, d in ((25, a[t]), (5, b[t]), (1, c[t])) if d]
             pw = [[(0, 1)]]
             for _ in range(4):
                 acc: Dict[int, int] = {}
@@ -363,7 +365,7 @@ def find_bad_prime_candidates(curve: TernaryQuarticForm) -> int:
 def _rows(coeff_map: Dict[Monomial, int], elim: int, keep: int) -> List[IntPoly]:
     """A homogeneous coefficient map on the chart where the third
     variable is 1, as polynomials in ``keep`` indexed by their degree in
-    ``elim``."""
+    ``elim``; row 0 is its restriction to the line ``elim`` = 0."""
     rows = [[0] * 5 for _ in range(5)]
     for e, c in coeff_map.items():
         rows[e[elim]][e[keep]] = c
@@ -476,19 +478,6 @@ def classify_node(
     return {"ordinary_node": ordinary, "total_space_regular": regular}
 
 
-def coordinate_line_poly(
-    coeff_map: Dict[Monomial, int], F: FieldDescriptor, var: int, zero: int
-) -> FqPoly:
-    """The restriction of a coefficient map to the line where coordinate
-    ``zero`` is 0 and the third coordinate is 1, as an FqPoly over F in
-    coordinate ``var``."""
-    out = [0] * 5
-    for e, c in coeff_map.items():
-        if e[zero] == 0:
-            out[e[var]] += c
-    return FqPoly.from_ints(F, out)
-
-
 def _at_x(coeff_map: Dict[Monomial, int], K: FieldDescriptor, x0) -> FqPoly:
     """f(x0, y, 1) as an FqPoly in y over K."""
     out = [K.zero()] * 5
@@ -515,78 +504,101 @@ def _split_over_fp2(f: FqPoly) -> Tuple[list, bool]:
     return roots, len(roots) == len(factors)
 
 
+def point_off_curve(curve: TernaryQuarticForm, p: int) -> Optional[Point]:
+    """An F_p-point b with F(b) != 0 mod p, or None when F vanishes on all
+    of P^2(F_p).  The search runs over (u : 1 : v), 0 <= u, v < min(p, 5),
+    from (0 : 1 : 0), then for p <= 3 over the line y = 0.  For p >= 5 and
+    F nonzero mod p, F(u, 1, v) has degree <= 4 in each variable, so it
+    cannot vanish on the 5 x 5 grid (Alon, "Combinatorial
+    Nullstellensatz", Combin. Probab. Comput. 8 (1999), Lemma 2.1)."""
+    n = min(p, 5)
+    pts = [(u, 1, v) for u in range(n) for v in range(n)]
+    if p < 5:
+        pts += [(u, 0, 1) for u in range(p)] + [(1, 0, 0)]
+    return next((b for b in pts if curve.evaluate_int(*b) % p), None)
+
+
+def frame_through(b: Sequence[int]) -> Tuple[Point, Point, Point]:
+    """Columns (a, b, c) of a change of coordinates: a and c are the unit
+    vectors other than e_k, k the first index with b_k != 0, so the
+    determinant is +-b_k and F(Xa + Yb + Zc) has the Y^4 coefficient
+    F(b).  The frame through (0, 1, 0) is the identity."""
+    k = next(v for v in range(3) if b[v])
+    a, c = (tuple(int(u == v) for u in range(3)) for v in range(3) if v != k)
+    return a, tuple(b), c
+
+
 def singular_points(curve: TernaryQuarticForm, p: int) -> SingularFiberReport:
     """All common projective zeros of (f, f_x, f_y, f_z) over F_p and
     F_{p^2}, with node classification for the rational ones.
 
-    Works by elimination: on the chart z = 1 the x-coordinates of
-    singular points are among the roots of g(x), the gcd of the
-    reductions of the resultants Res_y(f, f_*) over Z[x] (by
-    ``bivariate_resultant``; only the monic gcd is used).  Each irreducible
-    factor of g of degree <= 2 is split over F_{p^2}, and at each root x0
-    so is the gcd of f and its partials on the line x = x0.  A factor of
-    degree >= 3 is probed for genuine solutions in its residue field; if
-    any exist, ``complete`` is False.  The line z = 0 is split the same
-    way, and (1:0:0) is tested directly.  A point whose coordinates all
-    lie in F_p is rational.  Soundness of the reduction step uses that
-    the leading y-coefficient of f survives mod p (guaranteed here: the
-    certifier's curves have a unit pure y^4 coefficient); when it dies,
-    or when every eliminant vanishes mod p, the chart z = 1 falls back to
-    a scan of its F_p-points and ``complete`` is False.
+    Works by elimination on G(X, Y, Z) = f(Xa + Yb + Zc), in the frame
+    (a, b, c) of :func:`frame_through` at the point b off the curve that
+    :func:`point_off_curve` finds (the identity when the pure y^4
+    coefficient is a unit).  The Y^4 coefficient f(b) of G is a unit mod
+    p, so on the chart Z = 1 the X-coordinates of singular points are
+    among the roots of g(X), the gcd of the reductions of the resultants
+    Res_Y(G, G_*) over Z[X] (by ``bivariate_resultant``; only the monic
+    gcd is used).  Each irreducible factor of g of degree <= 2 is split
+    over F_{p^2}, and at each root x0 so is the gcd of G and its partials
+    on the line X = x0.  A factor of degree >= 3 is probed for genuine
+    solutions in its residue field; if any exist, ``complete`` is False.
+    The line Z = 0 is split the same way, and (1:0:0) is tested directly.
+    Each point is mapped back through the frame with its last nonzero
+    coordinate set to 1; a point with all coordinates in F_p is rational.
+    When every eliminant vanishes mod p (as on a fiber that is not
+    reduced), or f vanishes on all of P^2(F_p) (only for p <= 3), the
+    report is empty and ``complete`` is False.
     """
     if not isprime(p):
         raise ValueError("p must be prime")
+    b = point_off_curve(curve, p)
+    if b is None:
+        return SingularFiberReport(p=p, points=(), complete=False)
+    frame = frame_through(b)
+    moved = TernaryQuarticForm(curve.in_coordinates(*frame))
     F, K2 = make_field(p, 1), make_field(p, 2)
-    maps = [curve.coeffs] + [curve.partial(t) for t in range(3)]
+    maps = [moved.coeffs] + [moved.partial(t) for t in range(3)]
     complete = True
     one, zero = K2.one(), K2.zero()
-    found: List[tuple] = []  # (x, y, z) over F_{p^2}
+    found: List[tuple] = []  # (X, Y, Z) over F_{p^2}
 
-    # --- affine chart z = 1 ---------------------------------------------
-    gx = FqPoly.zero(F)
-    if curve.coeff(0, 4, 0) % p:
-        f = _rows(curve.coeffs, 1, 0)
-        elim = (bivariate_resultant(f, _rows(m, 1, 0)) for m in maps[1:])
-        gx = _gcd_all(F, (FqPoly.from_ints(F, r.coeffs) for r in elim))
+    # --- affine chart Z = 1 ---------------------------------------------
+    f = _rows(moved.coeffs, 1, 0)
+    elim = (bivariate_resultant(f, _rows(m, 1, 0)) for m in maps[1:])
+    gx = _gcd_all(F, (FqPoly.from_ints(F, r.coeffs) for r in elim))
     if gx.is_zero():
-        # the leading y-coefficient dies, or every eliminant vanishes:
-        # scan the F_p-points and give up on completeness
-        complete = False
-        found += [
-            (K2.from_int(x0), K2.from_int(y0), one)
-            for x0 in range(p)
-            for y0 in range(p)
-            if all(_eval_map(m, x0, y0, 1) % p == 0 for m in maps)
-        ]
-    else:
-        for factor, _mult in factor_fq(gx):
-            if factor.degree <= 2:  # splits over F_{p^2}
-                for x0 in _split_over_fp2(factor)[0]:
-                    ygcd = _gcd_all(K2, (_at_x(m, K2, x0) for m in maps))
-                    ys, split = _split_over_fp2(ygcd)
-                    complete &= split
-                    found += [(x0, y0, one) for y0 in ys]
-            else:
-                # residue-field probe: does a singular point live over
-                # F_{p^d}?  Root of the factor = class of x.
-                Kd = FieldDescriptor(p, factor.degree, tuple(factor.to_ints()))
-                if _gcd_all(Kd, (_at_x(m, Kd, Kd.gen()) for m in maps)).degree > 0:
-                    complete = False
+        return SingularFiberReport(p=p, points=(), complete=False)
+    for factor, _mult in factor_fq(gx):
+        if factor.degree <= 2:  # splits over F_{p^2}
+            for x0 in _split_over_fp2(factor)[0]:
+                ygcd = _gcd_all(K2, (_at_x(m, K2, x0) for m in maps))
+                ys, split = _split_over_fp2(ygcd)
+                complete &= split
+                found += [(x0, y0, one) for y0 in ys]
+        else:
+            # residue-field probe: does a singular point live over
+            # F_{p^d}?  Root of the factor = class of X.
+            Kd = FieldDescriptor(p, factor.degree, tuple(factor.to_ints()))
+            if _gcd_all(Kd, (_at_x(m, Kd, Kd.gen()) for m in maps)).degree > 0:
+                complete = False
 
-    # --- line z = 0 ------------------------------------------------------
-    lg = _gcd_all(F, (coordinate_line_poly(m, F, 0, 2) for m in maps))
-    if lg.is_zero():
-        complete = False
-    else:
-        xs, split = _split_over_fp2(lg)
-        complete &= split
-        found += [(x0, one, zero) for x0 in xs]
+    # --- line Z = 0, where G(X, 1, 0) has the unit constant term f(b) ------
+    lines = (FqPoly.from_ints(F, _rows(m, 2, 0)[0].coeffs) for m in maps)
+    xs, split = _split_over_fp2(_gcd_all(F, lines))
+    complete &= split
+    found += [(x0, one, zero) for x0 in xs]
     # the point (1:0:0)
     if all(_eval_map(m, 1, 0, 0) % p == 0 for m in maps):
         found.append((one, zero, zero))
 
-    quadratic = {pt for pt in found if any(c[1] for c in pt)}
-    rational = {tuple(c[0] for c in pt) for pt in set(found) - quadratic}
+    moved_back = set()  # X a + Y b + Z c, with last nonzero coordinate 1
+    for pt in found:
+        v = [reduce(K2.add, map(K2.scalar_mul, row, pt)) for row in zip(*frame)]
+        scale = K2.inv(next(c for c in reversed(v) if any(c)))
+        moved_back.add(tuple(K2.mul(c, scale) for c in v))
+    quadratic = {pt for pt in moved_back if any(c[1] for c in pt)}
+    rational = {tuple(c[0] for c in pt) for pt in moved_back - quadratic}
     pts = [
         SingularPoint(coords, 1, **classify_node(curve, p, coords))
         for coords in sorted(rational)

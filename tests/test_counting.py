@@ -272,9 +272,9 @@ def test_table_projects_from_a_smooth_point(monkeypatch):
 
 def test_no_smooth_point_keeps_quartic_lanes(monkeypatch):
     # x^4 + y^4 + z^4 has no point over F_5 (fourth powers are 0 and 1),
-    # so its counts run on quartic lanes from the first point, off C
+    # so its counts run on quartic lanes from (0 : 1 : 0), off C
     assert _smooth_points(FERMAT, 5) == []
-    assert _centre(FERMAT, 5) == ((0, 0, 1), False)
+    assert _centre(FERMAT, 5) == ((0, 1, 0), False)
     seen = _spy_degrees(monkeypatch)
     lp = l_polynomial(FERMAT, 5)
     assert set(seen) == {(5, 4)}

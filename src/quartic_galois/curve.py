@@ -13,7 +13,8 @@ prime factors are exactly the odd primes where the fiber is singular;
 the relation is empty at p = 2, so 2 is always a candidate and its fiber
 is always scanned.  Each fiber is moved so that an F_p-point off it is
 (0 : 1 : 0), eliminated over Z[x] by ``polys.bivariate_resultant``, then
-restricted to lines and handled as univariate ``FqPoly`` over F_q.
+restricted to lines and handled as univariate ``FqPoly`` over F_q.  A
+rational singular point is classified by the 2-jet of f there.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 from importlib import resources
-from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import isprime
@@ -408,74 +408,37 @@ def classify_node(
 ) -> Dict[str, bool]:
     """Classify an F_p-rational singular point of the fiber mod p.
 
-    Translates the point to the origin of an affine chart, expands
-    F = a + a1*U + a2*V + Q(U, V) modulo (U, V)^3 with integer
-    representatives, and reads off:
+    With pt the point's integer representative whose last nonzero
+    coordinate is 1 and u, v the other two unit vectors,
+    ``in_coordinates(u, v, pt)`` at Z = 1 gives the Taylor expansion
+    F(pt + U u + V v) = a + a1 U + a2 V + q20 U^2 + q11 UV + q02 V^2 + ...,
+    and:
 
-    * ``ordinary_node``: the quadratic part Q is nondegenerate mod p;
-    * ``total_space_regular``: after one Newton-style corrective shift
-      (U, V) -> (U + alpha1, V + alpha2) with alpha_i in pZ chosen to
-      kill the linear terms mod p^2, the constant term has p-adic
-      valuation exactly 1.
+    * ``ordinary_node``: the quadratic part is nondegenerate mod p,
+      q11^2 - 4 q20 q02 != 0;
+    * ``total_space_regular``: F is not in (p, U, V)^2, that is
+      a != 0 mod p^2.  Since p divides a, a1 and a2,
+      F(pt + p alpha) = a (mod p^2) for every integer vector alpha, so
+      no other lift of the point (a Newton-style shift included) changes
+      this.
     """
     pt = [int(v) % p for v in point]
-    chart = max((t for t in range(3) if pt[t] % p), default=None)
+    chart = max((t for t in range(3) if pt[t]), default=None)
     if chart is None:
         raise ValueError("(0:0:0) is not a projective point")
     inv = pow(pt[chart], -1, p)
     pt = [v * inv % p for v in pt]
-    affine_vars = [t for t in range(3) if t != chart]
-    u0, v0 = pt[affine_vars[0]], pt[affine_vars[1]]
-
-    def jet_coeff(s: int, t: int, modulus: int) -> int:
-        acc = 0
-        for (i, j, k), c in curve.coeffs.items():
-            e = (i, j, k)
-            iu, iv = e[affine_vars[0]], e[affine_vars[1]]
-            if iu >= s and iv >= t:
-                acc += (
-                    c
-                    * comb(iu, s)
-                    * pow(u0, iu - s, modulus)
-                    * comb(iv, t)
-                    * pow(v0, iv - t, modulus)
-                )
-        return acc % modulus
-
-    p2 = p * p
-    a = jet_coeff(0, 0, p2)
-    a1 = jet_coeff(1, 0, p2)
-    a2 = jet_coeff(0, 1, p2)
+    u, v = (tuple(int(s == t) for s in range(3)) for t in range(3) if t != chart)
+    jet = curve.in_coordinates(u, v, pt)
+    a, a1, a2, q20, q11, q02 = (
+        jet.get(e, 0) for e in ((0, 0, 4), (1, 0, 3), (0, 1, 3), (2, 0, 2), (1, 1, 2), (0, 2, 2))
+    )
     if a % p or a1 % p or a2 % p:
         raise ValueError("point is not a singular point of the fiber mod %d" % p)
-    q20 = jet_coeff(2, 0, p)
-    q11 = jet_coeff(1, 1, p)
-    q02 = jet_coeff(0, 2, p)
-    disc = (q11 * q11 - 4 * q20 * q02) % p
-    ordinary = disc != 0
-
-    if ordinary and p % 2 == 1:
-        # Newton shift: solve [2q20 q11; q11 2q02] alpha = -(a1/p, a2/p)
-        det = (4 * q20 * q02 - q11 * q11) % p
-        dinv = pow(det, -1, p)
-        b1, b2 = (-(a1 // p)) % p, (-(a2 // p)) % p
-        al1 = dinv * (2 * q02 * b1 - q11 * b2) % p
-        al2 = dinv * (-q11 * b1 + 2 * q20 * b2) % p
-        shift = [0, 0, 0]
-        shift[affine_vars[0]] = p * al1
-        shift[affine_vars[1]] = p * al2
-        moved = [pt[t] + shift[t] for t in range(3)]
-        b = curve.evaluate_int(*moved) % p2
-        if b % p:
-            raise ArithmeticError(
-                "the shifted node at p=%d is not a zero mod p" % p
-            )
-        regular = b != 0
-    else:
-        # the constant term mod p^2 is independent of the integer lift at
-        # a singular point, so valuation 1 can be read off directly
-        regular = a % p2 != 0
-    return {"ordinary_node": ordinary, "total_space_regular": regular}
+    return {
+        "ordinary_node": (q11 * q11 - 4 * q20 * q02) % p != 0,
+        "total_space_regular": a % (p * p) != 0,
+    }
 
 
 def _at_x(coeff_map: Dict[Monomial, int], K: FieldDescriptor, x0) -> FqPoly:

@@ -137,6 +137,13 @@ class FieldDescriptor:
 
 
 def _poly_has_root(coeffs, p: int) -> bool:
+    """Whether the monic polynomial with the given coefficients (low
+    degree first) has a root in F_p.  A quadratic at odd p has one iff
+    its discriminant is a square (Euler's criterion), which takes
+    O(log p) steps; for any other, every x in F_p is tried."""
+    if len(coeffs) == 3 and p % 2:
+        disc = coeffs[1] * coeffs[1] - 4 * coeffs[0]
+        return pow(disc, (p - 1) // 2, p) != p - 1
     for x in range(p):
         acc = 0
         for c in reversed(coeffs):

@@ -11,8 +11,9 @@ relations are the orbits of the Klein group {1, S, eta, S eta}; the
 plus-quotient, of dimension genus + (star-merged cusps) - 1.  The
 cuspidal subspace is the kernel of the boundary map to star-merged cusp
 classes, of dimension equal to the genus of X_0(N).  Both kernels are
-found by sparse elimination modulo one 26-bit prime, lifted to Z and
-proved exact.
+found by sparse elimination modulo one 26-bit prime, lifted to Z as CSR
+arrays (indptr, columns, values), never as dense matrices, and proved
+exact by one sparse product each.
 
 T_p (p not dividing N) acts on Manin symbols through Merel's matrices
 X_p of determinant p (|X_2| = 4, |X_5| = 15): (c:d) T_p is the sum of
@@ -21,7 +22,7 @@ power) come from the one matrix [[Q, y], [N, Q w]] by Manin's trick:
 each image path is expanded by continued fractions.  Either image is a
 set of (class, free column, sign) triples, and the integer matrix in the
 cuspidal basis is assembled from it by sparse products, then proved
-cuspidal-stable.  The W_Q are proved exactly to be commuting involutions
+cuspidal-stable by one more.  The W_Q are proved exactly to be commuting involutions
 that commute with every T_p, each operator converted once for those
 products.  So T_p preserves each joint sign space V_s of the W_Q, and
 its characteristic polynomial is the product of those on the V_s.  Each
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb, gcd, isqrt, prod
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -180,14 +181,13 @@ def _reduce_cusp(num: int, den: int) -> Tuple[int, int]:
 class _Skeleton:
     p1: _P1
     symbols: List[Tuple[int, int]]
-    cls: List[int]  # symbol -> class id, or -1 if forced zero
-    sgn: List[int]  # symbol -> sign relative to class representative
     n_classes: int
     class_rep: List[int]  # class id -> a symbol index with sign +1
     rows: List[Tuple[Tuple[int, int], ...]]  # 3-term relations, (class, coeff)
     cusp_reps: List[Tuple[int, int]]  # star-merged cusp classes
     boundary: List[Tuple[Tuple[int, int], ...]]  # class id -> (cusp, coeff)
-    # cls and sgn as arrays, with a trailing -1 and 0 for symbol index -1
+    # symbol -> class id (-1 if forced zero) and sign relative to the class
+    # representative, with a trailing -1 and 0 for symbol index -1
     cls_of: np.ndarray
     sgn_of: np.ndarray
 
@@ -260,8 +260,6 @@ def skeleton(N: int) -> _Skeleton:
     return _Skeleton(
         p1=p1,
         symbols=symbols,
-        cls=cls_of[:-1].tolist(),
-        sgn=sgn_of[:-1].tolist(),
         n_classes=len(class_rep),
         class_rep=class_rep.tolist(),
         rows=sorted(rows),
@@ -497,35 +495,6 @@ def _sparse_rref_mod(rows, n: int, q: int):
     return [pivot_row[c] for c in pivots], pivots
 
 
-def _sparse_int_matmul(rows, E: np.ndarray) -> np.ndarray:
-    """M @ E over Z, as int64, for the matrix M whose rows are given as
-    (column, value) pairs (values at one column add up) and an int64
-    matrix E.
-
-    With the rows taken longest first, entry t of every row that has one
-    is applied in one vectorized step.  Every partial sum has absolute
-    value <= max_i sum |M[i]| * max|E|, so the product is refused when
-    that bound reaches 2^63."""
-    order = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
-    lengths = np.array([len(rows[i]) for i in order], dtype=np.intp)
-    cols = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.intp)
-    vals = np.zeros(cols.shape, dtype=np.int64)
-    for i, at in enumerate(order):
-        if rows[at]:
-            cols[i, : lengths[i]], vals[i, : lengths[i]] = zip(*rows[at])
-    worst = int(np.abs(vals).sum(axis=1).max(initial=0)) * int(np.abs(E).max(initial=0))
-    if worst >= _INT64_LIMIT:
-        raise OverflowError(
-            "sparse integer product bound max row sum * max|E| = %d reaches 2^63"
-            % worst
-        )
-    out = np.zeros((len(rows), E.shape[1]), dtype=np.int64)
-    for t in range(cols.shape[1]):
-        n = np.count_nonzero(lengths > t)
-        out[:n] += vals[:n, t, None] * E[cols[:n, t]]
-    return out[np.argsort(order)]
-
-
 def _expand(left, right):
     """The products L[i, k] R[k, j], unsummed, as (i, j, value) arrays,
     for L given as (row, column, value) arrays and R as CSR arrays
@@ -565,10 +534,17 @@ def _csr(M: np.ndarray):
     return indptr, cols, M[rows, cols]
 
 
+def _coo(rows):
+    """(row, column, value) arrays of the matrix whose rows are given as
+    (column, value) pairs."""
+    pairs = np.array([kv for row in rows for kv in row], dtype=np.int64).reshape(-1, 2)
+    return np.repeat(np.arange(len(rows)), [len(row) for row in rows]), pairs[:, 0], pairs[:, 1]
+
+
 def _integer_kernel(rows, n: int, N: int, what: str):
     """(E, free): the kernel basis, with E[free] = I, of the n-column
     integer matrix M whose rows are given as (column, value) pairs, as
-    an integer matrix.
+    CSR arrays of an n x |free| integer matrix.
 
     E is read off the reduced row-echelon form of M mod _LIFT_PRIME,
     computed by sparse elimination, and lifted to the symmetric range,
@@ -580,9 +556,10 @@ def _integer_kernel(rows, n: int, N: int, what: str):
     rref, pivots = _sparse_rref_mod(rows, n, q)
     pivset = set(pivots)
     free = [c for c in range(n) if c not in pivset]
+    at_free = np.array(free, dtype=np.intp)
     slot = np.full(n, -1, dtype=np.intp)
-    slot[free] = np.arange(len(free))
-    # E[pivots] = -rref[:, free], read off the dicts in one pass
+    slot[at_free] = np.arange(len(free))
+    # E[pivots] = -rref[:, free], read off the dicts in one pass, and E[free] = I
     sizes = [len(row) for row in rref]
     total = sum(sizes)
     ks = np.fromiter(chain.from_iterable(rref), dtype=np.intp, count=total)
@@ -591,28 +568,37 @@ def _integer_kernel(rows, n: int, N: int, what: str):
     )
     at = np.repeat(np.array(pivots, dtype=np.intp), sizes)
     keep = slot[ks] >= 0
-    E = np.zeros((n, len(free)), dtype=np.int64)
-    E[free, np.arange(len(free))] = 1
-    E[at[keep], slot[ks[keep]]] = -vs[keep] % q
-    E[E > q // 2] -= q
-    identity = np.eye(len(free), dtype=np.int64)
-    if not np.array_equal(E[free], identity) or _sparse_int_matmul(rows, E).any():
+    lifted = -vs[keep] % q
+    lifted[lifted > q // 2] -= q
+    row = np.concatenate([at[keep], at_free])
+    col = np.concatenate([slot[ks[keep]], slot[at_free]])
+    order = np.lexsort((col, row))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    E = indptr, col[order], np.concatenate([lifted, np.ones(len(free), np.int64)])[order]
+    # each free row of E holds exactly its identity entry
+    start = indptr[at_free]
+    if (
+        np.any(indptr[at_free + 1] - start != 1)
+        or np.any(E[1][start] != slot[at_free])
+        or np.any(E[2][start] != 1)
+        or _sparse_matmul(_coo(rows), E, (len(rows), len(free))).any()
+    ):
         raise ArithmeticError(
             "the integer lift of the %s at level %d is not exact" % (what, N)
         )
     return E, free
 
 
-class _Basis:
-    """The free classes, the cuspidal basis K over them (K[free_b] = I,
-    also kept as CSR and as (column, value) rows) and, as CSR, expr,
-    whose row k writes class k over the free classes."""
+class _Basis(NamedTuple):
+    """The free classes, the cuspidal basis K over them (K[free_b] = I)
+    and expr, whose row k writes class k over the free classes; K and
+    expr as CSR arrays (indptr, columns, values)."""
 
-    def __init__(self, free: List[int], K: np.ndarray, free_b: List[int], expr: np.ndarray):
-        self.free, self.K, self.free_b, self.expr = free, K, free_b, _csr(expr)
-        indptr, cols, vals = self.K_csr = _csr(K)
-        pairs = list(zip(cols.tolist(), vals.tolist()))
-        self.K_rows = [pairs[a:b] for a, b in zip(indptr.tolist(), indptr[1:].tolist())]
+    free: List[int]
+    K: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    free_b: List[int]
+    expr: Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _cuspidal_basis(N: int) -> _Basis:
@@ -644,10 +630,12 @@ def _cuspidal_matrix(N: int, basis: _Basis, image, name: str) -> np.ndarray:
     for M = expr^T C K, formed by sparse products: the entries of C K,
     left unsummed, then M^T = (C K)^T expr.  K A = M proves the cuspidal
     subspace stable."""
-    k, col, w = _expand(image, basis.K_csr)  # C K, unsummed
-    M = _sparse_matmul((col, k, w), basis.expr, (basis.K.shape[1], len(basis.free))).T
+    k, col, w = _expand(image, basis.K)  # C K, unsummed
+    M = _sparse_matmul((col, k, w), basis.expr, (len(basis.free_b), len(basis.free))).T
     A = M[basis.free_b]
-    if not np.array_equal(_sparse_int_matmul(basis.K_rows, A), M):
+    indptr, cols, vals = basis.K
+    rows = np.repeat(np.arange(len(basis.free)), np.diff(indptr))
+    if not np.array_equal(_sparse_matmul((rows, cols, vals), _csr(A), M.shape), M):
         raise ArithmeticError(
             "cuspidal subspace is not %s-stable at level %d" % (name, N)
         )
@@ -667,7 +655,7 @@ def _atkin_lehner_involutions(
     """W_Q in the cuspidal basis for each prime power Q || N, proved
     exactly to be commuting involutions that commute with every T_p.
     Each operator is converted for the exact products once."""
-    identity = np.eye(basis.K.shape[1], dtype=np.int64)
+    identity = np.eye(len(basis.free_b), dtype=np.int64)
     hecke = [("T_%d" % p, _exact(A)) for p, A in matrices.items()]
     involutions: Dict[str, _Exact] = {}
     for ell, e in factorint(N).items():

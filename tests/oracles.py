@@ -44,7 +44,6 @@ from quartic_galois.fields import make_field
 from quartic_galois.modsym import (
     _cuspidal_basis,
     _hecke_matrices,
-    _integer_kernel,
     _lift_to_sl2z,
     _reduce_cusp,
     check_hecke_prime,
@@ -361,21 +360,31 @@ def _p1_index(N: int):
     return symbols, {s: i for i, s in enumerate(symbols)}
 
 
+def dense(csr, ncols: int) -> np.ndarray:
+    """The int64 matrix with ncols columns whose rows are given as CSR
+    arrays (indptr, columns, values)."""
+    indptr, cols, vals = csr
+    out = np.zeros((len(indptr) - 1, ncols), dtype=np.int64)
+    out[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), cols] = vals
+    return out
+
+
 def coset_hecke_matrix(N: int, p: int) -> np.ndarray:
     """T_p in the library's cuspidal basis, from ``coset_hecke_paths`` and
     the dense product expr^T C K in int64 (C: the signed class counts of
     the image of each free class), checked K A = M."""
     sk = skeleton(N)
     basis = _cuspidal_basis(N)
-    expr = _integer_kernel(sk.rows, sk.n_classes, N, "relation solve")[0]
+    expr = dense(basis.expr, len(basis.free))
+    K = dense(basis.K, len(basis.free_b))
     C = np.zeros((sk.n_classes, len(basis.free)), dtype=np.int64)
     for j, k in enumerate(basis.free):
         for i, sign in coset_hecke_paths(N, p, sk.class_rep[k]):
-            if sk.cls[i] >= 0:
-                C[sk.cls[i], j] += sign * sk.sgn[i]
-    M = expr.T @ C @ basis.K
+            if sk.cls_of[i] >= 0:
+                C[sk.cls_of[i], j] += sign * sk.sgn_of[i]
+    M = expr.T @ C @ K
     A = M[basis.free_b]
-    assert np.array_equal(basis.K @ A, M)
+    assert np.array_equal(K @ A, M)
     return A
 
 

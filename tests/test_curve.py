@@ -27,6 +27,7 @@ from quartic_galois.curve import (
     singular_points,
 )
 from quartic_galois.fields import make_field
+from quartic_galois.reduction import inertia_certificate
 from quartic_galois.polys import bivariate_resultant, int_resultant
 
 CURVE = TernaryQuarticForm.bundled_curve()
@@ -401,6 +402,27 @@ def test_classify_node_cusp_is_not_ordinary():
     assert flags["ordinary_node"] is False
 
 
+def test_node_without_regular_total_space():
+    # x^4 + y^4 + x^2 z^2 - y^2 z^2 + 25 z^4 at p = 5: (0:0:1) is an
+    # ordinary node, but the constant term 25 puts F in (5, x, y)^2 there
+    node = TernaryQuarticForm(
+        {(4, 0, 0): 1, (0, 4, 0): 1, (2, 0, 2): 1, (0, 2, 2): -1, (0, 0, 4): 25}
+    )
+    for pt in ((0, 0, 1), (0, 0, 3)):
+        assert classify_node(node, 5, pt) == {
+            "ordinary_node": True, "total_space_regular": False
+        }
+    rep = singular_points(node, 5)
+    assert rep.complete
+    assert rep.points == (SingularPoint((0, 0, 1), 1, True, False),)
+    with pytest.raises(ValueError, match="regular total space"):
+        inertia_certificate(rep)
+    # the seed-1 form has the same kind of node at p = 2
+    rep = singular_points(_seeded_forms(1)[0], 2)
+    assert rep.complete
+    assert rep.points == (SingularPoint((1, 0, 1), 1, True, False),)
+
+
 # ---------------------------------------------------------------------------
 # LPolynomial bookkeeping
 
@@ -532,8 +554,8 @@ def test_singular_points_corpus_fingerprint():
 
 
 def test_bad_prime_candidates_fingerprint():
-    # B with its bad primes below 100 (make_field(p, 2) looks for its
-    # modulus by an O(p) root loop); every odd prime factor of B is bad
+    # B with its bad primes below 100, the range this pin was taken over;
+    # every odd prime factor of B is bad
     forms = [CURVE, FERMAT] + [_seeded_forms(seed)[0] for seed in (0, 1, 2)]
     lines = []
     for f in forms:
@@ -558,6 +580,20 @@ def test_fiber_without_a_y4_term_at_a_large_prime():
     assert time.perf_counter() - start < 1.0
     assert rep.complete
     assert rep.points == (SingularPoint((15291, 44623, 1), 1, True, True),)
+
+
+def test_fiber_at_a_twelve_digit_prime():
+    # 234,707,259,323 also divides the seed-1 form's B; make_field(p, 2)
+    # finds its modulus by Euler's criterion on the discriminant, where
+    # trying every x in F_p would take hours
+    form = _seeded_forms(1)[0]
+    p = 234707259323
+    assert find_bad_prime_candidates(form) % p == 0
+    start = time.perf_counter()
+    rep = singular_points(form, p)
+    assert time.perf_counter() - start < 1.0
+    assert rep.complete
+    assert rep.points == (SingularPoint((34456850312, 214109654039, 1), 1, True, True),)
 
 
 def _singular_locus(form, F, points):

@@ -1,6 +1,7 @@
 import pytest
 
 from quartic_galois import fields
+from quartic_galois.arith import isprime
 from quartic_galois.fields import FieldDescriptor, make_field
 
 TABLE_PRIMES = (2, 3, 5, 17, 19, 23, 41, 43, 73)
@@ -75,6 +76,22 @@ def test_canonical_moduli_match_oracle():
     cases += [(2, 4), (3, 4), (5, 4), (2, 6)]
     for p, m in cases:
         assert make_field(p, m).modulus == _first_irreducible(p, m), (p, m)
+
+
+def _has_root_by_search(p, f):
+    return any(sum(c * x ** i for i, c in enumerate(f)) % p == 0 for x in range(p))
+
+
+def test_quadratic_root_test_matches_a_root_search():
+    # Euler's criterion on the discriminant, on every monic quadratic at
+    # small p, and through the canonical modulus at every prime below 2000
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(p * p):
+            f = tuple(_monic(p, 2, n))
+            assert fields._poly_has_root(f, p) == _has_root_by_search(p, f), (p, f)
+    for p in filter(isprime, range(2, 2000)):
+        n = next(n for n in range(p * p) if not _has_root_by_search(p, _monic(p, 2, n)))
+        assert make_field(p, 2).modulus == tuple(_monic(p, 2, n)), p
 
 
 def test_canonical_modulus_f73_cubed():

@@ -26,16 +26,19 @@ cuspidal-stable by one more.  The W_Q are proved exactly to be commuting involut
 that commute with every T_p, each operator converted once for those
 products.  So T_p preserves each joint sign space V_s of the W_Q, and
 its characteristic polynomial is the product of those on the V_s.  Each
-V_s, about g / 2^k wide, gets an integer basis B_s once: d_s pivot
-columns of the projector P_s = prod(I + s_i W_i), whose trace is
-2^k d_s, read off a (d_s + 4) x g fixed-seed {-1, 0, 1} sketch S P_s.
-Each CRT modulus q then row-reduces [B_s | T_p B_s] on d_s rows where
-B_s is invertible to read off T_p on V_s (a modulus where that block is
-singular is skipped) and computes all its block charpolys in one
-batched Hessenberg reduction, each block zero-padded to the largest.
-Each block is lifted from the coefficient bound that Deligne's
-|a_p| <= 2 sqrt(p) gives at its own size and re-verified against
-held-out moduli.
+V_s, about g / 2^k wide, gets an integer basis B_s = P_s R_s once from
+the projector P_s = prod(I + s_i W_i), whose trace is 2^k d_s, and a
+fixed-seed {-1, 0, 1} sketch (R_s, L_s); one d_s x d_s reduction of
+L_s B_s proves it a basis.  Each CRT modulus q, the largest primes for
+which the charpolys fit int64, then row-reduces [L_s B_s | L_s T_p B_s]
+to read off T_p on V_s (a modulus where L_s B_s is singular is skipped)
+and computes all its block charpolys in one batched Hessenberg
+reduction, each block zero-padded to the largest.  T_p is self-adjoint
+for the Petersson product, so its eigenvalues are real, and Deligne's
+bound puts them in [-2 sqrt(p), 2 sqrt(p)].  So the exact power sum
+s_2 = tr(T_p^2 P_s) / 2^k of each block bounds its coefficients by
+Maclaurin's and the power-mean inequality; each block is lifted from
+that bound and re-verified against held-out moduli and against s_2.
 """
 
 from __future__ import annotations
@@ -353,12 +356,12 @@ def check_hecke_prime(N: int, p) -> None:
 # integer Hecke matrices and multimodular characteristic polynomials
 
 _INT64_LIMIT = 1 << 63
+_FLOAT32_EXACT = 1 << 24
 _FLOAT64_EXACT = 1 << 53
 # the one-time row reductions run modulo this prime and are lifted to Z
 _LIFT_PRIME = (1 << 26) - 5
-# _sign_blocks reads each projector's pivots off d_s + 4 sketch rows
+# _sign_blocks' two-sided sketch of each projector
 _SKETCH_SEED = 0x5EED_B10C
-_SKETCH_EXTRA_ROWS = 4
 
 
 def _rref_mod(M: np.ndarray, q: int):
@@ -401,12 +404,18 @@ def _rref_mod(M: np.ndarray, q: int):
 
 
 class _Exact:
-    """An int64 matrix with its float64 copy and max|entry|, so that
-    ``_int_matmul`` converts an operand once however often it is used."""
+    """An int64 matrix with its max|entry| and its float copies, each made
+    on first use, so that ``_int_matmul`` converts an operand once per
+    dtype however often it is used."""
 
     def __init__(self, X: np.ndarray):
-        self.ints, self.floats = X, X.astype(np.float64)
+        self.ints, self.floats = X, {}
         self.bound = int(np.abs(X).max(initial=0))
+
+    def as_float(self, dtype) -> np.ndarray:
+        if dtype not in self.floats:
+            self.floats[dtype] = self.ints.astype(dtype)
+        return self.floats[dtype]
 
 
 def _exact(X) -> _Exact:
@@ -417,19 +426,21 @@ def _int_matmul(X, Y) -> np.ndarray:
     """X @ Y over Z for int64 matrices (or their ``_exact`` forms), as
     int64.
 
-    The product runs in float64 BLAS (numpy's int64 matmul has no BLAS
+    The product runs in float BLAS (numpy's int64 matmul has no BLAS
     and is about 40x slower).  Every partial sum is an integer of
     absolute value <= max|X| * max|Y| * inner, so the product is exact
-    when that bound is below 2^53, and refused otherwise."""
+    in float32 when that bound is below 2^24, in float64 when it is
+    below 2^53, and refused otherwise."""
     X, Y = _exact(X), _exact(Y)
-    inner = X.floats.shape[1]
+    inner = X.ints.shape[1]
     worst = X.bound * Y.bound * inner
     if worst >= _FLOAT64_EXACT:
         raise OverflowError(
             "integer product bound max|X| * max|Y| * %d = %d reaches 2^53"
             % (inner, worst)
         )
-    return (X.floats @ Y.floats).astype(np.int64)
+    dtype = np.float32 if worst < _FLOAT32_EXACT else np.float64
+    return (X.as_float(dtype) @ Y.as_float(dtype)).astype(np.int64)
 
 
 def _sparse_rref_mod(rows, n: int, q: int):
@@ -509,21 +520,38 @@ def _expand(left, right):
     return np.repeat(i, counts), cols[at], np.repeat(v, counts) * vals[at]
 
 
-def _sparse_matmul(left, right, shape: Tuple[int, int]) -> np.ndarray:
-    """L @ R over Z as a dense int64 array of the given shape, for L and
-    R as in ``_expand`` (values of L at one place add up).
-
-    Every partial sum has absolute value <= max_i sum |L[i]| * max|R|,
-    so the product is refused when that bound reaches 2^63."""
-    row_sums = np.zeros(shape[0], dtype=np.int64)
+def _guarded_expand(left, right, n_rows: int):
+    """``_expand(left, right)`` for L with n_rows rows (values of L at one
+    place add up), refused unless every partial sum of L @ R fits int64:
+    each has absolute value <= max_i sum |L[i]| * max|R|."""
+    row_sums = np.zeros(n_rows, dtype=np.int64)
     np.add.at(row_sums, left[0], np.abs(left[2]))
     worst = int(row_sums.max(initial=0)) * int(np.abs(right[2]).max(initial=0))
     if worst >= _INT64_LIMIT:
         raise OverflowError("sparse product bound max row sum * max|R| = %d reaches 2^63" % worst)
-    i, j, w = _expand(left, right)
+    return _expand(left, right)
+
+
+def _sparse_matmul(left, right, shape: Tuple[int, int]) -> np.ndarray:
+    """L @ R over Z as a dense int64 array of the given shape, for L and
+    R as in ``_guarded_expand``."""
+    i, j, w = _guarded_expand(left, right, shape[0])
     out = np.zeros(shape, dtype=np.int64)
     np.add.at(out.reshape(-1), i * shape[1] + j, w)
     return out
+
+
+def _sparse_product_vanishes(left, right, shape: Tuple[int, int]) -> bool:
+    """Whether L @ R = 0 over Z, for L and R as in ``_guarded_expand``:
+    the products are sorted by their place (i, j) and summed per place
+    by one ``reduceat``, so no dense product is formed.  Each product of
+    one entry of L with its row of R is a sorted run when R's columns
+    are sorted within rows, which a stable sort merges."""
+    i, j, w = _guarded_expand(left, right, shape[0])
+    key = i * shape[1] + j
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    return not np.add.reduceat(w[order], starts).any()
 
 
 def _csr(M: np.ndarray):
@@ -582,7 +610,7 @@ def _integer_kernel(rows, n: int, N: int, what: str):
         np.any(indptr[at_free + 1] - start != 1)
         or np.any(E[1][start] != slot[at_free])
         or np.any(E[2][start] != 1)
-        or _sparse_matmul(_coo(rows), E, (len(rows), len(free))).any()
+        or not _sparse_product_vanishes(_coo(rows), E, (len(rows), len(free)))
     ):
         raise ArithmeticError(
             "the integer lift of the %s at level %d is not exact" % (what, N)
@@ -680,21 +708,27 @@ def _sketch(rows: int, cols: int) -> np.ndarray:
     return (draw % 3).astype(np.int8).reshape(rows, cols) - 1
 
 
-def _sign_blocks(N: int, involutions: List[np.ndarray], g: int):
-    """(B_s, rows_s) for each nonzero joint sign space V_s of the
-    involutions: the integer columns of B_s are a basis of V_s, and
-    B_s[rows_s] is invertible.
+def _sign_blocks(N: int, involutions: List[np.ndarray], matrices: Dict[int, np.ndarray], g: int):
+    """(system_s, s2_s) for each nonzero joint sign space V_s of the
+    involutions, d_s = dim V_s: system_s = [L_s B_s | L_s T_p B_s ...]
+    (the T_p in the order of ``matrices``) for a g x d_s integer basis
+    B_s of V_s and a d_s x g integer L_s with L_s B_s nonsingular, and
+    s2_s[p] = tr(T_p^2 on V_s), the sum of the squared eigenvalues.
 
-    B_s is a set of pivot columns of the integer projector
-    P_s = prod(I + s_i W_i), whose image is V_s and whose trace is
-    2^k d_s, d_s = dim V_s.  (The reduced echelon bases of the V_s are
-    not integral, so the kernel lift does not apply.)  The pivots are
-    read off S_s P_s, where S_s is the leading d_s + 4 rows of one
-    fixed-seed sketch with entries in {-1, 0, 1}: the row space of
-    S_s P_s lies in that of P_s, so when its rank mod q is d_s the two
-    row spaces, their echelon forms and their pivots are equal.  If the
-    rank comes out lower, P_s itself is reduced."""
+    P_s = prod(I + s_i W_i) is 2^k times the projector onto V_s, so its
+    trace is 2^k d_s.  T_p preserves V_s and the lattice V_s meet Z^g,
+    so T_p^2 on V_s has an integer matrix and tr(T_p^2 P_s) = 2^k s_2
+    with s_2 an integer; both divisions are checked.  B_s = P_s R_s and
+    L_s are the halves of one fixed-seed sketch with entries in
+    {-1, 0, 1}.  The columns of B_s lie in V_s, so when L_s B_s has rank
+    d_s mod _LIFT_PRIME (one d_s x d_s reduction) they are a basis of it.  If the
+    rank comes out lower, P_s itself is reduced: B_s is its pivot
+    columns and L_s = B_s^T, whose Gram matrix B_s^T B_s is nonsingular
+    over Q."""
     identity = np.eye(g, dtype=np.int64)
+    hecke = {p: _exact(A) for p, A in matrices.items()}
+    # (T_p^2)^T, so that tr(T_p^2 P) is the dot product of two flat arrays
+    squares_t = {p: _exact(_int_matmul(A, A).T.copy()) for p, A in hecke.items()}
 
     def projectors(signs, P, rest):
         # depth first, s = +1 before -1 at each level, so sign vectors
@@ -707,23 +741,36 @@ def _sign_blocks(N: int, involutions: List[np.ndarray], g: int):
             P_next = _int_matmul(P, step) if signs else step
             yield from projectors(signs + (s,), P_next, rest[1:])
 
-    sketch = _sketch(g + _SKETCH_EXTRA_ROWS, g)
+    scale = 1 << len(involutions)
     blocks = []
     for signs, P in projectors((), identity, involutions):
-        d, rem = divmod(int(np.trace(P)), 1 << len(involutions))
-        S = sketch[: d + _SKETCH_EXTRA_ROWS]
-        _, cols = _rref_mod(_int_matmul(S, P), _LIFT_PRIME)
-        if len(cols) < d:
-            _, cols = _rref_mod(P, _LIFT_PRIME)
-        if rem or len(cols) != d:
+        d, rem = divmod(int(np.trace(P)), scale)
+        if rem:
             raise ArithmeticError(
-                "sign space %s at level %d has trace %d and rank %d"
-                % (signs, N, int(np.trace(P)), len(cols))
+                "sign space %s at level %d has trace %d" % (signs, N, int(np.trace(P)))
             )
-        if d:
-            B = P[:, cols]
-            blocks.append((B, _rref_mod(B.T, _LIFT_PRIME)[1]))
-    if sum(B.shape[1] for B, _ in blocks) != g:
+        if not d:
+            continue
+        sketch = _sketch(2 * d, g)
+        L, B = _exact(sketch[:d]), _exact(_int_matmul(P, sketch[d:].T))
+        LB = _int_matmul(L, B)
+        if len(_rref_mod(LB, _LIFT_PRIME)[1]) < d:
+            # fewer than d pivots leave the blocks short of spanning
+            B = _exact(P[:, _rref_mod(P, _LIFT_PRIME)[1]])
+            L = _exact(B.ints.T)
+            LB = _int_matmul(L, B)
+        system = np.hstack([LB] + [_int_matmul(_int_matmul(L, A), B) for A in hecke.values()])
+        P_bound, s2 = int(np.abs(P).max()), {}
+        for p, T2 in squares_t.items():
+            if T2.bound * P_bound * g * g >= _INT64_LIMIT:
+                raise OverflowError("tr(T_%d^2 P) at level %d may overflow int64" % (p, N))
+            s2[p], rem = divmod(int(np.vdot(T2.ints, P)), scale)
+            if rem:
+                raise ArithmeticError(
+                    "tr(T_%d^2) on sign space %s at level %d is not an integer" % (p, signs, N)
+                )
+        blocks.append((system, s2))
+    if sum(system.shape[0] for system, _ in blocks) != g:
         raise ArithmeticError("the sign spaces at level %d do not span" % N)
     return blocks
 
@@ -809,10 +856,11 @@ def _charpolys_hessenberg_mod(
     return out
 
 
-def _crt_moduli(g: int) -> Iterator[int]:
-    """Primes below min(2^26, isqrt((2^63 - 1) // g)), largest first, so
-    that a charpoly of a g x g matrix modulo any of them fits int64."""
-    q = min(1 << 26, isqrt((2 ** 63 - 1) // max(g, 1))) - 1
+def _crt_moduli(D: int) -> Iterator[int]:
+    """Primes below isqrt((2^63 - 1) // D), largest first: the largest
+    moduli q with D (q - 1)^2 < 2^63, so that the batched charpoly of
+    blocks padded to D x D, and every row reduction, fits int64 mod q."""
+    q = isqrt((2 ** 63 - 1) // max(D, 1)) - 1
     while q > 2:
         if isprime(q):
             yield q
@@ -823,6 +871,18 @@ def _coeff_bound(n: int, eigen_bound: int) -> int:
     """Bound on every |c_k| of a monic degree-n polynomial whose roots
     all have absolute value <= eigen_bound: max_k C(n, k) eigen_bound^k."""
     return max(comb(n, k) * eigen_bound ** k for k in range(n + 1))
+
+
+def _trace_bound(d: int, s2: int) -> int:
+    """Bound on every |c_k| of a monic degree-d polynomial (d >= 1) whose
+    roots a_i are real with sum a_i^2 = s2 >= 0: the least integer b
+    with b^2 >= C(d, k)^2 (s2 / d)^k for every k, compared in integers.
+
+    |e_k(a)| <= e_k(|a|) <= C(d, k) (sum |a_i| / d)^k by Maclaurin's
+    inequality, and sum |a_i| / d <= (sum |a_i|^2 / d)^(1/2) by the
+    power-mean inequality; sum |a_i|^2 = s2 because the a_i are real."""
+    need = max(-(-comb(d, k) ** 2 * s2 ** k // d ** k) for k in range(d + 1))
+    return isqrt(need - 1) + 1
 
 
 # held-out moduli each CRT-lifted charpoly is re-verified against
@@ -841,31 +901,41 @@ def hecke_charpolys_multimodular(
     are built once, and the cuspidal space is split into the joint sign
     spaces of the W_Q, which every T_p preserves.  Each modulus solves
     for T_p on every sign space and computes those block charpolys in
-    one batched call.  A block's charpoly is CRT-lifted from the fewest
-    moduli whose product exceeds twice the coefficient bound from
-    Deligne's |a_p| <= 2 sqrt(p) at the block's size, re-verified
-    against the next ``_VERIFICATION_MODULI`` (2) moduli, and the block
-    charpolys are multiplied over Z.  ``progress(i, n)``, if given, is called after
-    the i-th of the n moduli."""
+    one batched call.  T_p is self-adjoint for the Petersson product,
+    so its eigenvalues are real, and Deligne's bound puts them in
+    [-2 sqrt(p), 2 sqrt(p)]; so a block's power sum s_2 = tr(T_p^2),
+    exact before any lift, lies in [0, 4 p d] (ArithmeticError
+    otherwise) and bounds its coefficients by ``_trace_bound``.  A
+    block's charpoly is CRT-lifted from the fewest moduli whose product
+    exceeds twice the smaller of that bound and the one from |a_p| <=
+    2 sqrt(p) alone, re-verified against the next
+    ``_VERIFICATION_MODULI`` (2) moduli and checked to have
+    e_1^2 - 2 e_2 = s_2, and the block charpolys are multiplied over Z.
+    All bounds are known before the first modulus, so ``progress(i, n)``,
+    if given, is called after the i-th of the n moduli."""
     for p in primes:
         check_hecke_prime(N, p)
     g = genus_x0(N)
     basis = _cuspidal_basis(N)
     matrices = _hecke_matrices(N, basis, primes)
     involutions = _atkin_lehner_involutions(N, basis, matrices)
-    # per block, [B_s | T_p B_s ...] on rows_s: row reduction mod q gives
-    # [I | X_p ...] with T_p B_s = B_s X_p, X_p in column slot[p]
+    # per block, [L B | L T_p B ...]: row reduction mod q gives [I | X_p ...]
+    # with T_p B = B X_p, X_p in column slot[p]
     slot = {p: k for k, p in enumerate(matrices, 1)}
-    systems = [
-        np.hstack([B[rows]] + [_int_matmul(A[rows], B) for A in matrices.values()])
-        for B, rows in _sign_blocks(N, involutions, g)
-    ]
-    # isqrt(4p - 1) + 1 = ceil(2 sqrt(p))
-    bounds = {
-        (j, p): 2 * _coeff_bound(Y.shape[0], isqrt(4 * p - 1) + 1)
-        for j, Y in enumerate(systems)
-        for p in matrices
-    }
+    blocks = _sign_blocks(N, involutions, matrices, g)
+    systems = [system for system, _ in blocks]
+    bounds = {}
+    for j, (system, s2) in enumerate(blocks):
+        d = system.shape[0]
+        for p in matrices:
+            if not 0 <= s2[p] <= 4 * p * d:
+                raise ArithmeticError(
+                    "tr(T_%d^2) = %d on a %d-dimensional sign space at level %d "
+                    "is outside [0, %d]" % (p, s2[p], d, N, 4 * p * d)
+                )
+            # isqrt(4p - 1) + 1 = ceil(2 sqrt(p))
+            deligne = _coeff_bound(d, isqrt(4 * p - 1) + 1)
+            bounds[(j, p)] = 2 * min(deligne, _trace_bound(d, s2[p]))
     candidates = _crt_moduli(max((Y.shape[0] for Y in systems), default=0))
     moduli: List[int] = []
 
@@ -889,7 +959,7 @@ def hecke_charpolys_multimodular(
             pivots != list(range(systems[j].shape[0]))
             for j, (_, pivots) in solved.items()
         ):
-            # some B_s[rows_s] is singular mod q: use the next prime instead
+            # some L_s B_s is singular mod q: use the next prime instead
             del moduli[i]
             plan()
             continue
@@ -920,6 +990,13 @@ def hecke_charpolys_multimodular(
                     )
             if lifted[-1] != 1:
                 raise ArithmeticError("lifted characteristic polynomial not monic")
+            # lifted = x^d - e_1 x^(d-1) + e_2 x^(d-2) - ...
+            d, s2 = len(lifted) - 1, blocks[j][1][p]
+            if lifted[d - 1] ** 2 - 2 * (lifted[d - 2] if d > 1 else 0) != s2:
+                raise ArithmeticError(
+                    "a lifted T_%d block charpoly at level %d has e_1^2 - 2 e_2 "
+                    "!= tr(T_%d^2) = %d" % (p, N, p, s2)
+                )
             charpoly = charpoly * IntPoly(lifted)
         out[p] = HeckeCharPoly(N=N, p=p, coeffs=charpoly.coeffs)
     return out

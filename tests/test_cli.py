@@ -180,3 +180,20 @@ def test_hecke_regenerates_bundled_file(tmp_path):
     bundled = resources.files("quartic_galois").joinpath("data", "hecke_6391.json")
     assert out_path.read_bytes() == bundled.read_bytes()
     assert elapsed < 15.0, elapsed
+
+
+def test_hecke_at_6391_uses_8_moduli(tmp_path, monkeypatch):
+    # the largest int64 moduli and the trace bounds: 6 lifting moduli
+    # and 2 held out, for the same bytes
+    ticks = []
+    real = cli.hecke_charpolys_multimodular
+    monkeypatch.setattr(
+        cli,
+        "hecke_charpolys_multimodular",
+        lambda N, primes: real(N, primes, progress=lambda *t: ticks.append(t)),
+    )
+    out_path = tmp_path / "hecke_6391.json"
+    assert main(["hecke", "--level", "6391", "--primes", "2,5", "--out", str(out_path)]) == 0
+    assert ticks == [(i, 8) for i in range(1, 9)]
+    bundled = resources.files("quartic_galois").joinpath("data", "hecke_6391.json")
+    assert out_path.read_bytes() == bundled.read_bytes()

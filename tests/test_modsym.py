@@ -163,9 +163,9 @@ def _recorded_sign_blocks(monkeypatch):
     sizes = []
     real = modsym._sign_blocks
 
-    def recording(N, involutions, g):
-        blocks = real(N, involutions, g)
-        sizes.append([B.shape[1] for B, _ in blocks])
+    def recording(N, involutions, matrices, g):
+        blocks = real(N, involutions, matrices, g)
+        sizes.append([system.shape[0] for system, _ in blocks])
         return blocks
 
     monkeypatch.setattr(modsym, "_sign_blocks", recording)
@@ -189,8 +189,10 @@ def test_sign_block_dimensions_at_2233(monkeypatch):
     ticks = []
     cps = hecke_charpolys_multimodular(2233, (2, 5), progress=lambda *t: ticks.append(t))
     assert sizes == [[29, 30, 30, 28, 31, 29, 29, 31]]
-    # T_5's Deligne bound at d = 31 needs 4 moduli, plus 2 held out
-    assert ticks == [(i, 6) for i in range(1, 7)]
+    # with moduli just above 2^29 (the largest primes below
+    # isqrt(2^63 / 31)), T_5's trace bound at d = 31 (under 2^54) needs
+    # 2 lifting moduli, plus 2 held out
+    assert ticks == [(i, 4) for i in range(1, 5)]
     assert sum(sizes[0]) == genus_x0(2233) == 237
     data = Path(__file__).parents[1] / "perfbench" / "data" / "hecke_2233.json"
     reference = json.loads(data.read_text())["charpolys"]
@@ -198,23 +200,11 @@ def test_sign_block_dimensions_at_2233(monkeypatch):
         assert cps[p].coeffs == tuple(int(c) for c in reference[str(p)])
 
 
-def _projector_pivot_columns(N, primes):
-    # (involutions, g, [P_s[:, pivots of the fully reduced P_s] for each
-    # nonzero P_s]): the basis columns as chosen before the sketch
+def _operators(N, primes):
+    # (involutions, matrices, g), as hecke_charpolys_multimodular builds them
     basis = modsym._cuspidal_basis(N)
     matrices = modsym._hecke_matrices(N, basis, primes)
-    involutions = modsym._atkin_lehner_involutions(N, basis, matrices)
-    g = len(basis.free_b)
-    identity = np.eye(g, dtype=np.int64)
-    columns = []
-    for signs in itertools.product((1, -1), repeat=len(involutions)):
-        P = identity
-        for s, W in zip(signs, involutions):
-            P = modsym._int_matmul(P, identity + s * W)
-        cols = modsym._rref_mod(P, modsym._LIFT_PRIME)[1]
-        if cols:
-            columns.append(P[:, cols])
-    return involutions, g, columns
+    return modsym._atkin_lehner_involutions(N, basis, matrices), matrices, len(basis.free_b)
 
 
 def _count_rref_calls(monkeypatch):
@@ -233,31 +223,36 @@ def _count_rref_calls(monkeypatch):
     "N, primes",
     [(99, (2, 5)), (147, (2, 5)), (175, (2, 3)), (243, (2, 5)), (500, (3, 7)), (2233, (2, 5))],
 )
-def test_sketch_pivots_match_full_projector_pivots(monkeypatch, N, primes):
-    involutions, g, columns = _projector_pivot_columns(N, primes)
+def test_one_reduction_per_sign_block(monkeypatch, N, primes):
+    # one d x d reduction of L_s B_s per block; the g x g projector is
+    # reduced only after a singular L_s B_s, which some blocks of size
+    # 1 to 4 at levels 99, 147 and 175 meet, and no block at 243, 500
+    # or 2233
+    involutions, matrices, g = _operators(N, primes)
     calls = _count_rref_calls(monkeypatch)
-    blocks = modsym._sign_blocks(N, involutions, g)
-    assert len(blocks) == len(columns)
-    for (B, _), expected in zip(blocks, columns):
-        assert np.array_equal(B, expected), N
-    # one sketch reduction per sign and one B_s^T reduction per block:
-    # no projector fell back to its own reduction
-    assert len(calls) == 2 ** len(involutions) + len(blocks), calls
+    blocks = modsym._sign_blocks(N, involutions, matrices, g)
+    sizes = [system.shape[0] for system, _ in blocks]
+    assert [shape for shape in calls if shape != (g, g)] == [(d, d) for d in sizes], N
+    assert calls.count((g, g)) == {99: 2, 147: 2, 175: 1}.get(N, 0), N
+    for system, _ in blocks:
+        d = system.shape[0]
+        assert system.shape == (d, (1 + len(primes)) * d)
 
 
 def test_rank_deficient_sketch_falls_back_to_the_projector(monkeypatch):
     for N, primes in ((147, (2, 5)), (2233, (2, 5))):
-        involutions, g, _ = _projector_pivot_columns(N, primes)
-        expected = modsym._sign_blocks(N, involutions, g)
+        involutions, matrices, g = _operators(N, primes)
+        expected = hecke_charpolys_multimodular(N, primes)
         with monkeypatch.context() as m:
             m.setattr(modsym, "_sketch", lambda rows, cols: np.zeros((rows, cols), np.int8))
             calls = _count_rref_calls(m)
-            got = modsym._sign_blocks(N, involutions, g)
-        # every nonzero block reduced its sketch, its P_s and its B_s^T
-        assert len(calls) == 2 ** len(involutions) + 2 * len(expected), N
-        assert len(got) == len(expected)
-        for (B, rows), (B0, rows0) in zip(got, expected):
-            assert np.array_equal(B, B0) and rows == rows0, N
+            blocks = modsym._sign_blocks(N, involutions, matrices, g)
+            # L_s B_s = 0 has rank 0, so every block reduces its P_s
+            sizes = [system.shape[0] for system, _ in blocks]
+            assert calls == [shape for d in sizes for shape in ((d, d), (g, g))], N
+            assert sum(sizes) == g
+            # the charpolys are the same, from B_s^T B_s instead of L_s B_s
+            assert hecke_charpolys_multimodular(N, primes) == expected, N
 
 
 def test_empty_sign_blocks_and_genus_zero(monkeypatch):
@@ -315,9 +310,17 @@ def test_unstable_image_raises(monkeypatch):
 
 
 def test_singular_modulus_is_skipped(monkeypatch):
-    # the B_s[rows_s] have determinants that are powers of 2, so no
-    # block solve works mod 2; that modulus must give no residue
+    # a prime dividing det(L_s B_s) of some block leaves that block's
+    # solve singular, so that modulus must give no residue; a prime
+    # dividing none of them is used
     expected = hecke_charpolys_multimodular(143, (2, 3))
+    involutions, matrices, g = _operators(143, (2, 3))
+    dets = [
+        int(sympy.Matrix(system[:, : system.shape[0]].tolist()).det())
+        for system, _ in modsym._sign_blocks(143, involutions, matrices, g)
+    ]
+    singular = max(q for det in dets for q in sympy.primefactors(det))
+    regular = next(q for q in sympy.primerange(2, 100) if all(det % q for det in dets))
     real_moduli = modsym._crt_moduli
     real_charpolys = modsym._charpolys_hessenberg_mod
     used, ticks = [], []
@@ -326,15 +329,86 @@ def test_singular_modulus_is_skipped(monkeypatch):
         used.append(q)
         return real_charpolys(stack, sizes, q)
 
-    def small_first(g):
-        return itertools.chain([2, 3], real_moduli(g))
+    def small_first(D):
+        return itertools.chain([singular, regular], real_moduli(D))
 
     monkeypatch.setattr(modsym, "_crt_moduli", small_first)
     monkeypatch.setattr(modsym, "_charpolys_hessenberg_mod", recording)
     got = hecke_charpolys_multimodular(143, (2, 3), progress=lambda *t: ticks.append(t))
     assert got == expected
-    assert 2 not in used and 3 in used
+    assert singular not in used and regular in used
     assert ticks[-1][0] == ticks[-1][1] == len(ticks)
+
+
+@pytest.mark.parametrize("N, primes", [(99, (2, 5)), (143, (2, 3)), (389, (2, 3))])
+def test_block_power_sums_match_sympy_charpoly(N, primes):
+    # s_2 of each block is tr(X_p^2) for X_p = (L B)^-1 (L T_p B) over Q,
+    # and the blocks' s_2 add up to e_1^2 - 2 e_2 of sympy's charpoly of T_p
+    involutions, matrices, g = _operators(N, primes)
+    blocks = modsym._sign_blocks(N, involutions, matrices, g)
+    for k, p in enumerate(primes, 1):
+        for system, s2 in blocks:
+            d = system.shape[0]
+            LB = sympy.Matrix(system[:, :d].tolist())
+            X = LB.LUsolve(sympy.Matrix(system[:, k * d : (k + 1) * d].tolist()))
+            assert (X * X).trace() == s2[p], (N, p)
+        c = _sympy_charpoly(matrices[p])
+        assert sum(s2[p] for _, s2 in blocks) == c[g - 1] ** 2 - 2 * c[g - 2], (N, p)
+
+
+@pytest.mark.parametrize(
+    "corrupt, needle",
+    [
+        (lambda s2, p, d: s2 + 2, "e_1\\^2 - 2 e_2 != tr"),
+        (lambda s2, p, d: -1, "outside \\[0, "),
+        (lambda s2, p, d: 4 * p * d + 1, "outside \\[0, "),
+    ],
+)
+def test_corrupted_power_sum_raises(monkeypatch, corrupt, needle):
+    # s_2 of the first block's T_3, too large by 2 (the lift is still
+    # right, so the e_1^2 - 2 e_2 check fails) or outside [0, 4 p d]
+    real = modsym._sign_blocks
+
+    def corrupted(N, involutions, matrices, g):
+        blocks = real(N, involutions, matrices, g)
+        system, s2 = blocks[0]
+        blocks[0] = system, {**s2, 3: corrupt(s2[3], 3, system.shape[0])}
+        return blocks
+
+    monkeypatch.setattr(modsym, "_sign_blocks", corrupted)
+    with pytest.raises(ArithmeticError, match=needle):
+        hecke_charpolys_multimodular(143, (2, 3))
+
+
+def test_trace_bound_against_brute_force():
+    # the least integer >= C(d, k) (s2 / d)^(k/2) for every k, against
+    # sympy's exact ceiling, and every coefficient of a polynomial with
+    # integer roots lies within it
+    rng = random.Random(26)
+    for _ in range(100):
+        d = rng.randint(1, 10)
+        roots = [rng.randint(-7, 7) for _ in range(d)]
+        s2 = sum(a * a for a in roots)
+        bound = modsym._trace_bound(d, s2)
+        ratio = sympy.sqrt(sympy.Rational(s2, d))
+        assert bound == max(int(sympy.ceiling(comb(d, k) * ratio ** k)) for k in range(d + 1))
+        poly = sympy.Poly(prod(sympy.Symbol("x") - a for a in roots), sympy.Symbol("x"))
+        assert max(abs(int(c)) for c in poly.all_coeffs()) <= bound, roots
+    # all roots equal in absolute value: Maclaurin and the power means
+    # are equalities, so the bound is attained
+    assert modsym._trace_bound(6, 6 * 9) == max(comb(6, k) * 3 ** k for k in range(7))
+    assert modsym._trace_bound(1, 0) == 1 and modsym._trace_bound(5, 0) == 1
+
+
+def test_trace_bound_never_above_deligne_bound():
+    # s2 <= 4 p d gives s2 / d <= 4 p <= ceil(2 sqrt(p))^2; the top of
+    # the range, where the bound is largest, at every block size of 6391
+    for p in (2, 3, 5, 7):
+        ceil_2_sqrt_p = isqrt(4 * p - 1) + 1
+        for d in (1, 2, 3, 5, 8, 13, 31, 74, 94):
+            deligne = modsym._coeff_bound(d, ceil_2_sqrt_p)
+            for s2 in range(max(4 * p * d - 100, 0), 4 * p * d + 1):
+                assert modsym._trace_bound(d, s2) <= deligne, (p, d, s2)
 
 
 def _sympy_kernel(M):
@@ -643,12 +717,17 @@ def test_crt_lift_matches_per_coefficient_formula():
 
 
 def test_crt_moduli_fit_int64():
-    # levels up to genus 2048 keep the 26-bit moduli; larger ones shrink
-    for g in (237, 669, 2048):
-        assert next(modsym._crt_moduli(g)) == (1 << 26) - 5
-    for g in (2049, 100000):
-        q = next(modsym._crt_moduli(g))
-        assert q < 1 << 26 and g * (q - 1) ** 2 < 1 << 63
+    # the largest primes below isqrt((2^63 - 1) // D), for which the
+    # batched charpoly of D x D blocks fits int64, and nothing between
+    for D in (1, 31, 94, 237, 669, 2048, 100000):
+        cap = isqrt(((1 << 63) - 1) // D)
+        moduli = list(itertools.islice(modsym._crt_moduli(D), 3))
+        assert moduli == [sympy.prevprime(cap)] + [sympy.prevprime(q) for q in moduli[:2]], D
+        for q in moduli:
+            assert D * (q - 1) ** 2 < 1 << 63 and (q - 1) ** 2 < 1 << 63
+    # level 6391 (largest block 94) gets moduli above 2^28, level 2233 (31) above 2^29
+    assert next(modsym._crt_moduli(94)) > 1 << 28
+    assert next(modsym._crt_moduli(31)) > 1 << 29
 
 
 def test_integer_product_guard():
@@ -795,3 +874,60 @@ def test_exact_operands_keep_the_product_guard():
         assert modsym._int_matmul(a, b).tolist() == [[2 * ((1 << 26) - 1)]]
     with pytest.raises(OverflowError):
         modsym._int_matmul(Xe, modsym._exact(Y + 2 ** 26))
+
+
+def test_int_matmul_float32_boundary():
+    # max|X| max|Y| inner = (2^12 - 1)(2^12 + 1) = 2^24 - 1 runs in
+    # float32; (2^12 + 1)^2 = 2^24 + 8193 runs in float64, where float32
+    # would round that odd product
+    below = (np.array([[4095]]), np.array([[4097]]))
+    above = (np.array([[4097]]), np.array([[4097]]))
+    for (X, Y), dtype in ((below, np.float32), (above, np.float64)):
+        Xe, Ye = modsym._exact(X), modsym._exact(Y)
+        assert np.array_equal(modsym._int_matmul(Xe, Ye), X @ Y)
+        assert list(Xe.floats) == list(Ye.floats) == [dtype]
+    X, Y = above
+    assert (X.astype(np.float32) @ Y.astype(np.float32)).item() != (X @ Y).item()
+    # seeded products on both sides of the boundary, against int64 @
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        inner = int(rng.integers(1, 60))
+        a, b = (int(rng.integers(1, 1 << 14)) for _ in range(2))
+        X = rng.integers(-a, a + 1, (5, inner))
+        Y = rng.integers(-b, b + 1, (inner, 4))
+        assert np.array_equal(modsym._int_matmul(X, Y), X @ Y)
+
+
+def test_exact_converts_once_per_dtype():
+    X = np.array([[1, -2], [3, 4]], dtype=np.int64)
+    Xe = modsym._exact(X)
+    small, large = np.eye(2, dtype=np.int64), np.full((2, 2), 1 << 23, dtype=np.int64)
+    modsym._int_matmul(Xe, small)
+    first = Xe.floats[np.float32]
+    modsym._int_matmul(small, Xe)
+    assert Xe.floats[np.float32] is first and list(Xe.floats) == [np.float32]
+    assert np.array_equal(modsym._int_matmul(Xe, large), X @ large)
+    assert list(Xe.floats) == [np.float32, np.float64]
+
+
+def test_sparse_product_vanishes_matches_dense_product():
+    # L = [I | C] and R = [-C; I] S, so L R = 0; one changed entry of R
+    # makes it nonzero.  L's entries are split in two to check that the
+    # products at one place are summed before the test
+    rng = np.random.default_rng(26)
+    for _ in range(30):
+        r, extra, cols = (int(v) for v in rng.integers(1, 6, 3))
+        C = rng.integers(-3, 4, (r, extra))
+        L = np.hstack([np.eye(r, dtype=np.int64), C])
+        R = np.vstack([-C, np.eye(extra, dtype=np.int64)]) @ rng.integers(-2, 3, (extra, cols))
+        if rng.random() < 0.5:
+            R[rng.integers(r + extra), rng.integers(cols)] += 1
+        i, k = np.nonzero(L)
+        half = L[i, k] // 2
+        left = (np.repeat(i, 2), np.repeat(k, 2), np.stack([half, L[i, k] - half], 1).reshape(-1))
+        got = modsym._sparse_product_vanishes(left, modsym._csr(R), (r, cols))
+        assert got == (not (L @ R).any())
+    # the 2^63 guard of _sparse_matmul holds here too
+    left = (np.array([0, 0]), np.array([0, 1]), np.array([1 << 61, 1 << 61]))
+    with pytest.raises(OverflowError):
+        modsym._sparse_product_vanishes(left, modsym._csr(np.array([[1], [2]])), (1, 1))

@@ -520,38 +520,21 @@ def _expand(left, right):
     return np.repeat(i, counts), cols[at], np.repeat(v, counts) * vals[at]
 
 
-def _guarded_expand(left, right, n_rows: int):
-    """``_expand(left, right)`` for L with n_rows rows (values of L at one
-    place add up), refused unless every partial sum of L @ R fits int64:
-    each has absolute value <= max_i sum |L[i]| * max|R|."""
-    row_sums = np.zeros(n_rows, dtype=np.int64)
+def _sparse_matmul(left, right, shape: Tuple[int, int]) -> np.ndarray:
+    """L @ R over Z as a dense int64 array of the given shape, for L and
+    R as in ``_expand`` (values of L at one place add up).
+
+    Every partial sum has absolute value <= max_i sum |L[i]| * max|R|,
+    so the product is refused when that bound reaches 2^63."""
+    row_sums = np.zeros(shape[0], dtype=np.int64)
     np.add.at(row_sums, left[0], np.abs(left[2]))
     worst = int(row_sums.max(initial=0)) * int(np.abs(right[2]).max(initial=0))
     if worst >= _INT64_LIMIT:
         raise OverflowError("sparse product bound max row sum * max|R| = %d reaches 2^63" % worst)
-    return _expand(left, right)
-
-
-def _sparse_matmul(left, right, shape: Tuple[int, int]) -> np.ndarray:
-    """L @ R over Z as a dense int64 array of the given shape, for L and
-    R as in ``_guarded_expand``."""
-    i, j, w = _guarded_expand(left, right, shape[0])
+    i, j, w = _expand(left, right)
     out = np.zeros(shape, dtype=np.int64)
     np.add.at(out.reshape(-1), i * shape[1] + j, w)
     return out
-
-
-def _sparse_product_vanishes(left, right, shape: Tuple[int, int]) -> bool:
-    """Whether L @ R = 0 over Z, for L and R as in ``_guarded_expand``:
-    the products are sorted by their place (i, j) and summed per place
-    by one ``reduceat``, so no dense product is formed.  Each product of
-    one entry of L with its row of R is a sorted run when R's columns
-    are sorted within rows, which a stable sort merges."""
-    i, j, w = _guarded_expand(left, right, shape[0])
-    key = i * shape[1] + j
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    return not np.add.reduceat(w[order], starts).any()
 
 
 def _csr(M: np.ndarray):
@@ -610,7 +593,7 @@ def _integer_kernel(rows, n: int, N: int, what: str):
         np.any(indptr[at_free + 1] - start != 1)
         or np.any(E[1][start] != slot[at_free])
         or np.any(E[2][start] != 1)
-        or not _sparse_product_vanishes(_coo(rows), E, (len(rows), len(free)))
+        or _sparse_matmul(_coo(rows), E, (len(rows), len(free))).any()
     ):
         raise ArithmeticError(
             "the integer lift of the %s at level %d is not exact" % (what, N)
@@ -867,12 +850,6 @@ def _crt_moduli(D: int) -> Iterator[int]:
         q -= 1
 
 
-def _coeff_bound(n: int, eigen_bound: int) -> int:
-    """Bound on every |c_k| of a monic degree-n polynomial whose roots
-    all have absolute value <= eigen_bound: max_k C(n, k) eigen_bound^k."""
-    return max(comb(n, k) * eigen_bound ** k for k in range(n + 1))
-
-
 def _trace_bound(d: int, s2: int) -> int:
     """Bound on every |c_k| of a monic degree-d polynomial (d >= 1) whose
     roots a_i are real with sum a_i^2 = s2 >= 0: the least integer b
@@ -907,8 +884,7 @@ def hecke_charpolys_multimodular(
     exact before any lift, lies in [0, 4 p d] (ArithmeticError
     otherwise) and bounds its coefficients by ``_trace_bound``.  A
     block's charpoly is CRT-lifted from the fewest moduli whose product
-    exceeds twice the smaller of that bound and the one from |a_p| <=
-    2 sqrt(p) alone, re-verified against the next
+    exceeds twice that bound, re-verified against the next
     ``_VERIFICATION_MODULI`` (2) moduli and checked to have
     e_1^2 - 2 e_2 = s_2, and the block charpolys are multiplied over Z.
     All bounds are known before the first modulus, so ``progress(i, n)``,
@@ -933,9 +909,9 @@ def hecke_charpolys_multimodular(
                     "tr(T_%d^2) = %d on a %d-dimensional sign space at level %d "
                     "is outside [0, %d]" % (p, s2[p], d, N, 4 * p * d)
                 )
-            # isqrt(4p - 1) + 1 = ceil(2 sqrt(p))
-            deligne = _coeff_bound(d, isqrt(4 * p - 1) + 1)
-            bounds[(j, p)] = 2 * min(deligne, _trace_bound(d, s2[p]))
+            # s2 <= 4pd gives (s2/d)^(k/2) <= (2 sqrt p)^k, so this is never
+            # above max_k C(d, k) ceil(2 sqrt p)^k, the bound from Deligne alone
+            bounds[(j, p)] = 2 * _trace_bound(d, s2[p])
     candidates = _crt_moduli(max((Y.shape[0] for Y in systems), default=0))
     moduli: List[int] = []
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -179,6 +179,13 @@ def integer_hecke_matrices(N: int, primes: Sequence[int]) -> Dict[int, np.ndarra
 
 # ---------------------------------------------------------------------------
 # P^1(Z/N), the sign and cusp classes and T_p by scalar Python
+
+
+def coeff_bound(n: int, eigen_bound: int) -> int:
+    """Bound on every |c_k| of a monic degree-n polynomial whose roots
+    all have absolute value <= eigen_bound: max_k C(n, k) eigen_bound^k
+    (with eigen_bound = ceil(2 sqrt p), the bound from Deligne's bound alone)."""
+    return max(comb(n, k) * eigen_bound ** k for k in range(n + 1))
 
 
 def p1_normalize(N: int, c: int, d: int) -> Optional[Tuple[int, int]]:

@@ -169,22 +169,11 @@ def test_output_path_errors_are_one_line(tmp_path, monkeypatch, args, prefix):
     assert "absent_dir/out.json" in message
 
 
-def test_hecke_regenerates_bundled_file(tmp_path):
+def test_hecke_regenerates_bundled_file(tmp_path, monkeypatch):
     # the bundled level-6391 T_2 and T_5 charpolys, recomputed byte for
-    # byte; the budget is a floor to beat, not a target
-    out_path = tmp_path / "hecke_6391.json"
-    start = time.perf_counter()
-    args = ["hecke", "--level", "6391", "--primes", "2,5", "--out", str(out_path)]
-    assert main(args) == 0
-    elapsed = time.perf_counter() - start
-    bundled = resources.files("quartic_galois").joinpath("data", "hecke_6391.json")
-    assert out_path.read_bytes() == bundled.read_bytes()
-    assert elapsed < 15.0, elapsed
-
-
-def test_hecke_at_6391_uses_8_moduli(tmp_path, monkeypatch):
-    # the largest int64 moduli and the trace bounds: 6 lifting moduli
-    # and 2 held out, for the same bytes
+    # byte from 8 moduli (6 lifting, 2 held out: the largest int64
+    # moduli and the trace bounds); the budget is a floor to beat, not a
+    # target
     ticks = []
     real = cli.hecke_charpolys_multimodular
     monkeypatch.setattr(
@@ -193,7 +182,11 @@ def test_hecke_at_6391_uses_8_moduli(tmp_path, monkeypatch):
         lambda N, primes: real(N, primes, progress=lambda *t: ticks.append(t)),
     )
     out_path = tmp_path / "hecke_6391.json"
-    assert main(["hecke", "--level", "6391", "--primes", "2,5", "--out", str(out_path)]) == 0
-    assert ticks == [(i, 8) for i in range(1, 9)]
+    start = time.perf_counter()
+    args = ["hecke", "--level", "6391", "--primes", "2,5", "--out", str(out_path)]
+    assert main(args) == 0
+    elapsed = time.perf_counter() - start
     bundled = resources.files("quartic_galois").joinpath("data", "hecke_6391.json")
     assert out_path.read_bytes() == bundled.read_bytes()
+    assert ticks == [(i, 8) for i in range(1, 9)]
+    assert elapsed < 15.0, elapsed

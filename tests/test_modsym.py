@@ -14,6 +14,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from oracles import (
     ETA_NEWFORMS,
+    coeff_bound,
     coset_hecke_matrix,
     coset_hecke_paths,
     dense,
@@ -406,7 +407,7 @@ def test_trace_bound_never_above_deligne_bound():
     for p in (2, 3, 5, 7):
         ceil_2_sqrt_p = isqrt(4 * p - 1) + 1
         for d in (1, 2, 3, 5, 8, 13, 31, 74, 94):
-            deligne = modsym._coeff_bound(d, ceil_2_sqrt_p)
+            deligne = coeff_bound(d, ceil_2_sqrt_p)
             for s2 in range(max(4 * p * d - 100, 0), 4 * p * d + 1):
                 assert modsym._trace_bound(d, s2) <= deligne, (p, d, s2)
 
@@ -908,26 +909,3 @@ def test_exact_converts_once_per_dtype():
     assert Xe.floats[np.float32] is first and list(Xe.floats) == [np.float32]
     assert np.array_equal(modsym._int_matmul(Xe, large), X @ large)
     assert list(Xe.floats) == [np.float32, np.float64]
-
-
-def test_sparse_product_vanishes_matches_dense_product():
-    # L = [I | C] and R = [-C; I] S, so L R = 0; one changed entry of R
-    # makes it nonzero.  L's entries are split in two to check that the
-    # products at one place are summed before the test
-    rng = np.random.default_rng(26)
-    for _ in range(30):
-        r, extra, cols = (int(v) for v in rng.integers(1, 6, 3))
-        C = rng.integers(-3, 4, (r, extra))
-        L = np.hstack([np.eye(r, dtype=np.int64), C])
-        R = np.vstack([-C, np.eye(extra, dtype=np.int64)]) @ rng.integers(-2, 3, (extra, cols))
-        if rng.random() < 0.5:
-            R[rng.integers(r + extra), rng.integers(cols)] += 1
-        i, k = np.nonzero(L)
-        half = L[i, k] // 2
-        left = (np.repeat(i, 2), np.repeat(k, 2), np.stack([half, L[i, k] - half], 1).reshape(-1))
-        got = modsym._sparse_product_vanishes(left, modsym._csr(R), (r, cols))
-        assert got == (not (L @ R).any())
-    # the 2^63 guard of _sparse_matmul holds here too
-    left = (np.array([0, 0]), np.array([0, 1]), np.array([1 << 61, 1 << 61]))
-    with pytest.raises(OverflowError):
-        modsym._sparse_product_vanishes(left, modsym._csr(np.array([[1], [2]])), (1, 1))

@@ -71,7 +71,7 @@ def _cmd_hecke(args) -> int:
         by_p = hecke_charpolys_multimodular(args.level, primes)
         cps = [by_p[p] for p in primes]
         store_hecke_charpolys(args.out, cps)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         raise SystemExit("certify hecke: %s" % exc)
     sys.stdout.write(
         "stored %d operator(s) at level %d in %s\n"

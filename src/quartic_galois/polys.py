@@ -7,6 +7,16 @@ Two representations are used:
 * ``FqPoly`` -- dense coefficient list of field elements over a
   :class:`~quartic_galois.fields.FieldDescriptor`.
 
+Over a prime field (``field.m == 1``) the arithmetic of ``FqPoly`` --
+``+``, ``-``, ``*``, ``divmod``, ``gcd``, ``monic``, ``derivative`` and
+``pow_mod`` -- runs on plain int lists with one ``% p`` per output
+coefficient, not a ``FieldDescriptor`` call and a 1-tuple per
+coefficient operation; the result goes back into the same ``(c,)``
+tuples.  Over F_{p^m} with m >= 2 an element is a vector of m
+coordinates whose product reduces by the field's modulus, so those
+fields keep the element-by-element path.  The field of the operands
+alone picks the path.
+
 Factorization over finite fields runs distinct-degree splitting followed
 by Cantor-Zassenhaus equal-degree splitting on the radical, then reads
 multiplicities off by trial division; the equal-degree stage draws from a
@@ -29,6 +39,7 @@ x = 2^K into it.
 from __future__ import annotations
 
 import random
+from itertools import zip_longest
 from math import lcm
 from typing import List, Sequence, Tuple
 
@@ -253,9 +264,54 @@ def bivariate_resultant(f_rows: List[IntPoly], g_rows: List[IntPoly]) -> IntPoly
 # ---------------------------------------------------------------------------
 # polynomials over finite fields
 
+# Prime-field kernels: polynomials over F_p as trimmed lists of ints in
+# [0, p), low degree first.  Sums of products stay unreduced until the
+# coefficient is read (Python ints do not overflow).
+
+
+def _pmul(a: list, b: list, p: int) -> list:
+    if not a or not b:
+        return []
+    nb = len(b)
+    out = [0] * (len(a) + nb - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            out[i : i + nb] = [o + ai * bj for o, bj in zip(out[i : i + nb], b)]
+    return [c % p for c in out]  # lc(a) lc(b) != 0 in a field
+
+
+def _pdivmod(a: list, b: list, p: int) -> Tuple[list, list]:
+    """(quotient, remainder) of a by a nonzero b."""
+    db = len(b) - 1
+    dq = len(a) - 1 - db
+    if dq < 0:
+        return [], a
+    inv_lc = pow(b[-1], -1, p)
+    rem = a[:]
+    quot = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + db] * inv_lc % p
+        if c:
+            quot[k] = c
+            rem[k : k + db] = [r - c * bj for r, bj in zip(rem[k : k + db], b)]
+    return quot, _trim([r % p for r in rem[:db]])
+
+
+def _pmonic(a: list, p: int) -> list:
+    if not a or a[-1] == 1:
+        return a
+    inv_lc = pow(a[-1], -1, p)
+    return [c * inv_lc % p for c in a]
+
 
 class FqPoly:
-    """Dense polynomial over a finite field, coefficients low degree first."""
+    """Dense polynomial over a finite field, coefficients low degree first.
+
+    ``coeffs`` is a tuple of field elements (m-tuples of ints) with no
+    trailing zero.  Over a prime field the methods unpack it once into
+    an int list, run the ``_p*`` kernels above and pack the result; over
+    F_{p^m}, m >= 2, they call the ``FieldDescriptor`` per coefficient.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -268,7 +324,12 @@ class FqPoly:
 
     @classmethod
     def from_ints(cls, field: FieldDescriptor, ints: Sequence[int]) -> "FqPoly":
+        if field.m == 1:
+            return _fp(field, _trim([c % field.p for c in ints]))
         return cls(field, [field.from_int(c) for c in ints])
+
+    def _ints(self) -> list:
+        return [c[0] for c in self.coeffs]
 
     @classmethod
     def zero(cls, field: FieldDescriptor) -> "FqPoly":
@@ -304,20 +365,22 @@ class FqPoly:
 
     def __add__(self, other: "FqPoly") -> "FqPoly":
         F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [F.zero()] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [F.zero()] * (n - len(other.coeffs))
-        return FqPoly(F, [F.add(x, y) for x, y in zip(a, b)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=F.zero())
+        if F.m == 1:
+            return _fp(F, _trim([(x + y) % F.p for (x,), (y,) in pairs]))
+        return FqPoly(F, [F.add(x, y) for x, y in pairs])
 
     def __sub__(self, other: "FqPoly") -> "FqPoly":
         F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [F.zero()] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [F.zero()] * (n - len(other.coeffs))
-        return FqPoly(F, [F.sub(x, y) for x, y in zip(a, b)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=F.zero())
+        if F.m == 1:
+            return _fp(F, _trim([(x - y) % F.p for (x,), (y,) in pairs]))
+        return FqPoly(F, [F.sub(x, y) for x, y in pairs])
 
     def __mul__(self, other: "FqPoly") -> "FqPoly":
         F = self.field
+        if F.m == 1:
+            return _fp(F, _pmul(self._ints(), other._ints(), F.p))
         if self.is_zero() or other.is_zero():
             return FqPoly.zero(F)
         out = [F.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -332,14 +395,20 @@ class FqPoly:
         return FqPoly(F, [F.mul(c, a) for a in self.coeffs])
 
     def monic(self) -> "FqPoly":
+        F = self.field
+        if F.m == 1:
+            return _fp(F, _pmonic(self._ints(), F.p))
         if self.is_zero():
             return self
-        return self.scale(self.field.inv(self.lc()))
+        return self.scale(F.inv(self.lc()))
 
     def divmod(self, other: "FqPoly") -> Tuple["FqPoly", "FqPoly"]:
         F = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if F.m == 1:
+            quot, rem = _pdivmod(self._ints(), other._ints(), F.p)
+            return _fp(F, quot), _fp(F, rem)
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
@@ -361,13 +430,23 @@ class FqPoly:
         return self.divmod(other)[0]
 
     def gcd(self, other: "FqPoly") -> "FqPoly":
+        """The monic gcd; zero when both operands are zero."""
+        F = self.field
+        if F.m == 1:
+            a, b, p = self._ints(), other._ints(), F.p
+            while b:
+                a, b = b, _pdivmod(a, b, p)[1]
+            return _fp(F, _pmonic(a, p))
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return a.monic()
 
     def derivative(self) -> "FqPoly":
         F = self.field
+        if F.m == 1:
+            a = self._ints()
+            return _fp(F, _trim([i * c % F.p for i, c in enumerate(a)][1:]))
         return FqPoly(
             F, [F.scalar_mul(i, c) for i, c in enumerate(self.coeffs)][1:]
         )
@@ -380,7 +459,18 @@ class FqPoly:
         return acc
 
     def pow_mod(self, n: int, modulus: "FqPoly") -> "FqPoly":
+        """self^n mod modulus for n >= 0 (the one polynomial for n = 0)."""
         F = self.field
+        if F.m == 1:
+            m, p = modulus._ints(), F.p
+            result, base = [1], (self % modulus)._ints()
+            while n:  # right to left, as below, without the last squaring
+                if n & 1:
+                    result = _pdivmod(_pmul(result, base, p), m, p)[1]
+                n >>= 1
+                if n:
+                    base = _pdivmod(_pmul(base, base, p), m, p)[1]
+            return _fp(F, result)
         result = FqPoly.one(F)
         base = self % modulus
         while n:
@@ -411,6 +501,14 @@ class FqPoly:
 
     def __repr__(self):
         return "FqPoly(F_%d^%d, %r)" % (self.field.p, self.field.m, list(self.coeffs))
+
+
+def _fp(F: FieldDescriptor, ints: list) -> FqPoly:
+    """The FqPoly over the prime field F with the trimmed, reduced ints."""
+    f = object.__new__(FqPoly)
+    f.field = F
+    f.coeffs = tuple([(c,) for c in ints])
+    return f
 
 
 # ---------------------------------------------------------------------------

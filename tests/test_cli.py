@@ -79,6 +79,18 @@ def test_hecke_subcommand_rejects_bad_input(tmp_path, level, primes):
     assert not out_path.exists()
 
 
+def test_hecke_level_beyond_int64_index_is_one_line(tmp_path):
+    # the P^1(Z/N) index refuses a level whose products overflow int64;
+    # --out is created by the writability probe before that refusal
+    out_path = tmp_path / "h.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["hecke", "--level", "2147483659", "--primes", "2", "--out", str(out_path)])
+    message = exc.value.code
+    assert isinstance(message, str) and message.startswith("certify hecke: ")
+    assert "\n" not in message
+    assert "overflow int64" in message
+
+
 def test_run_exit_code_on_failure(tmp_path, capsys):
     # skip-mode config cannot certify, so the exit status is nonzero
     cfg = tmp_path / "cfg.json"

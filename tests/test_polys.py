@@ -3,6 +3,8 @@ from math import prod
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul, gf_pow_mod
 
 from quartic_galois.fields import make_field
 from quartic_galois.polys import (
@@ -347,21 +349,66 @@ def test_order_rejects_bad_input():
 # basic poly plumbing
 
 
-def test_fqpoly_divmod_round_trip():
+@pytest.mark.parametrize(
+    "p, m", [(5, 2), (2, 1), (5, 1), (2**61 - 1, 1)], ids=["F25", "F2", "F5", "F2^61-1"]
+)
+def test_fqpoly_divmod_round_trip(p, m):
     rng = random.Random(3)
-    F = make_field(5, 2)
+    F = make_field(p, m)
     for _ in range(20):
         a = FqPoly(
-            F, [F.element_from_index(rng.randrange(25)) for _ in range(6)]
+            F, [F.element_from_index(rng.randrange(F.order)) for _ in range(6)]
         )
         b = FqPoly(
-            F, [F.element_from_index(rng.randrange(25)) for _ in range(3)]
+            F, [F.element_from_index(rng.randrange(F.order)) for _ in range(3)]
         )
         if b.is_zero():
             continue
         q, r = a.divmod(b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+
+def _gf(f):
+    """An F_p polynomial as a sympy galoistools list, high degree first."""
+    return [ZZ(c) for c in reversed(f.to_ints())]
+
+
+@pytest.mark.parametrize("p", [2, 3, 73, 2**61 - 1])
+def test_prime_field_arithmetic_matches_galoistools(p):
+    F = make_field(p, 1)
+    rng = random.Random(p)
+    pool = [FqPoly.zero(F)] + [
+        FqPoly.from_ints(F, [rng.randrange(p) for _ in range(rng.randint(1, 21))])
+        for _ in range(30)
+    ]
+    for _ in range(60):
+        a, b, c = (rng.choice(pool) for _ in range(3))
+        ga, gb = _gf(a), _gf(b)
+        assert _gf(a * b) == gf_mul(ga, gb, p, ZZ)
+        assert _gf(a.gcd(b)) == gf_gcd(ga, gb, p, ZZ)
+        # operands with a common factor c
+        assert _gf((a * c).gcd(b * c)) == gf_gcd(_gf(a * c), _gf(b * c), p, ZZ)
+        if b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.divmod(b)
+            with pytest.raises(ZeroDivisionError):
+                a.pow_mod(3, b)
+            continue
+        q, r = a.divmod(b)
+        assert (_gf(q), _gf(r)) == gf_div(ga, gb, p, ZZ)
+        n = rng.randrange(4 * p * p)
+        assert _gf(a.pow_mod(n, b)) == gf_pow_mod(ga, n, gb, p, ZZ)
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (5, 2), (2**61 - 1, 1)])
+def test_pow_mod_by_unit_constant_is_zero(p, m):
+    F = make_field(p, m)
+    f = FqPoly.from_ints(F, [1, 2, 3])
+    unit = FqPoly.from_ints(F, [3])
+    for n in (1, 2, 7):
+        assert f.pow_mod(n, unit).is_zero()
+    assert f.pow_mod(0, unit) == FqPoly.one(F)
 
 
 def test_intpoly_pretty():

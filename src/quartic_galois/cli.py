@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from .counting import l_polynomial
@@ -21,6 +23,26 @@ from .facts import render_registry
 from .hecke_io import store_hecke_charpolys
 from .modsym import check_hecke_prime, hecke_charpolys_multimodular
 from .pipeline import render_report, run_pipeline
+
+
+@contextmanager
+def _output(path: Optional[str]):
+    """Opens ``path`` (if given) for appending before the work, so an
+    unwritable path fails first.  A file made by that probe is removed
+    if the work then fails; a file that was there is left as it was."""
+    made = False
+    if path is not None:
+        try:
+            open(path, "x").close()
+            made = True
+        except FileExistsError:
+            open(path, "a").close()
+    try:
+        yield
+    except BaseException:
+        if made:
+            os.remove(path)
+        raise
 
 
 def _cmd_run(args) -> int:
@@ -32,12 +54,11 @@ def _cmd_run(args) -> int:
         if args.config is not None:
             with open(args.config) as fh:
                 config = json.load(fh)
-        if args.report is not None:
-            open(args.report, "a").close()
-        cert = run_pipeline(config)
-        if args.report is not None:
-            with open(args.report, "w") as fh:
-                fh.write(render_report(cert, "json"))
+        with _output(args.report):
+            cert = run_pipeline(config)
+            if args.report is not None:
+                with open(args.report, "w") as fh:
+                    fh.write(render_report(cert, "json"))
     except (ValueError, OSError) as exc:
         raise SystemExit("certify: %s" % exc)
     sys.stdout.write(render_report(cert, args.format))
@@ -67,10 +88,10 @@ def _cmd_hecke(args) -> int:
         for p in primes:
             check_hecke_prime(args.level, p)
         # an unwritable path fails before the charpolys are computed
-        open(args.out, "a").close()
-        by_p = hecke_charpolys_multimodular(args.level, primes)
-        cps = [by_p[p] for p in primes]
-        store_hecke_charpolys(args.out, cps)
+        with _output(args.out):
+            by_p = hecke_charpolys_multimodular(args.level, primes)
+            cps = [by_p[p] for p in primes]
+            store_hecke_charpolys(args.out, cps)
     except (ValueError, OSError, ArithmeticError) as exc:
         raise SystemExit("certify hecke: %s" % exc)
     sys.stdout.write(

@@ -47,22 +47,22 @@ which numpy vectorizes where its ``%`` does not.  All arithmetic is
 exact.
 
 Threads.  Numpy releases the interpreter lock inside the kernel, so
-blocks run in parallel on threads.  :func:`l_polynomial_table` plans
-every count of the table first; a count of one block then runs on the
-calling thread, and the blocks of all the other counts share one pool
-with one thread per usable CPU (``os.sched_getaffinity``, so ``taskset``
-limits it), largest field first.  The sums are exact, so the answer does
-not depend on the thread count or order.
+blocks run in parallel on threads.  A count of one block (every count
+of the default table but F_{41^3}, F_{43^3} and F_{73^3}) runs on the
+calling thread; the blocks of a larger count are mapped through a pool
+started for that count alone, with one thread per usable CPU
+(``os.sched_getaffinity``, so ``taskset`` limits it).  The sums are
+exact, so the answer does not depend on the thread count or order.
 
-The public entry points are :func:`count_points`, :func:`l_polynomial`
-and :func:`l_polynomial_table`.
+The public entry points are :func:`count_points` and
+:func:`l_polynomial`.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -444,56 +444,36 @@ def _frobenius_residues(
     return h, vf.mod(r)
 
 
-class _Plan(NamedTuple):
-    """|C(F_q)| is ``known`` plus the sum of ``count_block`` over
-    ``blocks``, the index ranges of the lanes."""
-
-    q: int
-    known: int
-    count_block: Optional[Callable[[Tuple[int, int]], int]]
-    blocks: List[Tuple[int, int]]
-
-
-def _plan_counts(
-    curve: TernaryQuarticForm, p: int, degrees: Sequence[int]
-) -> List[_Plan]:
-    """The plans of |C(F_{p^m})| for m in ``degrees``.  Every field is
-    checked against the budget before the projection is found, once for
-    the prime and shared by its counts."""
-    for m in degrees:
-        if m < 1:
-            raise ValueError("extension degree must be >= 1")
-        if p ** m > _FIELD_BUDGET:
-            raise BudgetExceededError(
-                "field size %d exceeds the %d budget" % (p ** m, _FIELD_BUDGET)
-            )
-    projection = _projection(curve, p)
-    return [_plan_count(p, m, projection) for m in degrees]
+def _check_budget(p: int, m: int) -> None:
+    if m < 1:
+        raise ValueError("extension degree must be >= 1")
+    if p ** m > _FIELD_BUDGET:
+        raise BudgetExceededError(
+            "field size %d exceeds the %d budget" % (p ** m, _FIELD_BUDGET)
+        )
 
 
-def _plan_count(p: int, m: int, projection: Optional[_Projection]) -> _Plan:
-    """Counts what needs no kernel, the whole plane when there is no
-    projection (the form is zero mod p) or else the line the projection
-    leaves out, and cuts the lanes into blocks."""
+def _count(p: int, m: int, projection: Optional[_Projection]) -> int:
+    """|C(F_{p^m})| from the projection: the whole plane when there is
+    none (the form is zero mod p), else the line it leaves out plus the
+    lanes, cut into blocks.  A count of one block runs on the calling
+    thread, where a hand-off would cost more than the kernel; the blocks
+    of a larger field are mapped through a pool of _THREADS threads.
+    The sums are exact, so the thread order cannot change the count."""
     q = p ** m
     if projection is None:
-        return _Plan(q, q * q + q + 1, None, [])
+        return q * q + q + 1
     vf = _VecField(p, m)
-    coeff_rows = projection.coeff_rows
+    step = _BLOCK * m
 
-    def count_block(block: Tuple[int, int]) -> int:
-        x, orbit_size = _orbit_reps(vf, *block)
+    def count_block(lo: int) -> int:
+        x, orbit_size = _orbit_reps(vf, lo, min(lo + step, q))
         if not orbit_size.size:
             return 0
-        try:
-            roots = _gcd_degrees(vf, *_frobenius_residues(vf, coeff_rows, x))
-        except ArithmeticError as exc:
-            exc.prime = p
-            raise
+        roots = _gcd_degrees(
+            vf, *_frobenius_residues(vf, projection.coeff_rows, x)
+        )
         return int(orbit_size @ roots)
-
-    step = _BLOCK * m
-    blocks = [(lo, min(lo + step, q)) for lo in range(0, q, step)]
 
     # the line polynomial g has F_p coefficients, so its number of roots
     # in F_q, deg gcd(g, x^q - x), is computed over F_p
@@ -503,36 +483,11 @@ def _plan_count(p: int, m: int, projection: Optional[_Projection]) -> _Plan:
     else:
         x = FqPoly.x(g.field)
         line = g.gcd(x.pow_mod(q, g) - x).degree + projection.extra
-    return _Plan(q, line, count_block, blocks)
-
-
-def _run_plans(plans: List[_Plan]) -> List[int]:
-    """The counts of ``plans``, in order.  A count of one block runs on
-    the calling thread, where a hand-off would cost more than the
-    kernel; the blocks of the others share one pool of _THREADS threads,
-    largest field first.  The sums are exact, so the thread order cannot
-    change a count."""
-    def inline(plan: _Plan) -> int:
-        return plan.known + sum(map(plan.count_block, plan.blocks))
-
-    pooled = sorted(
-        (i for i, plan in enumerate(plans) if len(plan.blocks) > 1),
-        key=lambda i: -plans[i].q,
-    )
-    if not pooled:
-        return list(map(inline, plans))
+    blocks = range(0, q, step)
+    if len(blocks) == 1:
+        return line + count_block(0)
     with ThreadPoolExecutor(max_workers=_THREADS) as pool:
-        futures = {
-            i: [pool.submit(plans[i].count_block, b) for b in plans[i].blocks]
-            for i in pooled
-        }
-        counts = [
-            None if i in futures else inline(plan)
-            for i, plan in enumerate(plans)
-        ]
-        for i, blocks in futures.items():
-            counts[i] = plans[i].known + sum(f.result() for f in blocks)
-    return counts
+        return line + sum(pool.map(count_block, blocks))
 
 
 def count_points(curve: TernaryQuarticForm, p: int, m: int) -> int:
@@ -543,52 +498,28 @@ def count_points(curve: TernaryQuarticForm, p: int, m: int) -> int:
     Every form is counted, the one that is zero mod p as the whole plane;
     only a field over the size budget raises ``BudgetExceededError``.
     """
-    return _run_plans(_plan_counts(curve, p, [m]))[0]
-
-
-def l_polynomial_table(
-    curve: TernaryQuarticForm, primes: Sequence[int]
-) -> List[LPolynomial]:
-    """The L-polynomials at ``primes``, in ascending order, each from
-    counts over F_p, F_{p^2}, F_{p^3} via Newton's identities, with the
-    Weil root bounds verified.
-
-    Each prime is checked for good reduction and its three counts are
-    planned, in ascending order, before any block is counted.  The first
-    ValueError or ArithmeticError stops the planning; the primes below
-    it are still counted and verified, so the error raised is that of
-    the smallest failing prime, which it carries as ``exc.prime``.
-    """
-    primes = sorted(primes)
-    plans: List[_Plan] = []
-    failure = None
-    for p in primes:
-        try:
-            if not singular_points(curve, p).is_good:
-                raise BadReductionError(
-                    "curve has bad (or unresolved) reduction at %d" % p
-                )
-            row = _plan_counts(curve, p, (1, 2, 3))
-        except (ValueError, ArithmeticError) as exc:
-            exc.prime, failure = p, exc
-            break
-        plans.extend(row)
-    counts = _run_plans(plans)
-    lpolys = []
-    for i, p in enumerate(primes[:len(plans) // 3]):
-        try:
-            lp = LPolynomial.from_counts(p, counts[3 * i:3 * i + 3])
-            lp.verify_weil()
-        except (ValueError, ArithmeticError) as exc:
-            exc.prime = p
-            raise
-        lpolys.append(lp)
-    if failure is not None:
-        raise failure
-    return lpolys
+    _check_budget(p, m)
+    return _count(p, m, _projection(curve, p))
 
 
 def l_polynomial(curve: TernaryQuarticForm, p: int) -> LPolynomial:
-    """The L-polynomial at a prime of good reduction (see
-    :func:`l_polynomial_table`)."""
-    return l_polynomial_table(curve, [p])[0]
+    """The L-polynomial at a prime of good reduction, from the counts
+    over F_p, F_{p^2}, F_{p^3} via Newton's identities, with the Weil
+    root bounds verified.
+
+    The fiber is checked for good reduction and every field against the
+    budget before the projection is found, once for the prime and shared
+    by its three counts.
+    """
+    if not singular_points(curve, p).is_good:
+        raise BadReductionError(
+            "curve has bad (or unresolved) reduction at %d" % p
+        )
+    for m in (1, 2, 3):
+        _check_budget(p, m)
+    projection = _projection(curve, p)
+    lp = LPolynomial.from_counts(
+        p, [_count(p, m, projection) for m in (1, 2, 3)]
+    )
+    lp.verify_weil()
+    return lp

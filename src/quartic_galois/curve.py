@@ -443,9 +443,12 @@ def classify_node(
 
 def _at_x(coeff_map: Dict[Monomial, int], K: FieldDescriptor, x0) -> FqPoly:
     """f(x0, y, 1) as an FqPoly in y over K."""
+    powers = [K.one()]
+    for _ in range(4):
+        powers.append(K.mul(powers[-1], x0))
     out = [K.zero()] * 5
     for (i, j, _k), c in coeff_map.items():
-        out[j] = K.add(out[j], K.scalar_mul(c, K.pow(x0, i)))
+        out[j] = K.add(out[j], K.scalar_mul(c, powers[i]))
     return FqPoly(K, out)
 
 

@@ -23,7 +23,7 @@ from math import prod
 from typing import List, Optional, Tuple
 
 from .arith import isprime, primefactors
-from .counting import l_polynomial_table
+from .counting import l_polynomial
 from .curve import TernaryQuarticForm, find_bad_prime_candidates, singular_points
 from .facts import REGISTRY_VERSION, all_facts, get_fact
 from .hecke_io import load_hecke_charpolys
@@ -171,21 +171,20 @@ def _reduction_analysis(cfg, curve, run):
 
 
 def _l_polynomial_table(cfg, curve, run):
-    primes = sorted(cfg["frobenius_primes"])
-    bad = [p for p in primes if p in run["bad_primes"]]
-    # primes are taken in ascending order: a failure below the first bad
-    # prime is reported before it
-    below = primes[:primes.index(bad[0])] if bad else primes
-    try:
-        lpolys = l_polynomial_table(curve, below)
-    except (ValueError, ArithmeticError) as exc:
-        raise PipelineFailure(
-            "L-polynomial at p=%d failed: %s" % (exc.prime, exc)
-        ) from exc
-    if bad:
-        raise PipelineFailure(
-            "configured Frobenius prime %d is a bad prime" % bad[0]
-        )
+    # primes are taken in ascending order, so the smallest failing prime
+    # is the one reported
+    lpolys = []
+    for p in sorted(cfg["frobenius_primes"]):
+        if p in run["bad_primes"]:
+            raise PipelineFailure(
+                "configured Frobenius prime %d is a bad prime" % p
+            )
+        try:
+            lpolys.append(l_polynomial(curve, p))
+        except (ValueError, ArithmeticError) as exc:
+            raise PipelineFailure(
+                "L-polynomial at p=%d failed: %s" % (p, exc)
+            ) from exc
     run["lpolys"] = lpolys
     return {"table": [lp.to_json_obj() for lp in lpolys]}, []
 

@@ -81,7 +81,7 @@ def test_hecke_subcommand_rejects_bad_input(tmp_path, level, primes):
 
 def test_hecke_level_beyond_int64_index_is_one_line(tmp_path):
     # the P^1(Z/N) index refuses a level whose products overflow int64;
-    # --out is created by the writability probe before that refusal
+    # the file the writability probe made before that refusal is removed
     out_path = tmp_path / "h.json"
     with pytest.raises(SystemExit) as exc:
         main(["hecke", "--level", "2147483659", "--primes", "2", "--out", str(out_path)])
@@ -89,6 +89,7 @@ def test_hecke_level_beyond_int64_index_is_one_line(tmp_path):
     assert isinstance(message, str) and message.startswith("certify hecke: ")
     assert "\n" not in message
     assert "overflow int64" in message
+    assert not out_path.exists()
 
 
 def test_run_exit_code_on_failure(tmp_path, capsys):
@@ -138,6 +139,7 @@ def test_unknown_format_rejected():
         ("{not json", "Expecting"),
         ('{"curve_path": "absent_curve.json"}', "absent_curve.json"),
         (None, "absent_cfg.json"),
+        ('{"bogus": 1}', "bogus"),
     ],
 )
 def test_run_config_errors_are_one_line(tmp_path, monkeypatch, config, needle):
@@ -152,6 +154,16 @@ def test_run_config_errors_are_one_line(tmp_path, monkeypatch, config, needle):
     assert isinstance(message, str) and message.startswith("certify: ")
     assert "\n" not in message
     assert needle in message
+    # the same error with --report leaves no report behind, and a report
+    # that was there keeps its bytes
+    kept = tmp_path / "kept.json"
+    kept.write_bytes(b"earlier report\n")
+    for report in ("out.json", "kept.json"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", path, "--report", report])
+        assert exc.value.code == message
+    assert not (tmp_path / "out.json").exists()
+    assert kept.read_bytes() == b"earlier report\n"
 
 
 @pytest.mark.parametrize(

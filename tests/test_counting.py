@@ -13,16 +13,14 @@ from quartic_galois.counting import (
     _BLOCK,
     _VecField,
     _centre,
+    _count,
     _frobenius_residues,
     _gcd_degrees,
     _orbit_reps,
-    _plan_count,
     _project_from,
     _projection,
-    _run_plans,
     count_points,
     l_polynomial,
-    l_polynomial_table,
 )
 from quartic_galois.curve import TernaryQuarticForm
 from quartic_galois.fields import make_field
@@ -245,7 +243,7 @@ def test_every_projection_centre_gives_the_brute_count(form, p, degrees):
     for m in degrees:
         brute = brute_count(form, p, m)
         for proj in projections:
-            assert _run_plans([_plan_count(p, m, proj)]) == [brute]
+            assert _count(p, m, proj) == brute
 
 
 def _spy_degrees(monkeypatch):
@@ -265,7 +263,8 @@ def test_table_projects_from_a_smooth_point(monkeypatch):
     # at p = 2), so every count runs on cubic lanes; a silent fall back to
     # quartic lanes would keep the counts and lose the speed
     seen = _spy_degrees(monkeypatch)
-    l_polynomial_table(CURVE, DEFAULT_FROBENIUS_PRIMES)
+    for p in DEFAULT_FROBENIUS_PRIMES:
+        l_polynomial(CURVE, p)
     assert {p for p, _ in seen} == set(DEFAULT_FROBENIUS_PRIMES)
     assert {d for _, d in seen} == {3}
 
@@ -328,7 +327,7 @@ def test_thread_count_does_not_change_answer(monkeypatch):
         monkeypatch.setattr(counting, "_THREADS", threads)
         answers.append((
             [count_points(CURVE, p, m) for p, m in [(17, 2), (41, 3), (73, 3)]],
-            l_polynomial_table(CURVE, DEFAULT_FROBENIUS_PRIMES),
+            [l_polynomial(CURVE, p) for p in DEFAULT_FROBENIUS_PRIMES],
         ))
     assert answers[0] == answers[1]
 

@@ -290,8 +290,9 @@ def test_bad_frobenius_prime_fails_before_a_larger_failing_prime():
 
 
 def test_count_block_error_fails_the_table(monkeypatch):
-    # a kernel self-check that fails inside a count block names a prime
-    # of that count, so the table step fails instead of the whole run
+    # a kernel self-check that fails inside a count block names the prime
+    # of that count, the smallest of the table since primes are counted
+    # in ascending order, so the table step fails instead of the whole run
     def failing(*args):
         raise ArithmeticError("gcd divsteps did not reach g = 0")
 
@@ -303,7 +304,7 @@ def test_count_block_error_fails_the_table(monkeypatch):
         "not certified (failing step: l-polynomial-table)"
     )
     error = cert.obligations[-1]["evidence"]["error"]
-    assert error.startswith("L-polynomial at p=")
+    assert error.startswith("L-polynomial at p=2 ")
     assert error.endswith(
         " failed: gcd divsteps did not reach g = 0"
     )

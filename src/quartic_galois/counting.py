@@ -16,12 +16,25 @@ coefficient of G is a unit, each h_t is a monic quartic and X = 0 is
 counted the same way.  Only a form that is zero mod p has no centre.
 
 Roots.  The number of distinct roots of a monic h of degree d in {3, 4}
-in F_q is deg gcd(y^q - y, h), and the kernel reads d from the shape of
-h.  That degree comes from y^p mod h by square-and-multiply from y^t,
-t the top three bits of p, using the d - 1 powers y^d .. y^(2d-2) mod h,
-then y^(p^k) = sum sigma(c_j) (y^p)^j for y^(p^(k-1)) = sum c_j y^j,
-and 2d branch-free, inversion-free divsteps (Bernstein-Yang), all run
-simultaneously on every lane.
+in F_q is deg gcd(y^q - y, h).  A cubic lane at odd p is mostly read off
+its discriminant D, by Stickelberger's theorem (Stickelberger 1897; Swan,
+Pacific J. Math. 12, 1962): a squarefree cubic over F_q, q odd, with r
+irreducible factors has chi(D) = (-1)^(3 - r), chi the quadratic
+character of F_q.  So chi(D) = -1 gives one root, and chi(D) = +1 three
+roots or none, told apart by whether y^q - y vanishes mod h.  D = 0 means
+h = (y - a)^2 (y - b) with a, b in F_q (the double root is fixed by
+Frobenius), and a2^2 - 3 a1 = (a - b)^2, in characteristic 3 too: one
+root when that is zero, else two.  chi(D) = D^((q-1)/2) = N(D)^((p-1)/2)
+for the norm N(D) = D sigma(D) ... sigma^(m-1)(D) in F_p, so it is looked
+up in a table of the Legendre symbol mod p, built once per count in O(p),
+never more than the lanes.  Quartic lanes and p = 2 keep the gcd.  The
+kernel reads d from the shape of h.  y^q - y mod h comes from y^p mod h
+by square-and-multiply from y^t, t the top three bits of p, using the
+d - 1 powers y^d .. y^(2d-2) mod h, then y^(p^k) = sum sigma(c_j)
+(y^p)^j for y^(p^(k-1)) = sum c_j y^j; the gcd degree from 2d
+branch-free, inversion-free divsteps (Bernstein-Yang).  Each step runs
+simultaneously on all the lanes it serves, and no lane runs both the
+y^q ladder and the divsteps.
 
 Frobenius orbits.  The curve has coefficients in F_p, so the Frobenius
 sigma(x) = x^p maps h_x to h_{sigma(x)} = sigma(h_x), and the two have
@@ -351,18 +364,16 @@ def _orbit_reps(
     return x[:, keep], size[keep]
 
 
-def _frobenius_residues(
+def _lane_polys(
     vf: _VecField, coeff_rows: List[List[Tuple[int, int]]], x: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(h, r) per lane x: the low coefficients of the monic h_x(y) of
-    degree d = len(coeff_rows) and r = y^q - y mod h_x, so that
-    deg gcd(h_x, r) is the number of distinct roots of h_x in F_q.
+) -> np.ndarray:
+    """The low coefficients a_0..a_{d-1} of the monic h_x(y) of degree
+    d = len(coeff_rows) per lane x, as (m, d, lanes).
 
     ``coeff_rows[j]`` lists (coefficient, power-of-iterate) pairs making
-    up the (already monic-normalized) y^j coefficient, j = 0..d-1.  The
-    y-power temporaries die with this frame, before the gcd runs.
+    up the (already monic-normalized) y^j coefficient, j = 0..d-1.
     """
-    p, m, d = vf.p, vf.m, len(coeff_rows)
+    m, d = vf.m, len(coeff_rows)
     lanes = x.shape[1]
     xpow = [np.zeros((m, lanes), dtype=vf.dtype)]
     xpow[0][0] = 1
@@ -372,7 +383,14 @@ def _frobenius_residues(
     for j, row in enumerate(coeff_rows):
         for c, e in row:
             h[:, j] += c * xpow[e]
-    h = vf.mod(h)
+    return vf.mod(h)
+
+
+def _frobenius_residues(vf: _VecField, h: np.ndarray) -> np.ndarray:
+    """r = y^q - y mod h per lane, h monic of degree d ((m, d, lanes)
+    holds a0..a_{d-1}), so that deg gcd(h, r) is the number of distinct
+    roots of h in F_q.  The y-power temporaries die with this frame."""
+    p, m, d, lanes = vf.p, vf.m, h.shape[1], h.shape[2]
 
     def times_y(u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
@@ -441,7 +459,47 @@ def _frobenius_residues(
         for _ in range(m - 1):
             r = combine(vf.frobenius(r), ypows)
     r[0, 1] -= 1
-    return h, vf.mod(r)
+    return vf.mod(r)
+
+
+def _legendre_table(p: int) -> np.ndarray:
+    """The Legendre symbol (n / p) at n = 0..p-1, p odd, as int8."""
+    table = np.full(p, -1, dtype=np.int8)
+    table[np.arange(p, dtype=np.int64) ** 2 % p] = 1
+    table[0] = 0
+    return table
+
+
+def _cubic_root_counts(
+    vf: _VecField, h: np.ndarray, legendre: np.ndarray
+) -> np.ndarray:
+    """The number of distinct roots in F_q per lane of the monic cubic h
+    ((m, 3, lanes) holds a0, a1, a2), q odd, from the Legendre symbol of
+    the discriminant's norm (``legendre`` is :func:`_legendre_table` of
+    p) and, on the lanes where it is +1, y^q - y mod h: the "Roots."
+    rule of the module docstring.  A norm outside F_p raises
+    ``ArithmeticError``.
+    """
+    a0, a1, a2 = h[:, 0], h[:, 1], h[:, 2]
+    s = vf.mul(a2, a1)
+    a2sq = vf.mul(a2, a2)
+    # D = a2^2 a1^2 - 4 a1^3 - a0 (4 a2^3 + 27 a0 - 18 a2 a1)
+    u = vf.mod(4 * vf.mul(a2sq, a2) + 27 * a0 - 18 * s)
+    disc = vf.mod(vf.mul(s, s) - 4 * vf.mul(vf.mul(a1, a1), a1) - vf.mul(u, a0))
+    norm, conj = disc, disc
+    for _ in range(vf.m - 1):
+        conj = vf.frobenius(conj)
+        norm = vf.mul(norm, conj)
+    if norm[1:].any():
+        raise ArithmeticError("a discriminant norm is not in F_p")
+    chi = legendre[norm[0]]
+    triple = ~vf.mod(a2sq - 3 * a1).any(axis=0)
+    roots = np.where(chi == 0, 2 - triple, 1)
+    square = np.flatnonzero(chi == 1)
+    if square.size:
+        r = _frobenius_residues(vf, h[:, :, square])
+        roots[square] = 3 * ~r.any(axis=(0, 1))
+    return roots
 
 
 def _check_budget(p: int, m: int) -> None:
@@ -465,14 +523,18 @@ def _count(p: int, m: int, projection: Optional[_Projection]) -> int:
         return q * q + q + 1
     vf = _VecField(p, m)
     step = _BLOCK * m
+    cubic = len(projection.coeff_rows) == 3 and p % 2 == 1
+    legendre = _legendre_table(p) if cubic else None
 
     def count_block(lo: int) -> int:
         x, orbit_size = _orbit_reps(vf, lo, min(lo + step, q))
         if not orbit_size.size:
             return 0
-        roots = _gcd_degrees(
-            vf, *_frobenius_residues(vf, projection.coeff_rows, x)
-        )
+        h = _lane_polys(vf, projection.coeff_rows, x)
+        if cubic:
+            roots = _cubic_root_counts(vf, h, legendre)
+        else:
+            roots = _gcd_degrees(vf, h, _frobenius_residues(vf, h))
         return int(orbit_size @ roots)
 
     # the line polynomial g has F_p coefficients, so its number of roots

@@ -63,6 +63,42 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
+# Kronecker substitution: a polynomial over Z becomes the integer
+# sum c_k 2^(K k) and back.  K is a multiple of 8 and every |c_k| is
+# below 2^(K-1), so the signed base-2^K digits are unique; biased by
+# 2^(K-1) they become bytes, which packs and unpacks in linear time.
+
+
+def _digit_bits(bound: int) -> int:
+    """The least multiple of 8, K, with 2^(K-1) > bound >= 0."""
+    return (bound.bit_length() // 8 + 1) * 8
+
+
+def _bias(n: int, K: int) -> int:
+    """2^(K-1) in each of n base-2^K digits."""
+    return int.from_bytes((1 << (K - 1)).to_bytes(K // 8, "little") * n, "little")
+
+
+def _pack(coeffs: Sequence[int], K: int) -> int:
+    """sum_k coeffs[k] 2^(K k)."""
+    half, width = 1 << (K - 1), K // 8
+    biased = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(biased, "little") - _bias(len(coeffs), K)
+
+
+def _unpack(value: int, K: int) -> List[int]:
+    """The signed base-2^K digits of value, low first: :func:`_pack`'s
+    inverse.  With n digits, the top one nonzero, |value| is above
+    2^(K(n-1)-1) and below 2^(Kn-1), so n = bit_length // K + 1."""
+    half, width = 1 << (K - 1), K // 8
+    n = abs(value).bit_length() // K + 1
+    raw = (value + _bias(n, K)).to_bytes(n * width, "little")
+    return [
+        int.from_bytes(raw[i:i + width], "little") - half
+        for i in range(0, len(raw), width)
+    ]
+
+
 class IntPoly:
     """Dense polynomial over Z, coefficients low degree first."""
 
@@ -100,14 +136,14 @@ class IntPoly:
         return IntPoly([x - y for x, y in zip(a, b)])
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero() or other.is_zero():
+        """The product by Kronecker substitution, one int product."""
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return IntPoly([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    out[i + j] += ai * bj
-        return IntPoly(out)
+        # no coefficient of the product exceeds this
+        bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+        K = _digit_bits(bound)
+        return IntPoly(_unpack(_pack(a, K) * _pack(b, K), K))
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -242,7 +278,7 @@ def bivariate_resultant(f_rows: List[IntPoly], g_rows: List[IntPoly]) -> IntPoly
 
     No coefficient of Res_y exceeds B = (sum_j |f_j|_1)^deg_y(g) *
     (sum_j |g_j|_1)^deg_y(f), the permanent bound on the Sylvester matrix.
-    With 2^(K-2) above B and every |row|_1 the signed base-2^K digits of
+    With 2^(K-1) above B and every |row|_1 the signed base-2^K digits of
     the packed resultant are unique, and a packed row is zero only when
     the row is, so deg_y survives.  A zero operand gives the zero
     polynomial; two operands constant in y give 1.
@@ -252,13 +288,9 @@ def bivariate_resultant(f_rows: List[IntPoly], g_rows: List[IntPoly]) -> IntPoly
     if df < 0 or dg < 0:
         return IntPoly([])
     nf, ng = (sum(abs(c) for r in h for c in r.coeffs) for h in rows)
-    K = max(nf ** dg * ng ** df, nf, ng).bit_length() + 2
+    K = _digit_bits(max(nf ** dg * ng ** df, nf, ng))
     res = int_resultant(*(IntPoly([r(1 << K) for r in h]) for h in rows))
-    digits, half = [], 1 << (K - 1)
-    while res:  # the low digit, centred, then the rest
-        digits.append((res + half) % (2 * half) - half)
-        res = (res - digits[-1]) >> K
-    return IntPoly(digits)
+    return IntPoly(_unpack(res, K))
 
 
 # ---------------------------------------------------------------------------

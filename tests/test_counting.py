@@ -42,6 +42,12 @@ KLEIN_Y4 = TernaryQuarticForm(
 # y (x^3 + x y^2 + y z^2): no pure fourth power, but the smooth point
 # (1 : 0 : 0) mod every p, where the tangent line y = 0 lies on the curve
 LINE_AND_CUBIC = TernaryQuarticForm({(3, 1, 0): 1, (1, 3, 0): 1, (0, 2, 2): 1})
+# the double conic (xy + yz + zx)^2: no pure fourth power and no smooth
+# point, since its gradient vanishes on the conic
+DOUBLE_CONIC = TernaryQuarticForm({
+    (2, 2, 0): 1, (0, 2, 2): 1, (2, 0, 2): 1,
+    (2, 1, 1): 2, (1, 2, 1): 2, (1, 1, 2): 2,
+})
 
 
 def _abc(lp):
@@ -65,6 +71,18 @@ def test_counts_match_brute_on_other_curves():
                      (3, 3), (2, 4), (3, 4)]:
             assert _projection(form, p) is not None
             assert count_points(form, p, m) == brute_count(form, p, m)
+
+
+def test_tiny_blocks_match_brute_enumeration(monkeypatch):
+    # ranges of m and 5m indices: many blocks, empty ones, and orbits
+    # whose members fall in different ranges
+    cases = [(CURVE, 5, 3), (CURVE, 7, 2), (CURVE, 3, 4), (CURVE, 2, 6),
+             (FERMAT, 3, 3), (KLEIN_Y4, 3, 3), (DOUBLE_CONIC, 3, 1)]
+    assert len(_projection(DOUBLE_CONIC, 3).coeff_rows) == 4
+    expected = [brute_count(form, p, m) for form, p, m in cases]
+    for block in (1, 5):
+        monkeypatch.setattr(counting, "_BLOCK", block)
+        assert [count_points(form, p, m) for form, p, m in cases] == expected
 
 
 def test_orbit_representatives_cover_the_field():
@@ -383,41 +401,12 @@ def test_budget_enforced():
         count_points(CURVE, 101, 4)
 
 
-def test_thread_count_does_not_change_answer(monkeypatch):
-    # F_{41^3} has about 23,000 orbit representatives, several blocks
-    answers = []
-    for threads in (1, 4):
-        monkeypatch.setattr(counting, "_THREADS", threads)
-        answers.append((
-            [count_points(CURVE, p, m) for p, m in [(17, 2), (41, 3), (73, 3)]],
-            [l_polynomial(CURVE, p) for p in DEFAULT_FROBENIUS_PRIMES],
-        ))
-    assert answers[0] == answers[1]
-
-
-def test_single_block_counts_stay_on_the_calling_thread(monkeypatch):
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
-    monkeypatch.setattr(counting, "ThreadPoolExecutor", NoPool)
-    assert _abc(l_polynomial(CURVE, 3)) == (1, 2, 3)
-    assert l_polynomial(CURVE, 13).p == 13
-    with pytest.raises(AssertionError):
-        count_points(CURVE, 41, 3)
-
-
 def test_double_conic_is_counted_from_a_point_off_it():
-    # the double conic (xy + yz + zx)^2 has no pure fourth power and no
-    # smooth point, since its gradient vanishes on the conic, so it is
-    # projected from a point off it; its points are the q + 1 of the conic
-    form = TernaryQuarticForm({
-        (2, 2, 0): 1, (0, 2, 2): 1, (2, 0, 2): 1,
-        (2, 1, 1): 2, (1, 2, 1): 2, (1, 1, 2): 2,
-    })
-    assert len(_projection(form, 3).coeff_rows) == 4
-    assert count_points(form, 3, 1) == brute_count(form, 3, 1)
-    assert count_points(form, 101, 2) == 101 ** 2 + 1
+    # with no smooth point the double conic is projected from a point
+    # off it; its points are the q + 1 of the conic
+    assert len(_projection(DOUBLE_CONIC, 3).coeff_rows) == 4
+    assert count_points(DOUBLE_CONIC, 3, 1) == brute_count(DOUBLE_CONIC, 3, 1)
+    assert count_points(DOUBLE_CONIC, 101, 2) == 101 ** 2 + 1
 
 
 def test_the_zero_form_mod_p_holds_the_whole_plane():

@@ -25,20 +25,12 @@ cuspidal basis is assembled from it by sparse products, then proved
 cuspidal-stable by one more.  The W_Q are proved exactly to be commuting involutions
 that commute with every T_p, each operator converted once for those
 products.  So T_p preserves each joint sign space V_s of the W_Q, and
-its characteristic polynomial is the product of those on the V_s.  Each
-V_s, about g / 2^k wide, gets an integer basis B_s = P_s R_s once from
-the projector P_s = prod(I + s_i W_i), whose trace is 2^k d_s, and a
-fixed-seed {-1, 0, 1} sketch (R_s, L_s); one d_s x d_s reduction of
-L_s B_s proves it a basis.  Each CRT modulus q, the largest primes for
-which the charpolys fit int64, then row-reduces [L_s B_s | L_s T_p B_s]
-to read off T_p on V_s (a modulus where L_s B_s is singular is skipped)
-and computes all its block charpolys in one batched Hessenberg
-reduction, each block zero-padded to the largest.  T_p is self-adjoint
-for the Petersson product, so its eigenvalues are real, and Deligne's
-bound puts them in [-2 sqrt(p), 2 sqrt(p)].  So the exact power sum
-s_2 = tr(T_p^2 P_s) / 2^k of each block bounds its coefficients by
-Maclaurin's and the power-mean inequality; each block is lifted from
-that bound and re-verified against held-out moduli and against s_2.
+its characteristic polynomial is the product of those on the V_s.  T_p
+on each V_s is found once, as Y_p / delta_s in an exact echelon basis,
+and each CRT modulus q, the largest primes for which the charpolys fit
+int64, computes every block charpoly of Y_p delta_s^-1 mod q in one
+batched Hessenberg reduction.  A block is lifted from the bound its
+exact s_2 = tr(T_p^2) gives and re-verified against s_2 and more moduli.
 """
 
 from __future__ import annotations
@@ -47,7 +39,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import comb, gcd, isqrt, prod
+from math import comb, gcd, isqrt, lcm, prod
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -360,7 +352,7 @@ _FLOAT32_EXACT = 1 << 24
 _FLOAT64_EXACT = 1 << 53
 # the one-time row reductions run modulo this prime and are lifted to Z
 _LIFT_PRIME = (1 << 26) - 5
-# _sign_blocks' two-sided sketch of each projector
+# _sign_blocks' sketch B_s = P_s R_s of each projector
 _SKETCH_SEED = 0x5EED_B10C
 
 
@@ -393,7 +385,7 @@ def _rref_mod(M: np.ndarray, q: int):
         rows = rows[rows != r]
         if rows.size:
             block = M[rows, c:]
-            block -= np.outer(block[:, 0], row)
+            block -= block[:, :1] * row
             block -= block // q * q
             M[rows, c:] = block
         pivots.append(c)
@@ -691,40 +683,59 @@ def _sketch(rows: int, cols: int) -> np.ndarray:
     return (draw % 3).astype(np.int8).reshape(rows, cols) - 1
 
 
+def _rational_reconstruction(residues: np.ndarray, q: int):
+    """(a, b): the fractions a / b = residues (mod q), q prime, with |a|,
+    b <= h = isqrt(q // 2), unique as 2 h^2 < q: the first remainder <= h
+    of the extended Euclidean algorithm on (q, r), run on every entry at
+    once, over its cofactor, which is coprime to it as q is prime (von
+    zur Gathen and Gerhard, Modern Computer Algebra, 5.10).
+    ArithmeticError if some residue has none."""
+    h = isqrt(q // 2)
+    r1 = residues.reshape(-1) % q
+    r0, t0, t1 = np.full_like(r1, q), np.zeros_like(r1), np.ones_like(r1)
+    at = np.flatnonzero(r1 > h)
+    while at.size:
+        quotient = r0[at] // r1[at]
+        r0[at], r1[at] = r1[at], r0[at] - quotient * r1[at]
+        t0[at], t1[at] = t1[at], t0[at] - quotient * t1[at]
+        at = at[r1[at] > h]
+    a, b = np.where(t1 < 0, -r1, r1), np.abs(t1)
+    bad = np.flatnonzero(b > h)
+    if bad.size:
+        raise ArithmeticError(
+            "%d mod %d is no fraction a / b with |a|, b <= %d" % (residues.flat[bad[0]], q, h)
+        )
+    return a.reshape(residues.shape), b.reshape(residues.shape)
+
+
 def _sign_blocks(N: int, involutions: List[np.ndarray], matrices: Dict[int, np.ndarray], g: int):
-    """(system_s, s2_s) for each nonzero joint sign space V_s of the
-    involutions, d_s = dim V_s: system_s = [L_s B_s | L_s T_p B_s ...]
-    (the T_p in the order of ``matrices``) for a g x d_s integer basis
-    B_s of V_s and a d_s x g integer L_s with L_s B_s nonsingular, and
-    s2_s[p] = tr(T_p^2 on V_s), the sum of the squared eigenvalues.
+    """(d, delta, Y, s2) for each nonzero joint sign space V_s of the
+    involutions, d = dim V_s: T_p acts on V_s by X_p = Y[p] / delta, Y[p]
+    an integer d x d matrix, and s2[p] = tr(X_p^2).
 
     P_s = prod(I + s_i W_i) is 2^k times the projector onto V_s, so its
-    trace is 2^k d_s.  T_p preserves V_s and the lattice V_s meet Z^g,
-    so T_p^2 on V_s has an integer matrix and tr(T_p^2 P_s) = 2^k s_2
-    with s_2 an integer; both divisions are checked.  B_s = P_s R_s and
-    L_s are the halves of one fixed-seed sketch with entries in
-    {-1, 0, 1}.  The columns of B_s lie in V_s, so when L_s B_s has rank
-    d_s mod _LIFT_PRIME (one d_s x d_s reduction) they are a basis of it.  If the
-    rank comes out lower, P_s itself is reduced: B_s is its pivot
-    columns and L_s = B_s^T, whose Gram matrix B_s^T B_s is nonsingular
-    over Q."""
+    trace is 2^k d.  The reduced row-echelon form R mod _LIFT_PRIME of
+    B_s^T, B_s = P_s R_s for a fixed-seed {-1, 0, 1} sketch R_s, depends
+    only on V_s (P_s^T is reduced if B_s^T has rank below d).  delta is
+    the lcm of the denominators of R, read back by rational
+    reconstruction, and E = delta R^T lifted to Z is proved a basis of
+    V_s by E[free] = delta I, free the pivots of R, and P_s E = 2^k E.
+    T_p E = E X_p gives Y[p] = T_p[free] E.  T_p preserves the lattice
+    V_s meet Z^g, so s2 is an integer: tr(Y[p]^2) = delta^2 s2 is checked."""
     identity = np.eye(g, dtype=np.int64)
-    hecke = {p: _exact(A) for p, A in matrices.items()}
-    # (T_p^2)^T, so that tr(T_p^2 P) is the dot product of two flat arrays
-    squares_t = {p: _exact(_int_matmul(A, A).T.copy()) for p, A in hecke.items()}
 
     def projectors(signs, P, rest):
         # depth first, s = +1 before -1 at each level, so sign vectors
-        # share their prefix products and at most k of them are held
+        # share their prefix products and at most 2k of them are held;
+        # P (I + s W) = P + s P W takes one product for both signs
         if not rest:
             yield signs, P
             return
+        PW = _int_matmul(P, rest[0]) if signs else rest[0]
         for s in (1, -1):
-            step = identity + s * rest[0]
-            P_next = _int_matmul(P, step) if signs else step
-            yield from projectors(signs + (s,), P_next, rest[1:])
+            yield from projectors(signs + (s,), P + s * PW, rest[1:])
 
-    scale = 1 << len(involutions)
+    q, scale = _LIFT_PRIME, 1 << len(involutions)
     blocks = []
     for signs, P in projectors((), identity, involutions):
         d, rem = divmod(int(np.trace(P)), scale)
@@ -734,26 +745,30 @@ def _sign_blocks(N: int, involutions: List[np.ndarray], matrices: Dict[int, np.n
             )
         if not d:
             continue
-        sketch = _sketch(2 * d, g)
-        L, B = _exact(sketch[:d]), _exact(_int_matmul(P, sketch[d:].T))
-        LB = _int_matmul(L, B)
-        if len(_rref_mod(LB, _LIFT_PRIME)[1]) < d:
-            # fewer than d pivots leave the blocks short of spanning
-            B = _exact(P[:, _rref_mod(P, _LIFT_PRIME)[1]])
-            L = _exact(B.ints.T)
-            LB = _int_matmul(L, B)
-        system = np.hstack([LB] + [_int_matmul(_int_matmul(L, A), B) for A in hecke.values()])
-        P_bound, s2 = int(np.abs(P).max()), {}
-        for p, T2 in squares_t.items():
-            if T2.bound * P_bound * g * g >= _INT64_LIMIT:
-                raise OverflowError("tr(T_%d^2 P) at level %d may overflow int64" % (p, N))
-            s2[p], rem = divmod(int(np.vdot(T2.ints, P)), scale)
+        P = _exact(P)
+        R, free = _rref_mod(_int_matmul(P, _sketch(d, g).T).T, q)
+        if len(free) < d:
+            R, free = _rref_mod(P.ints.T, q)
+        delta = lcm(*np.flatnonzero(np.bincount(_rational_reconstruction(R, q)[1].reshape(-1))).tolist())
+        E = delta % q * R.T % q
+        E = _exact(np.where(E > q // 2, E - q, E))
+        if not (
+            np.array_equal(E.ints[free], delta * np.eye(d, dtype=np.int64))
+            and np.array_equal(_int_matmul(P, E), scale * E.ints)
+        ):
+            raise ArithmeticError(
+                "the lifted basis of sign space %s at level %d is not exact" % (signs, N)
+            )
+        Y, s2 = {}, {}
+        for p, A in matrices.items():
+            Y[p] = _int_matmul(A[free], E)
+            s2[p], rem = divmod(sum(np.diagonal(_int_matmul(Y[p], Y[p])).tolist()), delta * delta)
             if rem:
                 raise ArithmeticError(
                     "tr(T_%d^2) on sign space %s at level %d is not an integer" % (p, signs, N)
                 )
-        blocks.append((system, s2))
-    if sum(system.shape[0] for system, _ in blocks) != g:
+        blocks.append((d, delta, Y, s2))
+    if sum(d for d, *_ in blocks) != g:
         raise ArithmeticError("the sign spaces at level %d do not span" % N)
     return blocks
 
@@ -842,7 +857,9 @@ def _charpolys_hessenberg_mod(
 def _crt_moduli(D: int) -> Iterator[int]:
     """Primes below isqrt((2^63 - 1) // D), largest first: the largest
     moduli q with D (q - 1)^2 < 2^63, so that the batched charpoly of
-    blocks padded to D x D, and every row reduction, fits int64 mod q."""
+    blocks padded to D x D fits int64 mod q.  A basis denominator delta
+    is an lcm of denominators <= isqrt(_LIFT_PRIME // 2) < 2^13, and for
+    D < 2^20 the moduli start above 2^21, so the first 10^5 never divide it."""
     q = isqrt((2 ** 63 - 1) // max(D, 1)) - 1
     while q > 2:
         if isprime(q):
@@ -876,33 +893,29 @@ def hecke_charpolys_multimodular(
 
     The integer matrices of T_p and of the Atkin-Lehner involutions W_Q
     are built once, and the cuspidal space is split into the joint sign
-    spaces of the W_Q, which every T_p preserves.  Each modulus solves
-    for T_p on every sign space and computes those block charpolys in
-    one batched call.  T_p is self-adjoint for the Petersson product,
-    so its eigenvalues are real, and Deligne's bound puts them in
-    [-2 sqrt(p), 2 sqrt(p)]; so a block's power sum s_2 = tr(T_p^2),
-    exact before any lift, lies in [0, 4 p d] (ArithmeticError
-    otherwise) and bounds its coefficients by ``_trace_bound``.  A
-    block's charpoly is CRT-lifted from the fewest moduli whose product
-    exceeds twice that bound, re-verified against the next
-    ``_VERIFICATION_MODULI`` (2) moduli and checked to have
-    e_1^2 - 2 e_2 = s_2, and the block charpolys are multiplied over Z.
-    All bounds are known before the first modulus, so ``progress(i, n)``,
-    if given, is called after the i-th of the n moduli."""
+    spaces of the W_Q, which every T_p preserves.  T_p on each is found
+    once, as Y_p / delta (``_sign_blocks``), and each modulus computes
+    the charpolys of every Y_p delta^-1 mod q in one batched call.  T_p
+    is self-adjoint for the Petersson product, so its eigenvalues are
+    real, and Deligne's bound puts them in [-2 sqrt(p), 2 sqrt(p)]; so a
+    block's power sum s_2 = tr(T_p^2), exact before any lift, lies in
+    [0, 4 p d] (ArithmeticError otherwise) and bounds its coefficients
+    by ``_trace_bound``.  A block's charpoly is CRT-lifted from the
+    fewest moduli whose product exceeds twice that bound, re-verified
+    against the next ``_VERIFICATION_MODULI`` (2) moduli and checked to
+    have e_1^2 - 2 e_2 = s_2, and the block charpolys are multiplied over
+    Z.  All bounds are known before the first modulus, so
+    ``progress(i, n)``, if given, is called after the i-th of the n
+    moduli."""
     for p in primes:
         check_hecke_prime(N, p)
     g = genus_x0(N)
     basis = _cuspidal_basis(N)
     matrices = _hecke_matrices(N, basis, primes)
     involutions = _atkin_lehner_involutions(N, basis, matrices)
-    # per block, [L B | L T_p B ...]: row reduction mod q gives [I | X_p ...]
-    # with T_p B = B X_p, X_p in column slot[p]
-    slot = {p: k for k, p in enumerate(matrices, 1)}
     blocks = _sign_blocks(N, involutions, matrices, g)
-    systems = [system for system, _ in blocks]
     bounds = {}
-    for j, (system, s2) in enumerate(blocks):
-        d = system.shape[0]
+    for j, (d, _, _, s2) in enumerate(blocks):
         for p in matrices:
             if not 0 <= s2[p] <= 4 * p * d:
                 raise ArithmeticError(
@@ -912,49 +925,35 @@ def hecke_charpolys_multimodular(
             # s2 <= 4pd gives (s2/d)^(k/2) <= (2 sqrt p)^k, so this is never
             # above max_k C(d, k) ceil(2 sqrt p)^k, the bound from Deligne alone
             bounds[(j, p)] = 2 * _trace_bound(d, s2[p])
-    candidates = _crt_moduli(max((Y.shape[0] for Y in systems), default=0))
+    candidates = _crt_moduli(max((d for d, *_ in blocks), default=0))
     moduli: List[int] = []
-
-    def plan():
-        # the product of all moduli but the held-out ones covers every bound
-        while bounds and prod(moduli[:-_VERIFICATION_MODULI]) <= max(
-            bounds.values()
-        ):
-            moduli.append(next(candidates))
-
-    plan()
+    # the product of all moduli but the held-out ones covers every bound
+    while bounds and prod(moduli[:-_VERIFICATION_MODULI]) <= max(bounds.values()):
+        moduli.append(next(candidates))
     residues: Dict[Tuple[int, int], List[np.ndarray]] = {key: [] for key in bounds}
-    i = 0
-    while i < len(moduli):
-        q = moduli[i]
+    for i, q in enumerate(moduli):
         # a block takes residues until its bound and the held-out moduli
         covered = prod(moduli[: max(i - _VERIFICATION_MODULI, 0)])
         active = [key for key, bound in bounds.items() if covered <= bound]
-        solved = {j: _rref_mod(systems[j], q) for j in {j for j, _ in active}}
-        if any(
-            pivots != list(range(systems[j].shape[0]))
-            for j, (_, pivots) in solved.items()
-        ):
-            # some L_s B_s is singular mod q: use the next prime instead
-            del moduli[i]
-            plan()
-            continue
-        # every block of this modulus, zero-padded to the largest, in one call
-        sizes = [systems[j].shape[0] for j, _ in active]
+        # every X_p = Y_p / delta of this modulus, zero-padded to the largest, in one call
+        sizes = [blocks[j][0] for j, _ in active]
         stack = np.zeros((len(active), max(sizes), max(sizes)), dtype=np.int64)
         for t, (j, p) in enumerate(active):
-            d, k = sizes[t], slot[p]
-            stack[t, :d, :d] = solved[j][0][:, k * d : (k + 1) * d]
+            d, delta, Y, _ = blocks[j]
+            if delta % q == 0:
+                raise ArithmeticError(
+                    "modulus %d divides the basis denominator %d at level %d" % (q, delta, N)
+                )
+            stack[t, :d, :d] = Y[p] % q * pow(delta, -1, q) % q
         for key, charpoly in zip(active, _charpolys_hessenberg_mod(stack, sizes, q)):
             residues[key].append(charpoly)
-        i += 1
         if progress is not None:
-            progress(i, len(moduli))
+            progress(i + 1, len(moduli))
 
     out = {}
     for p in matrices:
         charpoly = IntPoly([1])
-        for j in range(len(systems)):
+        for j, (_, _, _, s2) in enumerate(blocks):
             got = residues[(j, p)]
             n = len(got) - _VERIFICATION_MODULI
             lifted = _crt_lift(got[:n], moduli[:n])
@@ -967,11 +966,11 @@ def hecke_charpolys_multimodular(
             if lifted[-1] != 1:
                 raise ArithmeticError("lifted characteristic polynomial not monic")
             # lifted = x^d - e_1 x^(d-1) + e_2 x^(d-2) - ...
-            d, s2 = len(lifted) - 1, blocks[j][1][p]
-            if lifted[d - 1] ** 2 - 2 * (lifted[d - 2] if d > 1 else 0) != s2:
+            d = len(lifted) - 1
+            if lifted[d - 1] ** 2 - 2 * (lifted[d - 2] if d > 1 else 0) != s2[p]:
                 raise ArithmeticError(
                     "a lifted T_%d block charpoly at level %d has e_1^2 - 2 e_2 "
-                    "!= tr(T_%d^2) = %d" % (p, N, p, s2)
+                    "!= tr(T_%d^2) = %d" % (p, N, p, s2[p])
                 )
             charpoly = charpoly * IntPoly(lifted)
         out[p] = HeckeCharPoly(N=N, p=p, coeffs=charpoly.coeffs)

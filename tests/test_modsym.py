@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from math import comb, gcd, isqrt, prod
@@ -166,7 +167,7 @@ def _recorded_sign_blocks(monkeypatch):
 
     def recording(N, involutions, matrices, g):
         blocks = real(N, involutions, matrices, g)
-        sizes.append([system.shape[0] for system, _ in blocks])
+        sizes.append([d for d, *_ in blocks])
         return blocks
 
     monkeypatch.setattr(modsym, "_sign_blocks", recording)
@@ -214,6 +215,7 @@ def _count_rref_calls(monkeypatch):
 
     def counting(M, q):
         calls.append(M.shape)
+        assert q == modsym._LIFT_PRIME, q
         return real(M, q)
 
     monkeypatch.setattr(modsym, "_rref_mod", counting)
@@ -222,37 +224,42 @@ def _count_rref_calls(monkeypatch):
 
 @pytest.mark.parametrize(
     "N, primes",
-    [(99, (2, 5)), (147, (2, 5)), (175, (2, 3)), (243, (2, 5)), (500, (3, 7)), (2233, (2, 5))],
+    [(99, (2, 5)), (147, (2, 5)), (175, (2, 3)), (243, (2, 5)), (500, (3, 7)), (2233, (2, 5)), (143, (2, 3))],
 )
 def test_one_reduction_per_sign_block(monkeypatch, N, primes):
-    # one d x d reduction of L_s B_s per block; the g x g projector is
-    # reduced only after a singular L_s B_s, which some blocks of size
-    # 1 to 4 at levels 99, 147 and 175 meet, and no block at 243, 500
-    # or 2233
-    involutions, matrices, g = _operators(N, primes)
+    # in the whole run, one d x g reduction of B_s^T per block, all mod
+    # _LIFT_PRIME and none per CRT modulus; the g x g P_s^T is reduced
+    # only after B_s^T falls short of rank d, which one block of size
+    # 1 to 6 at level 143 meets, and no block at the other levels
+    sizes = _recorded_sign_blocks(monkeypatch)
     calls = _count_rref_calls(monkeypatch)
-    blocks = modsym._sign_blocks(N, involutions, matrices, g)
-    sizes = [system.shape[0] for system, _ in blocks]
-    assert [shape for shape in calls if shape != (g, g)] == [(d, d) for d in sizes], N
-    assert calls.count((g, g)) == {99: 2, 147: 2, 175: 1}.get(N, 0), N
-    for system, _ in blocks:
-        d = system.shape[0]
-        assert system.shape == (d, (1 + len(primes)) * d)
+    hecke_charpolys_multimodular(N, primes)
+    g = genus_x0(N)
+    assert [shape for shape in calls if shape != (g, g)] == [(d, g) for d in sizes[0]], N
+    assert calls.count((g, g)) == {143: 1}.get(N, 0), N
+    involutions, matrices, _ = _operators(N, primes)
+    for d, delta, Y, _ in modsym._sign_blocks(N, involutions, matrices, g):
+        assert delta >= 1 and list(Y) == list(primes), N
+        assert all(Y[p].shape == (d, d) for p in primes), N
 
 
 def test_rank_deficient_sketch_falls_back_to_the_projector(monkeypatch):
     for N, primes in ((147, (2, 5)), (2233, (2, 5))):
         involutions, matrices, g = _operators(N, primes)
         expected = hecke_charpolys_multimodular(N, primes)
+        blocks = modsym._sign_blocks(N, involutions, matrices, g)
         with monkeypatch.context() as m:
             m.setattr(modsym, "_sketch", lambda rows, cols: np.zeros((rows, cols), np.int8))
             calls = _count_rref_calls(m)
-            blocks = modsym._sign_blocks(N, involutions, matrices, g)
-            # L_s B_s = 0 has rank 0, so every block reduces its P_s
-            sizes = [system.shape[0] for system, _ in blocks]
-            assert calls == [shape for d in sizes for shape in ((d, d), (g, g))], N
+            fallback = modsym._sign_blocks(N, involutions, matrices, g)
+            # B_s^T = 0 has rank 0, so every block reduces its P_s^T
+            sizes = [d for d, *_ in fallback]
+            assert calls == [shape for d in sizes for shape in ((d, g), (g, g))], N
             assert sum(sizes) == g
-            # the charpolys are the same, from B_s^T B_s instead of L_s B_s
+            # the echelon basis depends only on V_s, so the blocks are the same
+            for (d, delta, Y, s2), (d0, delta0, Y0, s20) in zip(fallback, blocks):
+                assert (d, delta, s2) == (d0, delta0, s20), N
+                assert all(np.array_equal(Y[p], Y0[p]) for p in primes), N
             assert hecke_charpolys_multimodular(N, primes) == expected, N
 
 
@@ -310,51 +317,95 @@ def test_unstable_image_raises(monkeypatch):
         integer_hecke_matrices(143, [2])
 
 
-def test_singular_modulus_is_skipped(monkeypatch):
-    # a prime dividing det(L_s B_s) of some block leaves that block's
-    # solve singular, so that modulus must give no residue; a prime
-    # dividing none of them is used
-    expected = hecke_charpolys_multimodular(143, (2, 3))
-    involutions, matrices, g = _operators(143, (2, 3))
-    dets = [
-        int(sympy.Matrix(system[:, : system.shape[0]].tolist()).det())
-        for system, _ in modsym._sign_blocks(143, involutions, matrices, g)
-    ]
-    singular = max(q for det in dets for q in sympy.primefactors(det))
-    regular = next(q for q in sympy.primerange(2, 100) if all(det % q for det in dets))
+def test_modulus_dividing_the_basis_denominator_raises(monkeypatch):
+    # every sign space at level 2233 has an even basis denominator, so
+    # a modulus 2 put first has no inverse of it: a one-line
+    # ArithmeticError, not pow's ValueError
     real_moduli = modsym._crt_moduli
-    real_charpolys = modsym._charpolys_hessenberg_mod
-    used, ticks = [], []
+    monkeypatch.setattr(modsym, "_crt_moduli", lambda D: itertools.chain([2], real_moduli(D)))
+    with pytest.raises(ArithmeticError, match="modulus 2 divides the basis denominator 2 at level 2233") as err:
+        hecke_charpolys_multimodular(2233, (2, 5))
+    assert "\n" not in str(err.value)
 
-    def recording(stack, sizes, q):
-        used.append(q)
-        return real_charpolys(stack, sizes, q)
 
-    def small_first(D):
-        return itertools.chain([singular, regular], real_moduli(D))
+@pytest.mark.parametrize("corrupt", ["delta forced to 1", "one entry of E negated"])
+def test_corrupted_basis_lift_raises(monkeypatch, corrupt):
+    # level 389 has a sign space of basis denominator 2 and reduces no
+    # projector, so the first reduction is a sign space's echelon form
+    if corrupt == "delta forced to 1":
+        monkeypatch.setattr(modsym, "lcm", lambda *denominators: 1)
+    else:
+        real = modsym._rref_mod
 
-    monkeypatch.setattr(modsym, "_crt_moduli", small_first)
-    monkeypatch.setattr(modsym, "_charpolys_hessenberg_mod", recording)
-    got = hecke_charpolys_multimodular(143, (2, 3), progress=lambda *t: ticks.append(t))
-    assert got == expected
-    assert singular not in used and regular in used
-    assert ticks[-1][0] == ticks[-1][1] == len(ticks)
+        def negated(M, q):
+            R, pivots = real(M, q)
+            # a nonzero entry off the pivots of the first row, so E changes there
+            c = next(c for c in np.flatnonzero(R[0]) if c not in pivots)
+            R[0, c] = q - R[0, c]
+            return R, pivots
+
+        monkeypatch.setattr(modsym, "_rref_mod", negated)
+    with pytest.raises(ArithmeticError, match="sign space .* at level 389 is not exact"):
+        hecke_charpolys_multimodular(389, (2, 3))
+
+
+def test_rational_reconstruction_matches_fraction():
+    # every a / b with |a|, b <= h is read back from its residue, in
+    # lowest terms; a numerator or denominator of h + 1 has no fraction
+    # inside the bound
+    rng = random.Random(31)
+    for q in (101, 7919, modsym._LIFT_PRIME):
+        h = isqrt(q // 2)
+        fractions = [Fraction(rng.randint(-h, h), rng.randint(1, h)) for _ in range(300)]
+        fractions += [Fraction(0), Fraction(h), Fraction(-h), Fraction(1, h), Fraction(-h, h - 1)]
+        residues = np.array(
+            [[f.numerator * pow(f.denominator, -1, q) % q for f in fractions]], dtype=np.int64
+        )
+        a, b = modsym._rational_reconstruction(residues, q)
+        assert a.shape == b.shape == residues.shape
+        assert [Fraction(x, y) for x, y in zip(a[0].tolist(), b[0].tolist())] == fractions, q
+        assert all(gcd(x, y) == 1 and y > 0 for x, y in zip(a[0].tolist(), b[0].tolist()))
+        for outside in (Fraction(1, h + 1), Fraction(h + 1), Fraction(-(h + 1), h)):
+            r = outside.numerator * pow(outside.denominator, -1, q) % q
+            with pytest.raises(ArithmeticError, match="^%d mod %d is no fraction" % (r, q)):
+                modsym._rational_reconstruction(np.array([[0, r]], dtype=np.int64), q)
+    # random residues against a scan of every denominator b <= h: about
+    # 6 / pi^2 of them are fractions inside the bound
+    q = modsym._LIFT_PRIME
+    h = isqrt(q // 2)
+    b = np.arange(1, h + 1)
+    kinds = collections.Counter()
+    for r in rng.sample(range(q), 200):
+        a = b * r % q
+        a[a > q // 2] -= q
+        inside = np.flatnonzero(np.abs(a) <= h)
+        if inside.size:
+            got = modsym._rational_reconstruction(np.array([r], dtype=np.int64), q)
+            assert (int(got[0][0]), int(got[1][0])) == (int(a[inside[0]]), int(inside[0]) + 1), r
+        else:
+            with pytest.raises(ArithmeticError, match="is no fraction"):
+                modsym._rational_reconstruction(np.array([r], dtype=np.int64), q)
+        kinds[bool(inside.size)] += 1
+    assert kinds[True] >= 50 and kinds[False] >= 50, kinds
 
 
 @pytest.mark.parametrize("N, primes", [(99, (2, 5)), (143, (2, 3)), (389, (2, 3))])
 def test_block_power_sums_match_sympy_charpoly(N, primes):
-    # s_2 of each block is tr(X_p^2) for X_p = (L B)^-1 (L T_p B) over Q,
-    # and the blocks' s_2 add up to e_1^2 - 2 e_2 of sympy's charpoly of T_p
+    # X_p = Y_p / delta over Q on each block: tr(X_p^2) is its s_2, the
+    # blocks' charpolys multiply to sympy's charpoly of T_p, and their
+    # s_2 add up to e_1^2 - 2 e_2 of it
     involutions, matrices, g = _operators(N, primes)
     blocks = modsym._sign_blocks(N, involutions, matrices, g)
-    for k, p in enumerate(primes, 1):
-        for system, s2 in blocks:
-            d = system.shape[0]
-            LB = sympy.Matrix(system[:, :d].tolist())
-            X = LB.LUsolve(sympy.Matrix(system[:, k * d : (k + 1) * d].tolist()))
+    x = sympy.Symbol("x")
+    for p in primes:
+        product = sympy.Integer(1)
+        for d, delta, Y, s2 in blocks:
+            X = sympy.Matrix(Y[p].tolist()) / delta
             assert (X * X).trace() == s2[p], (N, p)
+            product *= X.charpoly(x).as_expr()
         c = _sympy_charpoly(matrices[p])
-        assert sum(s2[p] for _, s2 in blocks) == c[g - 1] ** 2 - 2 * c[g - 2], (N, p)
+        assert tuple(int(k) for k in reversed(sympy.Poly(product, x).all_coeffs())) == c, (N, p)
+        assert sum(s2[p] for *_, s2 in blocks) == c[g - 1] ** 2 - 2 * c[g - 2], (N, p)
 
 
 @pytest.mark.parametrize(
@@ -372,8 +423,8 @@ def test_corrupted_power_sum_raises(monkeypatch, corrupt, needle):
 
     def corrupted(N, involutions, matrices, g):
         blocks = real(N, involutions, matrices, g)
-        system, s2 = blocks[0]
-        blocks[0] = system, {**s2, 3: corrupt(s2[3], 3, system.shape[0])}
+        d, delta, Y, s2 = blocks[0]
+        blocks[0] = d, delta, Y, {**s2, 3: corrupt(s2[3], 3, d)}
         return blocks
 
     monkeypatch.setattr(modsym, "_sign_blocks", corrupted)

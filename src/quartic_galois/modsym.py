@@ -749,7 +749,8 @@ def _sign_blocks(N: int, involutions: List[np.ndarray], matrices: Dict[int, np.n
         R, free = _rref_mod(_int_matmul(P, _sketch(d, g).T).T, q)
         if len(free) < d:
             R, free = _rref_mod(P.ints.T, q)
-        delta = lcm(*np.flatnonzero(np.bincount(_rational_reconstruction(R, q)[1].reshape(-1))).tolist())
+        denominators = _rational_reconstruction(R, q)[1].reshape(-1)
+        delta = lcm(*np.flatnonzero(np.bincount(denominators)).tolist())
         E = delta % q * R.T % q
         E = _exact(np.where(E > q // 2, E - q, E))
         if not (
@@ -902,11 +903,10 @@ def hecke_charpolys_multimodular(
     [0, 4 p d] (ArithmeticError otherwise) and bounds its coefficients
     by ``_trace_bound``.  A block's charpoly is CRT-lifted from the
     fewest moduli whose product exceeds twice that bound, re-verified
-    against the next ``_VERIFICATION_MODULI`` (2) moduli and checked to
-    have e_1^2 - 2 e_2 = s_2, and the block charpolys are multiplied over
-    Z.  All bounds are known before the first modulus, so
-    ``progress(i, n)``, if given, is called after the i-th of the n
-    moduli."""
+    against the next ``_VERIFICATION_MODULI`` moduli and checked to have
+    e_1^2 - 2 e_2 = s_2, and the block charpolys are multiplied over Z.
+    All bounds are known before the first modulus, so
+    ``progress(i, n)``, if given, is called after the i-th of n moduli."""
     for p in primes:
         check_hecke_prime(N, p)
     g = genus_x0(N)
@@ -935,7 +935,7 @@ def hecke_charpolys_multimodular(
         # a block takes residues until its bound and the held-out moduli
         covered = prod(moduli[: max(i - _VERIFICATION_MODULI, 0)])
         active = [key for key, bound in bounds.items() if covered <= bound]
-        # every X_p = Y_p / delta of this modulus, zero-padded to the largest, in one call
+        # every X_p = Y_p / delta mod q, zero-padded to the largest, in one call
         sizes = [blocks[j][0] for j, _ in active]
         stack = np.zeros((len(active), max(sizes), max(sizes)), dtype=np.int64)
         for t, (j, p) in enumerate(active):

@@ -24,16 +24,16 @@ from quartic_galois.irreducibility import (
     dim1_exclusion,
     dim2_qpoly,
     dim3_obstruction,
-    enumerate_case_profiles,
     irreducibility_certify,
     witness_search,
 )
 from quartic_galois.mod2 import mod2_orders, mod2_verdict
 from quartic_galois.primitivity import primitivity_witnesses
 
-# the exhaustive dim-3 search is a test oracle, kept in tests/
+# the case split and the exhaustive dim-3 search are test oracles, kept
+# in tests/
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import dim3_solutions  # noqa: E402
+from oracles import dim3_solutions, enumerate_case_profiles  # noqa: E402
 
 curve = TernaryQuarticForm.bundled_curve()
 lpolys = [l_polynomial(curve, p) for p in (2, 3, 5, 17, 19, 23, 41, 43, 73)]

@@ -1,10 +1,15 @@
 """Irreducibility of J[ell] for every odd prime ell.
 
-A proper decomposition of the 6-dimensional ell-torsion module forces a
-Jordan-Holder factor of dimension 1, 2 or 3, and the determinant
-bookkeeping (similitude character, tame-inertia exponents in {0,1} at
-ell) cuts the possible (dimension, determinant-exponent) profiles down
-to a short list enumerated by :func:`enumerate_case_profiles`.  Each
+A proper decomposition of the 6-dimensional ell-torsion module has
+Jordan-Holder factors whose dimensions d_i partition 6 into at least
+two parts.  The determinant of the i-th factor is chi^(e_i), chi the
+cyclotomic character, with 0 <= e_i <= d_i (tame-inertia exponents in
+{0,1} at ell); the e_i sum to 3, and the Weil pairing makes the
+multiset {e_i} equal to {d_i - e_i}.  Every profile that survives has a
+1-dimensional factor, a 2-dimensional factor with determinant chi, or
+is a pair of 3-dimensional factors, so three families cover the split.
+The ledger hard-codes them; ``tests/oracles.py`` enumerates the
+profiles, and a test checks that their families are the ledger's.  Each
 family is then excluded outside an explicitly computed finite set of
 primes:
 
@@ -30,99 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .arith import primefactors
 from .curve import LPolynomial
 from .polys import IntPoly, int_resultant, is_irreducible_mod
-
-
-# ---------------------------------------------------------------------------
-# the case split
-
-
-@dataclass(frozen=True)
-class CaseProfile:
-    """A multiset of (dimension, determinant-exponent) pairs.
-
-    ``dims`` is a partition of 6 into at least two parts; ``exps[i]`` is
-    the exponent e_i of the cyclotomic character in the determinant of
-    the i-th factor, constrained by 0 <= e_i <= d_i, sum e_i = 3, and
-    the multiset identity {e_i} = {d_i - e_i} coming from the Weil
-    pairing.
-    """
-
-    dims: Tuple[int, ...]
-    exps: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.dims) < 2 or sum(self.dims) != 6:
-            raise ValueError("dims must be a partition of 6 with >= 2 parts")
-        if len(self.exps) != len(self.dims):
-            raise ValueError("one exponent per dimension required")
-        if any(not 0 <= e <= d for d, e in zip(self.dims, self.exps)):
-            raise ValueError("exponents must satisfy 0 <= e_i <= d_i")
-        if sum(self.exps) != 3:
-            raise ValueError("exponents must sum to 3")
-        if sorted(self.exps) != sorted(
-            d - e for d, e in zip(self.dims, self.exps)
-        ):
-            raise ValueError("multiset {e_i} must equal {d_i - e_i}")
-
-    @property
-    def pairs(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(zip(self.dims, self.exps)))
-
-    @property
-    def family(self) -> str:
-        """Which exclusion family handles this profile."""
-        if 1 in self.dims:
-            return "dim1"
-        if min(self.dims) == 3:
-            return "dim3"
-        return "dim2"
-
-
-def _partitions(n: int, max_part: int) -> Iterable[Tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, min(n, max_part) + 1):
-        for rest in _partitions(n - first, first):
-            yield rest + (first,)
-
-
-def enumerate_case_profiles() -> Tuple[CaseProfile, ...]:
-    """All valid profiles, canonicalized.
-
-    Profiles related by the global swap e_i -> d_i - e_i describe the
-    same decomposition with the roles of paired factors exchanged; each
-    such class is represented once, by the lexicographically smaller
-    labeling (so a (3,3) profile always shows an exponent <= 1).
-    """
-    seen = {}
-    for dims in _partitions(6, 6):
-        if len(dims) < 2:
-            continue
-
-        def search(i, left, acc):
-            if i == len(dims):
-                if left == 0:
-                    yield tuple(acc)
-                return
-            for e in range(0, min(dims[i], left) + 1):
-                yield from search(i + 1, left - e, acc + [e])
-
-        for exps in search(0, 3, []):
-            if sorted(exps) != sorted(d - e for d, e in zip(dims, exps)):
-                continue
-            pairs = tuple(sorted(zip(dims, exps)))
-            dual = tuple(sorted((d, d - e) for d, e in zip(dims, exps)))
-            key = min(pairs, dual)
-            if key not in seen:
-                d_sorted, e_sorted = zip(*key)
-                seen[key] = CaseProfile(dims=d_sorted, exps=e_sorted)
-    return tuple(sorted(seen.values(), key=lambda c: c.pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +177,6 @@ class ExclusionLedger:
     complete: bool
 
     @property
-    def all_excluded(self) -> bool:
-        return self.complete and all(
-            e.status == "excluded" for e in self.entries
-        )
-
-    @property
     def open_primes(self) -> Tuple[int, ...]:
         return tuple(e.ell for e in self.entries if e.status != "excluded")
 
@@ -279,7 +190,8 @@ class ExclusionLedger:
             },
             "details": self.details,
             "complete": self.complete,
-            "all_excluded": self.all_excluded,
+            # complete already requires every entry to be excluded
+            "all_excluded": self.complete,
         }
 
 
@@ -325,9 +237,8 @@ def irreducibility_certify(
             for p, lp in by_p.items()
             if p not in bad_primes and level % p != 0
         }
-        usable = {p: h for p, h in hecke_polys.items() if p in qpolys}
-        if usable:
-            rps = dim2_resultants(qpolys, usable)
+        rps = dim2_resultants(qpolys, hecke_polys)
+        if rps:
             dim2_ells = dim2_exclusion(rps)
     dim2_set = (dim2_ells | escape) if dim2_ells is not None else None
 

@@ -22,14 +22,14 @@ power) come from the one matrix [[Q, y], [N, Q w]] by Manin's trick:
 each image path is expanded by continued fractions.  Either image is a
 set of (class, free column, sign) triples, and the integer matrix in the
 cuspidal basis is assembled from it by sparse products, then proved
-cuspidal-stable by one more.  The W_Q are proved exactly to be commuting involutions
-that commute with every T_p, each operator converted once for those
-products.  So T_p preserves each joint sign space V_s of the W_Q, and
-its characteristic polynomial is the product of those on the V_s.  T_p
-on each V_s is found once, as Y_p / delta_s in an exact echelon basis,
-and each CRT modulus q, the largest primes for which the charpolys fit
-int64, computes every block charpoly of Y_p delta_s^-1 mod q in one
-batched Hessenberg reduction.  A block is lifted from the bound its
+cuspidal-stable by one more.  The W_Q are proved exactly to be
+commuting involutions, so their joint sign spaces V_s split the
+cuspidal space.  T_p on each V_s is found once, as Y_p / delta_s in an
+exact echelon basis E_s, and T_p E_s = E_s Y_p / delta_s proves that
+T_p preserves V_s, so its characteristic polynomial is the product of
+those on the V_s.  Each CRT modulus q, the largest primes for which the
+charpolys fit int64, computes every block charpoly of Y_p delta_s^-1
+mod q in one batched Hessenberg reduction.  A block is lifted from the bound its
 exact s_2 = tr(T_p^2) gives and re-verified against s_2 and more moduli.
 """
 
@@ -652,14 +652,12 @@ def _hecke_matrices(N: int, basis: _Basis, primes: Sequence[int]) -> Dict[int, n
     }
 
 
-def _atkin_lehner_involutions(
-    N: int, basis: _Basis, matrices: Dict[int, np.ndarray]
-) -> List[np.ndarray]:
+def _atkin_lehner_involutions(N: int, basis: _Basis) -> List[np.ndarray]:
     """W_Q in the cuspidal basis for each prime power Q || N, proved
-    exactly to be commuting involutions that commute with every T_p.
-    Each operator is converted for the exact products once."""
+    exactly to be commuting involutions, so that their joint sign spaces
+    split the cuspidal space.  Each operator is converted for the exact
+    products once."""
     identity = np.eye(len(basis.free_b), dtype=np.int64)
-    hecke = [("T_%d" % p, _exact(A)) for p, A in matrices.items()]
     involutions: Dict[str, _Exact] = {}
     for ell, e in factorint(N).items():
         name = "W_%d" % ell ** e
@@ -667,7 +665,7 @@ def _atkin_lehner_involutions(
         W = _exact(_cuspidal_matrix(N, basis, image, name))
         if not np.array_equal(_int_matmul(W, W), identity):
             raise ArithmeticError("%s^2 != 1 at level %d" % (name, N))
-        for other, A in [*involutions.items()] + hecke:
+        for other, A in involutions.items():
             if not np.array_equal(_int_matmul(W, A), _int_matmul(A, W)):
                 raise ArithmeticError(
                     "%s does not commute with %s at level %d" % (name, other, N)
@@ -720,9 +718,11 @@ def _sign_blocks(N: int, involutions: List[np.ndarray], matrices: Dict[int, np.n
     the lcm of the denominators of R, read back by rational
     reconstruction, and E = delta R^T lifted to Z is proved a basis of
     V_s by E[free] = delta I, free the pivots of R, and P_s E = 2^k E.
-    T_p E = E X_p gives Y[p] = T_p[free] E.  T_p preserves the lattice
-    V_s meet Z^g, so s2 is an integer: tr(Y[p]^2) = delta^2 s2 is checked."""
+    Z = T_p E has Y[p] = Z[free], and delta Z = E Y[p] proves T_p E =
+    E X_p, so that T_p preserves V_s.  It then preserves the lattice V_s
+    meet Z^g, so s2 is an integer: tr(Y[p]^2) = delta^2 s2 is checked."""
     identity = np.eye(g, dtype=np.int64)
+    matrices = {p: _exact(A) for p, A in matrices.items()}
 
     def projectors(signs, P, rest):
         # depth first, s = +1 before -1 at each level, so sign vectors
@@ -762,7 +762,14 @@ def _sign_blocks(N: int, involutions: List[np.ndarray], matrices: Dict[int, np.n
             )
         Y, s2 = {}, {}
         for p, A in matrices.items():
-            Y[p] = _int_matmul(A[free], E)
+            Z = _exact(_int_matmul(A, E))
+            if delta * Z.bound >= _INT64_LIMIT:
+                raise OverflowError("delta T_%d E at level %d may reach 2^63" % (p, N))
+            Y[p] = Z.ints[free]
+            if not np.array_equal(delta * Z.ints, _int_matmul(E, Y[p])):
+                raise ArithmeticError(
+                    "T_%d does not preserve sign space %s at level %d" % (p, signs, N)
+                )
             s2[p], rem = divmod(sum(np.diagonal(_int_matmul(Y[p], Y[p])).tolist()), delta * delta)
             if rem:
                 raise ArithmeticError(
@@ -912,7 +919,7 @@ def hecke_charpolys_multimodular(
     g = genus_x0(N)
     basis = _cuspidal_basis(N)
     matrices = _hecke_matrices(N, basis, primes)
-    involutions = _atkin_lehner_involutions(N, basis, matrices)
+    involutions = _atkin_lehner_involutions(N, basis)
     blocks = _sign_blocks(N, involutions, matrices, g)
     bounds = {}
     for j, (d, _, _, s2) in enumerate(blocks):

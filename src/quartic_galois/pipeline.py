@@ -58,6 +58,7 @@ _DEFAULTS = {
     "frobenius_primes": list(DEFAULT_FROBENIUS_PRIMES),
     "hecke": {"mode": "file", "path": None, "primes": [2, 5]},
 }
+_HECKE_MODES = ("file", "compute", "skip")
 
 
 # a config value must be of its default's kind: type -> (test, description)
@@ -91,45 +92,53 @@ def _merge(defaults: dict, given: dict, prefix: str = "") -> dict:
 
 def _default_config(config: Optional[dict]) -> dict:
     """``config`` merged over the defaults; raises ValueError naming an
-    unknown key or a wrongly typed value."""
+    unknown key, a wrongly typed value or an unknown Hecke mode."""
     if not isinstance(config, (dict, type(None))):
         raise ValueError("config must be an object, got %r" % (config,))
-    return _merge(_DEFAULTS, config or {})
+    cfg = _merge(_DEFAULTS, config or {})
+    if cfg["hecke"]["mode"] not in _HECKE_MODES:
+        raise ValueError(
+            "config key 'hecke.mode' must be one of %s, got %r"
+            % (", ".join(map(repr, _HECKE_MODES)), cfg["hecke"]["mode"])
+        )
+    return cfg
 
 
 def _load_hecke(cfg: dict, level: int):
-    """Returns (dict p -> IntPoly or None, description string)."""
-    mode = cfg["hecke"]["mode"]
+    """Returns (dict p -> IntPoly for exactly the configured primes, or
+    None, and a description string)."""
+    mode, primes = cfg["hecke"]["mode"], cfg["hecke"]["primes"]
     if mode == "skip":
         return None, "skipped by configuration"
     if mode == "compute":
-        cps = hecke_charpolys_multimodular(level, cfg["hecke"]["primes"])
+        cps = hecke_charpolys_multimodular(level, primes)
         return (
             {p: cp.to_int_poly() for p, cp in cps.items()},
             "computed multimodularly at level %d" % level,
         )
-    if mode == "file":
-        path = cfg["hecke"]["path"]
-        if path is None:
-            ref = resources.files("quartic_galois").joinpath(
-                "data", _BUNDLED_HECKE
-            )
-            if not ref.is_file():
-                return None, "no bundled Hecke data available"
-            with resources.as_file(ref) as real:
-                cps = load_hecke_charpolys(real)
-            src = "bundled " + _BUNDLED_HECKE
-        else:
-            cps = load_hecke_charpolys(path)
-            src = "file %s" % path
-        bad_level = {cp.N for cp in cps.values()} - {level}
-        if bad_level:
-            raise PipelineFailure(
-                "Hecke data has level %s, expected %d"
-                % (sorted(bad_level), level)
-            )
-        return {p: cp.to_int_poly() for p, cp in cps.items()}, src
-    raise PipelineFailure("unknown Hecke mode %r" % mode)
+    path = cfg["hecke"]["path"]
+    if path is None:
+        ref = resources.files("quartic_galois").joinpath("data", _BUNDLED_HECKE)
+        if not ref.is_file():
+            return None, "no bundled Hecke data available"
+        with resources.as_file(ref) as real:
+            cps = load_hecke_charpolys(real)
+        src = "bundled " + _BUNDLED_HECKE
+    else:
+        cps = load_hecke_charpolys(path)
+        src = "file %s" % path
+    bad_level = {cp.N for cp in cps.values()} - {level}
+    if bad_level:
+        raise PipelineFailure(
+            "Hecke data has level %s, expected %d" % (sorted(bad_level), level)
+        )
+    missing = [p for p in primes if p not in cps]
+    if missing:
+        raise PipelineFailure(
+            "Hecke data (%s) has no charpoly of T_p for configured p = %s"
+            % (src, missing)
+        )
+    return {p: cps[p].to_int_poly() for p in primes}, src
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +231,7 @@ def _irreducibility(cfg, curve, run):
     ledger = irreducibility_certify(
         run["lpolys"], hecke_polys, bad_primes=tuple(bad_primes)
     )
-    if not ledger.complete or ledger.open_primes:
+    if not ledger.complete:
         if hecke_polys is None:
             raise PipelineFailure(
                 "dim-2 exclusion open: no Hecke data (%s); rerun with "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence
 
 from .curve import LPolynomial
-from .polys import is_irreducible_mod
+from .irreducibility import witness_search
 
 FACT_REFS = ("TF-LEM52", "TF-LEM73")
 
@@ -32,39 +32,25 @@ class PrimitivityWitness:
         return {"ell": self.ell, "p": self.p, "checks": dict(self.checks)}
 
 
-def _witness_at(lp: LPolynomial, ell: int) -> Optional[PrimitivityWitness]:
-    # trace of Frobenius is a_p = -a in P_p(T) = T^6 + a T^5 + ...
-    trace = -lp.a
-    if trace % ell == 0:
-        return None
-    if not is_irreducible_mod(lp.to_int_poly(), ell):
-        return None
-    return PrimitivityWitness(
-        ell=ell,
-        p=lp.p,
-        checks={"irreducible_mod_ell": True, "trace_nonzero_mod_ell": True},
-    )
-
-
 def primitivity_witnesses(
     lpolys: Sequence[LPolynomial], ell_set: Iterable[int]
 ) -> Dict[int, Optional[PrimitivityWitness]]:
-    """For each ell, the first table prime passing both checks.
+    """For each ell, the first table prime p != ell with P_p irreducible
+    mod ell and trace of Frobenius a_p = -a nonzero mod ell: the
+    irreducibility witness search over the table primes with ell | a_p
+    removed.
 
     Gaps are recorded as ``None`` rather than raised; the pipeline
     decides whether a gap is fatal.
     """
-    table = sorted(lpolys, key=lambda q: q.p)
     out: Dict[int, Optional[PrimitivityWitness]] = {}
     for ell in sorted(set(ell_set)):
-        if ell == 2 or ell % 2 == 0:
+        if ell % 2 == 0:
             raise ValueError("primitivity witnesses apply to odd primes only")
-        found = None
-        for lp in table:
-            if lp.p == ell:
-                continue
-            found = _witness_at(lp, ell)
-            if found is not None:
-                break
-        out[ell] = found
+        p = witness_search([lp for lp in lpolys if lp.a % ell], ell)
+        out[ell] = None if p is None else PrimitivityWitness(
+            ell=ell,
+            p=p,
+            checks={"irreducible_mod_ell": True, "trace_nonzero_mod_ell": True},
+        )
     return out

@@ -7,6 +7,10 @@ library against; none of them is on a ``certify`` path.
   level 14, eta(1)eta(3)eta(5)eta(15) at level 15), so its coefficients
   a_p can be read off a truncated product of Euler factors with no
   modular-symbol machinery at all;
+* the case split of the irreducibility ledger: every (dimension,
+  determinant-exponent) profile of a proper decomposition of J[ell],
+  with the family that excludes it; the ledger hard-codes its three
+  families;
 * the dimension-3 system of the irreducibility ledger, solved by
   exhaustive search over F_ell^2;
 * the integer Hecke matrices T_p on the cuspidal plus-space, which
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, isqrt
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,6 +121,96 @@ ETA_NEWFORMS = {
     14: ((1, 1), (2, 1), (7, 1), (14, 1)),
     15: ((1, 1), (3, 1), (5, 1), (15, 1)),
 }
+
+
+# ---------------------------------------------------------------------------
+# the case split of the irreducibility ledger
+
+
+@dataclass(frozen=True)
+class CaseProfile:
+    """A multiset of (dimension, determinant-exponent) pairs.
+
+    ``dims`` is a partition of 6 into at least two parts; ``exps[i]`` is
+    the exponent e_i of the cyclotomic character in the determinant of
+    the i-th factor, constrained by 0 <= e_i <= d_i, sum e_i = 3, and
+    the multiset identity {e_i} = {d_i - e_i} coming from the Weil
+    pairing.
+    """
+
+    dims: Tuple[int, ...]
+    exps: Tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.dims) < 2 or sum(self.dims) != 6:
+            raise ValueError("dims must be a partition of 6 with >= 2 parts")
+        if len(self.exps) != len(self.dims):
+            raise ValueError("one exponent per dimension required")
+        if any(not 0 <= e <= d for d, e in zip(self.dims, self.exps)):
+            raise ValueError("exponents must satisfy 0 <= e_i <= d_i")
+        if sum(self.exps) != 3:
+            raise ValueError("exponents must sum to 3")
+        if sorted(self.exps) != sorted(
+            d - e for d, e in zip(self.dims, self.exps)
+        ):
+            raise ValueError("multiset {e_i} must equal {d_i - e_i}")
+
+    @property
+    def pairs(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(sorted(zip(self.dims, self.exps)))
+
+    @property
+    def family(self) -> str:
+        """Which exclusion family handles this profile."""
+        if 1 in self.dims:
+            return "dim1"
+        if min(self.dims) == 3:
+            return "dim3"
+        return "dim2"
+
+
+def _partitions(n: int, max_part: int) -> Iterable[Tuple[int, ...]]:
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, min(n, max_part) + 1):
+        for rest in _partitions(n - first, first):
+            yield rest + (first,)
+
+
+def enumerate_case_profiles() -> Tuple[CaseProfile, ...]:
+    """All valid profiles, canonicalized.
+
+    Profiles related by the global swap e_i -> d_i - e_i describe the
+    same decomposition with the roles of paired factors exchanged; each
+    such class is represented once, by the lexicographically smaller
+    labeling (so a (3,3) profile always shows an exponent <= 1).
+    """
+    seen = {}
+    for dims in _partitions(6, 6):
+        if len(dims) < 2:
+            continue
+
+        def search(i, left, acc):
+            if i == len(dims):
+                if left == 0:
+                    yield tuple(acc)
+                return
+            for e in range(0, min(dims[i], left) + 1):
+                yield from search(i + 1, left - e, acc + [e])
+
+        for exps in search(0, 3, []):
+            if sorted(exps) != sorted(d - e for d, e in zip(dims, exps)):
+                continue
+            pairs = tuple(sorted(zip(dims, exps)))
+            dual = tuple(sorted((d, d - e) for d, e in zip(dims, exps)))
+            key = min(pairs, dual)
+            if key not in seen:
+                d_sorted, e_sorted = zip(*key)
+                seen[key] = CaseProfile(dims=d_sorted, exps=e_sorted)
+    return tuple(sorted(seen.values(), key=lambda c: c.pairs))
+
+
 
 
 # ---------------------------------------------------------------------------

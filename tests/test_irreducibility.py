@@ -1,19 +1,23 @@
 import sympy
 import pytest
 
-from oracles import ORACLE_BOUND, dim3_solutions
+from oracles import (
+    ORACLE_BOUND,
+    CaseProfile,
+    dim3_solutions,
+    enumerate_case_profiles,
+)
 from quartic_galois.curve import LPolynomial
 from quartic_galois.irreducibility import (
-    CaseProfile,
     dim1_exclusion,
     dim2_exclusion,
     dim2_qpoly,
     dim2_resultants,
     dim3_obstruction,
-    enumerate_case_profiles,
     irreducibility_certify,
     witness_search,
 )
+from quartic_galois.pipeline import run_pipeline
 from quartic_galois.polys import IntPoly
 
 # the bundled curve's bad primes; their product 6391 is the Hecke level
@@ -56,6 +60,17 @@ def test_enumeration_matches_expected_case_list():
         assert min(c.dims) in (1, 2, 3)
         if c.family == "dim2":
             assert (2, 1) in c.pairs  # a 2-dim piece with det = chi
+
+
+def test_ledger_families_match_the_case_split():
+    # the ledger hard-codes its families; the bundled certificate's
+    # irreducibility evidence must name exactly those the profiles need
+    cert = run_pipeline(None)
+    (irr,) = [ob for ob in cert.obligations if ob["name"] == "irreducibility"]
+    assert irr["status"] == "proved"
+    ledger_families = {f["family"] for f in irr["evidence"]["families"]}
+    assert ledger_families == {c.family for c in enumerate_case_profiles()}
+    assert irr["evidence"]["all_excluded"] is irr["evidence"]["complete"] is True
 
 
 # ---------------------------------------------------------------------------

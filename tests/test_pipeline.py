@@ -142,11 +142,33 @@ def test_vanishing_hecke_resultants_fail_irreducibility(tmp_path):
 
 
 def test_unknown_hecke_mode():
-    from quartic_galois.pipeline import PipelineFailure, _default_config, _load_hecke
+    # rejected with the config, before the L-polynomial table is counted
+    from quartic_galois.pipeline import _default_config
 
-    cfg = _default_config({"hecke": {"mode": "bogus"}})
-    with pytest.raises(PipelineFailure):
-        _load_hecke(cfg, 6391)
+    with pytest.raises(ValueError) as exc:
+        _default_config({"hecke": {"mode": "bogus"}})
+    assert str(exc.value) == (
+        "config key 'hecke.mode' must be one of 'file', 'compute', "
+        "'skip', got 'bogus'"
+    )
+
+
+def test_file_mode_returns_exactly_the_configured_primes():
+    from quartic_galois.pipeline import _default_config, _load_hecke
+
+    polys, _ = _load_hecke(_default_config({"hecke": {"primes": [5]}}), 6391)
+    assert set(polys) == {5}
+    # T_3 is not in the bundled file: the step fails and names it, where
+    # T_2 and T_5 were once used in its place
+    cert = run_pipeline({"hecke": {"primes": [3]}})
+    assert cert.final_verdict == (
+        "not certified (failing step: irreducibility)"
+    )
+    error = cert.obligations[-1]["evidence"]["error"]
+    assert error == (
+        "Hecke data (bundled hecke_6391.json) has no charpoly of T_p for "
+        "configured p = [3]"
+    )
 
 
 def test_bundled_hecke_loads():
@@ -190,6 +212,7 @@ def test_certificate_serialization(skip_cert):
         ({"frobenius_primes": [4]}, "'frobenius_primes'"),
         ({"frobenius_primes": [[2]]}, "'frobenius_primes'"),
         ({"hecke": {"primes": [2, 2]}}, "'hecke.primes'"),
+        ({"hecke": {"mode": "bogus"}}, "'hecke.mode' must be one of"),
         ({"workers": 2}, "unknown config key 'workers'"),
     ],
 )

@@ -212,8 +212,8 @@ def test_certificate_serialization(skip_cert):
         ({"frobenius_primes": [4]}, "'frobenius_primes'"),
         ({"frobenius_primes": [[2]]}, "'frobenius_primes'"),
         ({"hecke": {"primes": [2, 2]}}, "'hecke.primes'"),
-        ({"hecke": {"mode": "bogus"}}, "'hecke.mode' must be one of"),
         ({"workers": 2}, "unknown config key 'workers'"),
+        ({"hecke": {"mode": "bogus"}}, "'hecke.mode' must be one of"),
     ],
 )
 def test_bad_config_rejected(config, needle):

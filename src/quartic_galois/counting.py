@@ -71,7 +71,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .curve import LPolynomial, Point, TernaryQuarticForm, singular_points
-from .curve import frame_through, point_off_curve
+from .curve import _eval_map, frame_through, point_off_curve
 from .fields import make_field
 from .polys import FqPoly
 
@@ -175,43 +175,20 @@ def _centre(curve: TernaryQuarticForm, p: int) -> Tuple[Point, bool]:
     point b off C that ``curve.point_off_curve`` finds.
 
     Index 0 is (0 : 0 : 1), 1 + z is (0 : 1 : z) and p + 1 + yp + z is
-    (1 : y : z).  Blocks of indices are tested at once on int64 lanes,
-    every product of two residues reduced mod p.  The cap keeps the
-    search O(p).  Every form that is nonzero mod p has a centre: for
-    p >= 5 a point off C lies on a 5 x 5 grid (``point_off_curve``).  For
+    (1 : y : z); the indices are scanned in order, and the partials are
+    evaluated only where F vanishes mod p.  The cap keeps the search
+    O(p).  Every form that is nonzero mod p has a centre: for p >= 5 a
+    point off C lies on a 5 x 5 grid (``point_off_curve``).  For
     p in {2, 3} the smooth search covers the plane, and F -> (F, grad F)
     at the points of P^2(F_p) has rank 15 on quartic forms, so it is
     injective: with no smooth point, F is nonzero somewhere on the plane.
     """
-    forms = [
-        [(e, c % p) for e, c in coeffs.items() if c % p]
-        for coeffs in [curve.coeffs] + [curve.partial(v) for v in range(3)]
-    ]
-    total = min(p * p + p + 1, _SEARCH_LINES * p + 1)
-    for lo in range(0, total, _BLOCK):
-        n = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
-        y, z = np.divmod(n - p - 1, p)
-        affine = n > p
-        pt = np.stack([
-            affine.astype(np.int64),
-            np.where(affine, y, n > 0),
-            np.where(affine, z, np.where(n > 0, n - 1, 1)),
-        ])
-        pw = [[np.ones_like(n), c] for c in pt]
-        for v in range(3):
-            for _ in range(3):
-                pw[v].append(pw[v][-1] * pt[v] % p)
-        vals = []
-        for terms in forms:
-            acc = np.zeros_like(n)
-            for (i, j, k), c in terms:
-                acc += c * (pw[0][i] * pw[1][j] % p * pw[2][k] % p)
-            vals.append(acc % p)
-        hit = np.flatnonzero(
-            (vals[0] == 0) & ((vals[1] != 0) | (vals[2] != 0) | (vals[3] != 0))
-        )
-        if hit.size:
-            return tuple(int(c) for c in pt[:, hit[0]]), True
+    partials = [curve.partial(v) for v in range(3)]
+    for n in range(min(p * p + p + 1, _SEARCH_LINES * p + 1)):
+        pt = (1, *divmod(n - p - 1, p)) if n > p else (0, min(n, 1), n - 1 if n else 1)
+        if _eval_map(curve.coeffs, *pt) % p == 0 and any(
+                _eval_map(g, *pt) % p for g in partials):
+            return pt, True
     off = point_off_curve(curve, p)
     if off is None:
         raise ArithmeticError("a nonzero quartic has no centre mod %d" % p)
@@ -258,11 +235,7 @@ def _project_from(
     and P span the tangent line g . v = 0 (P is on it by Euler's
     relation 4F = sum x_i dF/dx_i) and a is off it.
     """
-    grad = [
-        sum(c * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2]
-            for e, c in curve.partial(v).items()) % p
-        for v in range(3)
-    ]
+    grad = [_eval_map(curve.partial(v), *point) % p for v in range(3)]
     i = next(v for v in range(3) if grad[v])
     for j in (v for v in range(3) if v != i):
         b = [0, 0, 0]

@@ -170,10 +170,7 @@ class TernaryQuarticForm:
 
 
 def _eval_map(coeffs: Dict[Monomial, int], x: int, y: int, z: int) -> int:
-    acc = 0
-    for (i, j, k), c in coeffs.items():
-        acc += c * x ** i * y ** j * z ** k
-    return acc
+    return sum(c * x ** i * y ** j * z ** k for (i, j, k), c in coeffs.items())
 
 
 # ---------------------------------------------------------------------------

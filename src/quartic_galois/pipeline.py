@@ -237,6 +237,12 @@ def _irreducibility(cfg, curve, run):
                 "dim-2 exclusion open: no Hecke data (%s); rerun with "
                 "Hecke mode 'file' or 'compute'" % hecke_src
             )
+        if ledger.finite_sets["dim2"] is None:
+            raise PipelineFailure(
+                "dim-2 exclusion open: Hecke data (%s) for p = %s gives no "
+                "resultant with the Frobenius table p = %s"
+                % (hecke_src, sorted(hecke_polys), [lp.p for lp in run["lpolys"]])
+            )
         raise PipelineFailure(
             "no witness found for ell in %s" % list(ledger.open_primes)
         )
@@ -351,10 +357,8 @@ def render_report(cert: Certificate, format: str = "json") -> str:
                 ob["evidence"], sort_keys=True, indent=2
             ).splitlines()
         )
-        if ob["fact_refs"]:
-            for fid in ob["fact_refs"]:
-                f = get_fact(fid)
-                lines.append("  cites %s: %s" % (fid, f.citation))
+        for fid in ob["fact_refs"]:
+            lines.append("  cites %s: %s" % (fid, get_fact(fid).citation))
     lines.append("")
     lines.append("registry facts used are listed above; full registry "
                  "has %d facts" % len(all_facts()))

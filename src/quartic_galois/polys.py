@@ -40,10 +40,8 @@ from __future__ import annotations
 
 import random
 from itertools import zip_longest
-from math import lcm
 from typing import List, Sequence, Tuple
 
-from .arith import factorint
 from .fields import Element, FieldDescriptor, make_field
 
 _CZ_SEED = 0x5EED_CA55
@@ -679,28 +677,17 @@ def is_irreducible_mod(f: IntPoly, ell: int) -> bool:
 def multiplicative_order(f: FqPoly) -> int:
     """Least n >= 1 with f | x^n - 1.
 
-    Requires f(0) != 0 and f squarefree; then n is the lcm over the
-    irreducible factors g of f of the order of x in F_q[x]/(g), each of
-    which divides q^deg(g) - 1.
+    Requires f(0) != 0 and f squarefree.  Multiplies by x mod f until the
+    power is 1: f(0) != 0 makes x a unit of F_q[x]/(f), a ring of q^deg(f)
+    elements, so the loop ends with n < q^deg(f).
     """
     F = f.field
     if f.is_zero() or F.is_zero(f.coeffs[0]):
         raise ValueError("f(0) = 0: no polynomial x^n - 1 is divisible by x")
     if not f.is_squarefree():
         raise ValueError("f is not squarefree")
-    n = 1
-    x = FqPoly.x(F)
-    for g, _ in factor_fq(f):
-        if g.degree == 0:
-            continue
-        group = F.order ** g.degree - 1
-        order = group
-        for prime, exp in factorint(group).items():
-            for _ in range(exp):
-                cand = order // prime
-                if x.pow_mod(cand, g) == FqPoly.one(F):
-                    order = cand
-                else:
-                    break
-        n = lcm(n, order)
+    x, one = FqPoly.x(F), FqPoly.one(F) % f
+    power, n = x % f, 1
+    while power != one:
+        power, n = power * x % f, n + 1
     return n

@@ -25,7 +25,7 @@ from quartic_galois.counting import (
     count_points,
     l_polynomial,
 )
-from quartic_galois.curve import TernaryQuarticForm
+from quartic_galois.curve import TernaryQuarticForm, point_off_curve
 from quartic_galois.fields import make_field
 from quartic_galois.pipeline import DEFAULT_FROBENIUS_PRIMES
 from quartic_galois.polys import FqPoly
@@ -469,6 +469,28 @@ def test_every_form_nonzero_mod_p_has_a_centre(p, degrees):
         for m in degrees:
             assert count_points(form, p, m) == brute_count(form, p, m)
     assert lanes == {3, 4}
+
+
+def test_centre_is_the_first_smooth_point_of_the_search():
+    # the smooth point of smallest index among the first 16p + 1 points
+    # of P^2(F_p), else the point off C that point_off_curve finds
+    cases = [
+        (form, p)
+        for p in (2, 3, 5, 7, 17, 19)
+        for form in _seeded_forms(p, 20, p)
+    ] + [(CURVE, p) for p in DEFAULT_FROBENIUS_PRIMES]
+    for form, p in cases:
+        values = (
+            (pt, _value_and_gradient(form, pt, p))
+            for pt in _plane(p)[:16 * p + 1]
+        )
+        first = next(
+            (pt for pt, (f, *grad) in values if f == 0 and any(grad)), None
+        )
+        expected = (
+            (first, True) if first else (point_off_curve(form, p), False)
+        )
+        assert _centre(form, p) == expected, (form, p)
 
 
 def test_line_and_cubic_is_counted_from_its_smooth_point():

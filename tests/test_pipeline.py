@@ -171,6 +171,33 @@ def test_file_mode_returns_exactly_the_configured_primes():
     )
 
 
+def test_no_hecke_primes_leave_dim2_open():
+    cert = run_pipeline({"hecke": {"primes": []}})
+    assert cert.final_verdict == (
+        "not certified (failing step: irreducibility)"
+    )
+    assert cert.obligations[-1]["evidence"]["error"] == (
+        "dim-2 exclusion open: Hecke data (bundled hecke_6391.json) for "
+        "p = [] gives no resultant with the Frobenius table p = [2, 3, 5, "
+        "17, 19, 23, 41, 43, 73]"
+    )
+
+
+def test_hecke_primes_outside_the_table_leave_dim2_open():
+    # p = 5, 23 and 73 give Frobenius orders 9, 7 and 15 mod 2, so the
+    # run reaches irreducibility, but the table has no T_2 resultant
+    cert = run_pipeline(
+        {"frobenius_primes": [5, 23, 73], "hecke": {"primes": [2]}}
+    )
+    assert cert.final_verdict == (
+        "not certified (failing step: irreducibility)"
+    )
+    assert cert.obligations[-1]["evidence"]["error"] == (
+        "dim-2 exclusion open: Hecke data (bundled hecke_6391.json) for "
+        "p = [2] gives no resultant with the Frobenius table p = [5, 23, 73]"
+    )
+
+
 def test_bundled_hecke_loads():
     from quartic_galois.pipeline import _default_config, _load_hecke
 

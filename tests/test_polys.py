@@ -361,6 +361,8 @@ def test_order_divides_and_is_minimal():
         (P23.reduce_mod(2), 7),
         (P73.reduce_mod(2), 15),
         (FqPoly.from_ints(F3, [1, 1]), 2),  # x + 1 divides x^2 - 1, not x - 1
+        # primitive: the longest loop of the mod-2 step, 2^6 - 1 powers
+        (FqPoly.from_ints(F2, [1, 1, 0, 0, 0, 0, 1]), 63),
     ]:
         F = f.field
         x = FqPoly.x(F)

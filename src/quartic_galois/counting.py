@@ -175,17 +175,17 @@ def _centre(curve: TernaryQuarticForm, p: int) -> Tuple[Point, bool]:
     point b off C that ``curve.point_off_curve`` finds.
 
     Index 0 is (0 : 0 : 1), 1 + z is (0 : 1 : z) and p + 1 + yp + z is
-    (1 : y : z); the indices are scanned in order, and the partials are
-    evaluated only where F vanishes mod p.  The cap keeps the search
-    O(p).  Every form that is nonzero mod p has a centre: for p >= 5 a
-    point off C lies on a 5 x 5 grid (``point_off_curve``).  For
-    p in {2, 3} the smooth search covers the plane, and F -> (F, grad F)
-    at the points of P^2(F_p) has rank 15 on quartic forms, so it is
-    injective: with no smooth point, F is nonzero somewhere on the plane.
+    (1 : y : z).  The cap keeps the search O(p).  Every form that is
+    nonzero mod p has a centre: for p >= 5 a point off C lies on a 5 x 5
+    grid (``point_off_curve``).  For p in {2, 3} the smooth search covers
+    the plane, and F -> (F, grad F) at the points of P^2(F_p) has rank 15
+    on quartic forms, so it is injective: with no smooth point, F is
+    nonzero somewhere on the plane.
     """
     partials = [curve.partial(v) for v in range(3)]
     for n in range(min(p * p + p + 1, _SEARCH_LINES * p + 1)):
-        pt = (1, *divmod(n - p - 1, p)) if n > p else (0, min(n, 1), n - 1 if n else 1)
+        y, z = divmod(n - p - 1, p)
+        pt = (1, y, z) if n > p else (0, 1, n - 1) if n else (0, 0, 1)
         if _eval_map(curve.coeffs, *pt) % p == 0 and any(
                 _eval_map(g, *pt) % p for g in partials):
             return pt, True
